@@ -41,6 +41,22 @@ def test_boundary_composition_vanishes(corpus):
         assert all(all(x == 0 for x in row) for row in mat_mul(d1, d2))
 
 
+
+def test_d1_rank_is_vertex_count_minus_one(corpus):
+    # h1 reads the rank of d1 of a connected complex as |V| - 1 instead of
+    # factoring d1; the dense Smith form is the oracle
+    spaces = list(corpus.values()) + [SimplicialComplex([(0,)]), SimplicialComplex([()])]
+    for complex in spaces:
+        d1, _ = boundary_matrices(complex)
+        rank = sum(1 for x in snf_diagonal(smith_normal_form(d1)[1]) if x)
+        assert rank == max(len(complex.vertices) - 1, 0)
+
+
+def test_h1_of_point_and_void():
+    for complex in (SimplicialComplex([(0,)]), SimplicialComplex([()])):
+        summary = h1(complex)
+        assert (summary.betti1, summary.torsion) == (0, ())
+
 # -- Smith normal form -----------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from topokit import (
     GroupPresentation,
     PosetEdge,
     SimplicialComplex,
+    SimplicialPoset,
     ValidationError,
     apply_certificate,
     build_nested_tree,
@@ -455,3 +456,137 @@ def test_abelianization_matches_h1(corpus):
         pres = full_presentation(complex, tree)
         summary = h1(complex)
         assert pres.abelianization() == (summary.betti1, summary.torsion)
+
+
+# -- certificate replay table ---------------------------------------------------------------------
+
+
+def _triangle_with_parallel_edge():
+    # face poset of the triangle 012 (atoms 0-2, edges 3={0,1}, 4={0,2},
+    # 5={1,2}, top 6) plus a second edge 7 on {0,1} that bounds nothing
+    ranks = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3, 7: 2}
+    covers = [(0, 3), (1, 3), (0, 4), (2, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6), (0, 7), (1, 7)]
+    return SimplicialPoset(ranks, covers)
+
+
+def _rank3_with_parallel_sides():
+    # not a simplicial poset: element 6 has atoms {0,1,2} but its sides are
+    # 3={0,1}, 4={0,1}, 5={1,2}; replay must still refuse to use it
+    ranks = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3}
+    covers = [(0, 3), (1, 3), (0, 4), (1, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)]
+    return SimplicialPoset(ranks, covers)
+
+
+def _rank3_over_one_edge():
+    # not a simplicial poset: element 3 of rank 3 lies over the single edge 2
+    return SimplicialPoset({0: 1, 1: 1, 2: 2, 3: 3}, [(0, 2), (1, 2), (2, 3)])
+
+
+REPLAY_SPACES = {
+    "octahedron": lambda: shapes.cross_polytope(3),
+    "two_triangles": lambda: face_poset(SimplicialComplex([(0, 1, 2), (1, 2, 3)])),
+    "triangle": lambda: face_poset(SimplicialComplex([(0, 1, 2)])),
+    "triangle_parallel": _triangle_with_parallel_edge,
+    "parallel_sides": _rank3_with_parallel_sides,
+    "one_edge": _rank3_over_one_edge,
+}
+
+E = PosetEdge
+
+# (space, source path, moves, message fragment); every row must be refused.
+# Octahedron colors: 0,1 -> 1; 2,3 -> 2; 4,5 -> 3 (antipodal pairs are not edges).
+REJECTED_REPLAYS = [
+    # complex paths and moves
+    ("octahedron", (), (), "edge paths must be nonempty"),
+    ("octahedron", ((0, 2), (4, 2)), (), "path breaks between"),
+    ("octahedron", ((0, 1), (1, 2)), (), r"\(0,1\) is not an edge of the complex"),
+    ("octahedron", ((0, 2),), (("expand", 0, (0, 1, 2)),), r"witness \[0, 1, 2\] is not a face"),
+    ("octahedron", ((0, 2),), (("expand", 1, (0, 4, 2)),), "expand at 1 does not match the path"),
+    ("octahedron", ((0, 2),), (("expand", 0, (0, 4, 3)),), "expand at 0 does not match the path"),
+    ("octahedron", ((0, 2),), (("contract", 0, (0, 4, 2)),), "contract at 0 does not match the path"),
+    ("octahedron", ((0, 4), (4, 2)), (("contract", 0, (0, 5, 2)),), "contract at 0 does not match the path"),
+    ("octahedron", ((0, 2),), (("cancel", 0),), "cancel position out of range"),
+    ("octahedron", ((0, 2), (2, 4)), (("cancel", 0),), "cancel needs an edge followed by its"),
+    ("octahedron", ((0, 2),), (("insert", 0, (0, 1)),), r"\(0,1\) is not an edge of the complex"),
+    ("octahedron", ((0, 2),), (("insert", 2, (2, 4)),), "insert position out of range"),
+    ("octahedron", ((0, 2),), (("insert", 0, (2, 4)),), "inserted pair does not chain with the path"),
+    ("octahedron", ((0, 2),), (("flip", 0),), "unknown move kind 'flip'"),
+    # poset paths
+    ("triangle", (), (), "edge paths must be nonempty"),
+    ("triangle", (E(3, 0, 1), E(4, 0, 2)), (), "path breaks between"),
+    ("triangle", (E(None, 0, 1),), (), "is not a stationary edge at an atom"),
+    ("triangle", (E(None, 3, 3),), (), "is not a stationary edge at an atom"),
+    ("triangle", (E(6, 0, 1),), (), "element 6 is not an edge element"),
+    ("triangle", (E(3, 0, 2),), (), "does not traverse element 3"),
+    # poset expand
+    ("triangle", (E(5, 1, 2),), (("expand", 1, 6),), "expand position out of range"),
+    ("triangle", (E(None, 0, 0),), (("expand", 0, 6),), "cannot expand a stationary edge"),
+    ("triangle", (E(5, 1, 2),), (("expand", 0, 3),), "witness 3 is not a rank-3 element"),
+    ("one_edge", (E(2, 0, 1),), (("expand", 0, 3),), "element 3 is not a triangle"),
+    ("triangle_parallel", (E(7, 0, 1),), (("expand", 0, 6),), "edge element 7 is not a side of 6"),
+    ("parallel_sides", (E(5, 1, 2),), (("expand", 0, 6),), "sides of 6 do not match the expansion"),
+    # poset contract
+    ("triangle", (E(3, 0, 1),), (("contract", 0, 6),), "contract position out of range"),
+    ("triangle", (E(3, 0, 1), E(3, 1, 0)), (("contract", 0, 6),), "contract needs two distinct edge elements"),
+    ("triangle", (E(None, 0, 0), E(4, 0, 2)), (("contract", 0, 6),), "contract needs two distinct edge elements"),
+    ("triangle", (E(3, 0, 1), E(5, 1, 2)), (("contract", 0, 3),), "witness 3 is not a rank-3 element"),
+    ("two_triangles", (E(4, 0, 1), E(7, 1, 3)), (("contract", 0, 9),), "triangle atoms do not match"),
+    ("triangle_parallel", (E(7, 0, 1), E(5, 1, 2)), (("contract", 0, 6),), "contracted edges are not sides"),
+    ("parallel_sides", (E(3, 0, 1), E(5, 1, 2)), (("contract", 0, 6),), "no side joining the outer atoms"),
+    # poset cancel and insert
+    ("triangle", (E(3, 0, 1),), (("cancel", 0),), "cancel position out of range"),
+    ("triangle", (E(3, 0, 1), E(5, 1, 2)), (("cancel", 0),), "cancel needs an edge followed by its"),
+    ("triangle_parallel", (E(3, 0, 1), E(7, 1, 0)), (("cancel", 0),), "cancel needs an edge followed by its"),
+    ("triangle", (E(3, 0, 1),), (("insert", 0, E(None, 3, 3)),), "is not a stationary edge at an atom"),
+    ("triangle", (E(3, 0, 1),), (("insert", 0, E(6, 0, 1)),), "element 6 is not an edge element"),
+    ("triangle", (E(3, 0, 1),), (("insert", 0, E(3, 0, 2)),), "does not traverse element 3"),
+    ("triangle", (E(3, 0, 1),), (("insert", 2, E(5, 1, 2)),), "insert position out of range"),
+    ("triangle", (E(3, 0, 1),), (("insert", 0, E(5, 1, 2)),), "inserted pair does not chain with the path"),
+    ("triangle", (E(3, 0, 1),), (("flip", 0),), "unknown move kind 'flip'"),
+]
+
+ACCEPTED_REPLAYS = [
+    ("octahedron", ((0, 2),), ("expand", 0, (0, 4, 2)), ((0, 4), (4, 2))),
+    ("octahedron", ((0, 4), (4, 2)), ("contract", 0, (0, 4, 2)), ((0, 2),)),
+    ("octahedron", ((0, 4), (4, 0), (0, 2)), ("contract", 0, (0, 4, 0)), ((0, 0), (0, 2))),
+    ("octahedron", ((0, 2), (2, 4), (4, 2)), ("cancel", 1), ((0, 2),)),
+    ("octahedron", ((0, 2), (2, 0)), ("cancel", 0), ((0, 0),)),
+    ("octahedron", ((0, 2),), ("insert", 1, (2, 4)), ((0, 2), (2, 4), (4, 2))),
+    ("triangle", (E(5, 1, 2),), ("expand", 0, 6), (E(3, 1, 0), E(4, 0, 2))),
+    ("triangle", (E(3, 1, 0), E(4, 0, 2)), ("contract", 0, 6), (E(5, 1, 2),)),
+    ("triangle", (E(3, 0, 1), E(3, 1, 0), E(4, 0, 2)), ("cancel", 0), (E(4, 0, 2),)),
+    ("triangle", (E(3, 0, 1), E(3, 1, 0)), ("cancel", 0), (E(None, 0, 0),)),
+    ("triangle", (E(4, 0, 2),), ("insert", 1, E(5, 2, 1)), (E(4, 0, 2), E(5, 2, 1), E(5, 1, 2))),
+]
+
+
+def _setting(space):
+    return "poset" if isinstance(space, SimplicialPoset) else "complex"
+
+
+@pytest.mark.parametrize("space,source,moves,message", REJECTED_REPLAYS)
+def test_replay_rejects(space, source, moves, message):
+    space = REPLAY_SPACES[space]()
+    cert = Certificate(_setting(space), moves)
+    with pytest.raises((ValidationError, FaceNotFoundError), match=message):
+        apply_certificate(space, source, cert)
+    assert not verify_certificate(space, source, source, cert)
+
+
+@pytest.mark.parametrize("space,source,move,target", ACCEPTED_REPLAYS)
+def test_replay_accepts(space, source, move, target):
+    space = REPLAY_SPACES[space]()
+    cert = Certificate(_setting(space), (move,))
+    assert apply_certificate(space, source, cert) == target
+    assert verify_certificate(space, source, target, cert)
+    assert Certificate.from_json(cert.to_json()) == cert
+
+
+def test_replay_checks_the_space_matches_the_setting(double_circle):
+    octahedron = shapes.cross_polytope(3)
+    with pytest.raises(ValidationError, match="complex certificate needs a simplicial complex"):
+        apply_certificate(double_circle, ((0, 1),), Certificate("complex", ()))
+    with pytest.raises(ValidationError, match="poset certificate needs a simplicial poset"):
+        apply_certificate(octahedron, (E(2, 0, 1),), Certificate("poset", ()))
+    with pytest.raises(ValidationError, match="unknown certificate setting"):
+        apply_certificate(octahedron, ((0, 2),), Certificate("graph", ()))
