@@ -14,7 +14,7 @@ circle = shapes.double_edge_circle()
 print(f"Double-edge circle: {circle}")
 print(f"  elements: {[(x, circle.rank(x), (circle.labels or {}).get(x)) for x in circle.ids]}")
 print(f"  validation: {circle.validate()}")
-f, h = circle.f_h_vectors()
+f, h = circle.f_vector(), circle.h_vector()
 print(f"  f = {f}, h = {h}  (h2 = 1: one circle)")
 
 oc = circle.order_complex()
@@ -32,7 +32,7 @@ print(f"  abelianized: {pres.abelianization()}  == H1 {h1(oc)}")
 print("\nFace posets embed complexes into the poset world:")
 octahedron_poset = face_poset(shapes.cross_polytope(3))
 print(f"  octahedron face poset: {octahedron_poset}")
-fo, ho = octahedron_poset.f_h_vectors()
+fo, ho = octahedron_poset.f_vector(), octahedron_poset.h_vector()
 print(f"  f = {fo}, h = {ho}  (same numbers as the complex)")
 
 print("\nAn invalid poset is pinpointed by the validator:")

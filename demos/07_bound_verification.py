@@ -33,7 +33,7 @@ print()
 print("The 6-cycle is the tight complex case (1*1 = 1 = h2); the double-edge")
 print("circle is the tight poset case:")
 circle = shapes.double_edge_circle()
-_, h = circle.f_h_vectors()
+h = circle.h_vector()
 lower = h1(circle.order_complex()).min_generators
 upper = len(tietze_simplify(poset_edge_path_group(circle)).generators)
 print(f"  double-edge circle: h2 = {h[2]}, lower = {lower}, upper = {upper}")
@@ -41,7 +41,7 @@ print()
 print("Face posets inherit the same h-vectors, so the poset bound holds there too:")
 for name in ("octahedron", "subdivided torus"):
     poset = face_poset(corpus[name])
-    _, h = poset.f_h_vectors()
+    h = poset.h_vector()
     lower = h1(corpus[name]).min_generators
-    d = poset.rank_of_poset
+    d = poset.d
     print(f"  face poset of {name}: C({d},2)*{lower} = {comb(d,2)*lower} <= h2 = {h[2]}")

@@ -53,9 +53,7 @@ def load_input(path: str):
         return SimplicialComplex.from_json(data)
     if kind == "poset":
         poset = SimplicialPoset.from_json(data)
-        report = poset.validate()
-        if not report.valid:
-            raise ValidationError(f"invalid simplicial poset: {report.reason}")
+        poset.require_valid()
         return poset
     raise ValidationError(f'unknown input type {kind!r}; expected "complex" or "poset"')
 
@@ -87,13 +85,7 @@ def check_report(obj) -> dict:
 
 
 def hvec_report(obj) -> dict:
-    if isinstance(obj, SimplicialPoset):
-        f, h = obj.f_h_vectors()
-        d = obj.rank_of_poset
-    else:
-        f, h = obj.f_vector(), obj.h_vector()
-        d = obj.d
-    return {"d": d, "f_vector": list(f), "h_vector": list(h)}
+    return {"d": obj.d, "f_vector": list(obj.f_vector()), "h_vector": list(obj.h_vector())}
 
 
 # -- pi1 ------------------------------------------------------------------------
@@ -144,53 +136,34 @@ def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
 # -- verify -----------------------------------------------------------------------
 
 
-def poset_h_additivity(poset: SimplicialPoset) -> dict:
-    _, h = poset.f_h_vectors()
-    palette = poset.palette
-    rows = []
-    holds = True
-    for i in range(len(h)):
-        total = 0
-        for sel in combinations(palette, i):
-            sub = poset.rank_select(sel)
-            if sub.ids:
-                _, hs = sub.f_h_vectors()
-            else:
-                hs = (1,)
-            total += hs[i] if i < len(hs) else 0
-        rows.append({"i": i, "h": h[i], "sum_over_selections": total})
-        holds = holds and (total == h[i])
-    return {"holds": holds, "by_index": rows}
+# perfbench/tracer.py traces the shared additivity table under this name
+poset_h_additivity = h_additivity_table
 
 
 def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
     """The machine-readable bound report for one complex or poset."""
     rounds = _tietze_rounds(tietze_rounds)
     start = time.perf_counter()
+    props = obj.check_properties()
+    if not props.all_hold:
+        raise PropertyError(f"input fails the property checks: {props.as_dict()}")
+    d = obj.d
+    h = obj.h_vector()
+    additivity = h_additivity_table(obj)
     if isinstance(obj, SimplicialPoset):
-        props = obj.check_properties()
-        if not props.all_hold:
-            raise PropertyError(f"input fails the property checks: {props.as_dict()}")
-        d = obj.rank_of_poset
-        _, h = obj.f_h_vectors()
-        additivity = poset_h_additivity(obj)
-        lower = h1(obj.order_complex()).min_generators
+        kind = "poset"
+        summary = h1(obj.order_complex())
         presentation = tietze_simplify(poset_edge_path_group(obj), rounds)
         upper = len(presentation.generators)
         per_table = []
-        for pair in combinations(obj.palette, 2):
-            _, hs = obj.rank_select(pair).f_h_vectors()
+        for pair in combinations(obj.colors, 2):
+            hs = obj.rank_select(pair).h_vector()
             per_table.append(
                 {"colors": list(pair), "h2_selected": hs[2] if len(hs) > 2 else 0, "post_tietze": None}
             )
     else:
-        props = obj.check_properties()
-        if not props.all_hold:
-            raise PropertyError(f"input fails the property checks: {props.as_dict()}")
-        d = obj.d
-        h = obj.h_vector()
-        additivity = h_additivity_table(obj)
-        lower = h1(obj).min_generators
+        kind = "complex"
+        summary = h1(obj)
         bounds = generator_bounds(obj, rounds)
         upper = bounds["best"]
         per_table = [
@@ -202,6 +175,7 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
             for pair, entry in bounds["per_pair"].items()
         ]
 
+    lower = summary.min_generators
     h2 = h[2] if len(h) > 2 else 0
     pairs = comb(d, 2)
     bound_holds = pairs * lower <= h2
@@ -212,11 +186,10 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
         "upper_bound_within_h2": upper_bound_info,
     }
     if ns:
-        summary = h1(obj.order_complex() if isinstance(obj, SimplicialPoset) else obj)
         checks["ns_holds"] = h[2] - h[1] >= comb(d + 1, 2) * summary.betti1
     report = {
         "input": input_id,
-        "kind": "poset" if isinstance(obj, SimplicialPoset) else "complex",
+        "kind": kind,
         "d": d,
         "h_vector": list(h),
         "per_colors": per_table,
@@ -385,16 +358,10 @@ def main(argv=None) -> int:
             report = rewrite_report(obj, verts, _parse_colors(args.colors))
             _emit(report, args.out)
             return 0 if report["verified"] else 1
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PropertyError, ContractViolationError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except TopoError as exc:
+    except (json.JSONDecodeError, OSError, TopoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

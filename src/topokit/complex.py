@@ -253,11 +253,8 @@ class SimplicialComplex:
         if not self.has_face(face):
             raise FaceNotFoundError(f"{list(face)} is not a face")
         fs = set(face)
-        tops = [tuple(v for v in g if v not in fs) for g in self.facets_containing(face)]
-        return SimplicialComplex(
-            _maximal(tops),
-            self._restrict_coloring({v for t in tops for v in t}),
-            self._restrict_labels({v for t in tops for v in t}),
+        return self._subcomplex(
+            [tuple(v for v in g if v not in fs) for g in self.facets_containing(face)]
         )
 
     def closed_star(self, face) -> "SimplicialComplex":
@@ -265,35 +262,23 @@ class SimplicialComplex:
         face = as_face(face)
         if not self.has_face(face):
             raise FaceNotFoundError(f"{list(face)} is not a face")
-        tops = self.facets_containing(face)
-        verts = {v for t in tops for v in t}
-        return SimplicialComplex(
-            tops, self._restrict_coloring(verts), self._restrict_labels(verts)
-        )
+        return self._subcomplex(self.facets_containing(face))
 
     def rank_select(self, colors) -> "SimplicialComplex":
         """Subcomplex of faces all of whose vertex colors lie in ``colors``."""
         if self._coloring is None:
             raise MissingColoringError("rank selection needs a coloring")
         allowed = set(colors)
-        tops = [
-            tuple(v for v in f if self._coloring[v] in allowed) for f in self._facets
-        ]
-        verts = {v for t in tops for v in t}
-        return SimplicialComplex(
-            _maximal(tops), self._restrict_coloring(verts), self._restrict_labels(verts)
+        return self._subcomplex(
+            [tuple(v for v in f if self._coloring[v] in allowed) for f in self._facets]
         )
 
-    def _restrict_coloring(self, verts):
-        if self._coloring is None:
-            return None
-        return {v: self._coloring[v] for v in verts}
-
-    def _restrict_labels(self, verts):
-        if self._labels is None:
-            return None
-        kept = {v: self._labels[v] for v in verts if v in self._labels}
-        return kept or None
+    def _subcomplex(self, tops) -> "SimplicialComplex":
+        """The complex generated by ``tops``, with this complex's colors and labels."""
+        verts = {v for t in tops for v in t}
+        coloring = None if self._coloring is None else {v: self._coloring[v] for v in verts}
+        labels = self._labels and {v: self._labels[v] for v in verts if v in self._labels}
+        return SimplicialComplex(_maximal(tops), coloring, labels or None)
 
     # -- connectivity ---------------------------------------------------------
 
@@ -305,43 +290,19 @@ class SimplicialComplex:
         """Facet chain connectivity: consecutive facets share a codimension-1 face."""
         if not self.is_pure:
             raise PurityError("strong connectivity is only defined for pure complexes")
-        facets = self._facets
-        if len(facets) <= 1:
-            return True
-        by_ridge: dict[Face, list[int]] = {}
-        for i, f in enumerate(facets):
+        by_ridge: dict[Face, list[Face]] = {}
+        for f in self._facets:
             for ridge in combinations(f, len(f) - 1):
-                by_ridge.setdefault(ridge, []).append(i)
-        seen = {0}
-        queue = [0]
-        while queue:
-            i = queue.pop()
-            for ridge in combinations(facets[i], len(facets[i]) - 1):
-                for j in by_ridge[ridge]:
-                    if j not in seen:
-                        seen.add(j)
-                        queue.append(j)
-        return len(seen) == len(facets)
+                by_ridge.setdefault(ridge, []).append(f)
+        return _facets_connected(self._facets, by_ridge.values())
 
     def check_properties(self) -> PropertyReport:
         """Exact tests for purity, balancedness, and connectivity of small-face links."""
         if "props" not in self._cache:
-            pure = self.is_pure
-            if self._coloring is not None and len(self.colors) == self.d:
-                balanced = pure
-            elif pure:
-                balanced = find_balanced_coloring(self) is not None
-            else:
-                balanced = False
-            links_ok = True
-            for size in range(0, self.d - 1):
-                for face in self.faces(size - 1):
-                    if not self.link(face).is_connected():
-                        links_ok = False
-                        break
-                if not links_ok:
-                    break
-            self._cache["props"] = PropertyReport(pure, balanced, links_ok)
+            balanced = _is_balanced(self)
+            small = (face for size in range(0, self.d - 1) for face in self.faces(size - 1))
+            links_ok = _links_connected(self, small)
+            self._cache["props"] = PropertyReport(self.is_pure, balanced, links_ok)
         return self._cache["props"]
 
     # -- constructions --------------------------------------------------------
@@ -392,13 +353,25 @@ class SimplicialComplex:
             if t in seen:
                 raise ValidationError(f"duplicate facet: {f}")
             seen.add(t)
-        coloring = data.get("coloring")
         labels = data.get("labels")
         return cls(
             [tuple(f) for f in facets],
-            {int(v): c for v, c in coloring.items()} if coloring else None,
+            _coloring_from_json(data),
             {int(v): s for v, s in labels.items()} if labels else None,
         )
+
+
+def _coloring_from_json(data: dict) -> dict[int, int] | None:
+    """The optional ``"coloring"`` object of a JSON complex or poset, as integers."""
+    raw = data.get("coloring")
+    if not raw:
+        return None
+    if not isinstance(raw, dict):
+        raise ValidationError('"coloring" must be an object mapping ids to colors')
+    try:
+        return {int(v): int(c) for v, c in raw.items()}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"coloring ids and colors must be integers: {exc}") from None
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
@@ -410,19 +383,29 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _graph_connected(vertices, adjacency) -> bool:
-    if len(vertices) <= 1:
-        return True
-    start = vertices[0]
+def _reachable(start, adjacency) -> set:
+    """Every node reachable from ``start``; ``adjacency`` maps a node to its neighbors."""
     seen = {start}
-    queue = [start]
-    while queue:
-        u = queue.pop()
-        for w in adjacency[u]:
+    stack = [start]
+    while stack:
+        for w in adjacency[stack.pop()]:
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
-    return len(seen) == len(vertices)
+                stack.append(w)
+    return seen
+
+
+def _graph_connected(vertices, adjacency) -> bool:
+    return len(vertices) <= 1 or len(_reachable(vertices[0], adjacency)) == len(vertices)
+
+
+def _facets_connected(facets, groups) -> bool:
+    """Connectivity of facets, adjacent when in a common group (one ridge's facets)."""
+    adjacency: dict = {f: set() for f in facets}
+    for group in groups:
+        for f in group:
+            adjacency[f].update(group)
+    return _graph_connected(facets, adjacency)
 
 
 def proper_coloring(vertices, adjacency, palette) -> dict[int, int] | None:
@@ -464,13 +447,25 @@ def proper_coloring(vertices, adjacency, palette) -> dict[int, int] | None:
     return dict(assignment) if solve() else None
 
 
-def find_balanced_coloring(complex: SimplicialComplex) -> dict[int, int] | None:
-    """A proper d-coloring of the 1-skeleton of a pure complex, or None."""
-    if not complex.is_pure:
-        raise PurityError("balanced colorings are defined for pure complexes")
-    return proper_coloring(
-        complex.vertices, complex.adjacency(), range(1, complex.d + 1)
-    )
+def find_balanced_coloring(space) -> dict[int, int] | None:
+    """A proper d-coloring of the 1-skeleton of a pure complex or poset, or None."""
+    if not space.is_pure:
+        raise PurityError("balanced colorings are defined for pure complexes and posets")
+    return proper_coloring(space.vertices, space.adjacency(), range(1, space.d + 1))
+
+
+def _links_connected(space, small_faces) -> bool:
+    """Whether every face with fewer than ``d - 1`` vertices has a connected link."""
+    return all(space.link(face).is_connected() for face in small_faces)
+
+
+def _is_balanced(space) -> bool:
+    """Pure, with the attached coloring or a searched one using exactly ``d`` colors."""
+    if not space.is_pure:
+        return False
+    if space.coloring is not None and len(space.colors) == space.d:
+        return True
+    return find_balanced_coloring(space) is not None
 
 
 def connected_sum(
@@ -549,19 +544,20 @@ def connected_sum(
     return SimplicialComplex(facets, coloring, labels)
 
 
-def h_additivity_table(complex: SimplicialComplex) -> dict:
+def h_additivity_table(space) -> dict:
     """Compare each h_i with the sum of h_i over all size-i color selections.
 
-    Returns ``{"holds": bool, "by_index": [{"i", "h", "sum_over_selections"}]}``.
+    ``space`` is a colored complex or simplicial poset.  Returns
+    ``{"holds": bool, "by_index": [{"i", "h", "sum_over_selections"}]}``.
     """
-    h = complex.h_vector()
-    palette = complex.colors
+    h = space.h_vector()
+    palette = space.colors
     rows = []
     holds = True
     for i in range(len(h)):
         total = 0
         for sel in combinations(palette, i):
-            hs = complex.rank_select(sel).h_vector()
+            hs = space.rank_select(sel).h_vector()
             total += hs[i] if i < len(hs) else 0
         rows.append({"i": i, "h": h[i], "sum_over_selections": total})
         holds = holds and (total == h[i])

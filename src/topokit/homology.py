@@ -9,7 +9,6 @@ is what the first-homology summary and the cycle membership test run on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .complex import SimplicialComplex
 from .errors import ValidationError
@@ -247,7 +246,7 @@ def boundary_matrices(complex: SimplicialComplex) -> tuple[Matrix, Matrix]:
     """Vertex-edge and edge-triangle boundary maps, oriented by ascending ids."""
     verts = list(complex.vertices)
     vidx = {v: i for i, v in enumerate(verts)}
-    edges = complex.faces(1) if complex.dim >= 1 else []
+    edges = complex.edges()
     eidx = {e: i for i, e in enumerate(edges)}
     tris = complex.faces(2) if complex.dim >= 2 else []
 
@@ -284,18 +283,15 @@ class HomologySummary:
 
 
 def chain_data(complex: SimplicialComplex) -> dict:
-    """Boundary matrices and the SNF of each, cached on the complex."""
+    """Boundary matrices and the SNF of ``d2``, cached on the complex."""
     cache = complex._cache
     if "chain" not in cache:
         d1, d2 = boundary_matrices(complex)
-        snf1 = smith_normal_form(d1)
-        snf2 = smith_normal_form(d2)
         cache["chain"] = {
-            "edges": complex.faces(1) if complex.dim >= 1 else [],
+            "edges": complex.edges(),
             "d1": d1,
             "d2": d2,
-            "snf1": snf1,
-            "snf2": snf2,
+            "snf2": smith_normal_form(d2),
         }
     return cache["chain"]
 
@@ -305,7 +301,9 @@ def h1(complex: SimplicialComplex) -> HomologySummary:
     if not complex.is_connected():
         raise ValidationError("H1 summary requires a connected complex")
     data = chain_data(complex)
-    rank1 = sum(1 for x in snf_diagonal(data["snf1"][1]) if x)
+    # d1 of a connected complex has rank |V| - 1; the clamp keeps the void
+    # complex at betti1 = 0
+    rank1 = max(len(complex.vertices) - 1, 0)
     diag2 = snf_diagonal(data["snf2"][1])
     rank2 = sum(1 for x in diag2 if x)
     betti = len(data["edges"]) - rank1 - rank2
@@ -351,12 +349,3 @@ def cycle_class_equal(complex: SimplicialComplex, z1: list[int], z2: list[int]) 
         elif wi % di:
             return False
     return True
-
-
-def gcd_of_list(values) -> int:
-    g = 0
-    for x in values:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    return g

@@ -60,38 +60,48 @@ def _canon(u: int, v: int) -> ComplexEdge:
 # -- edge paths ----------------------------------------------------------------
 
 
-def check_edge_path(complex: SimplicialComplex, path) -> tuple[ComplexEdge, ...]:
-    """Validate chaining and face membership; returns the path as a tuple."""
-    edges = tuple((int(u), int(v)) for u, v in path)
+def check_edge_path(space, path) -> tuple:
+    """Validate chaining and membership in ``space``; returns the path as a tuple.
+
+    A complex edge is a vertex pair ``(u, v)``, a poset edge a :class:`PosetEdge`;
+    either way ``e[-2]`` and ``e[-1]`` are its endpoints.
+    """
+    poset = isinstance(space, SimplicialPoset)
+    edges = tuple(_read_edge(poset, e) for e in path)
     if not edges:
         raise ValidationError("edge paths must be nonempty")
-    for (u, v), (u2, _) in zip(edges, edges[1:]):
-        if v != u2:
-            raise ValidationError(f"path breaks between ({u},{v}) and the next edge")
-    for u, v in edges:
-        face = (u,) if u == v else _canon(u, v)
-        if not complex.has_face(face):
-            raise FaceNotFoundError(f"({u},{v}) is not an edge of the complex")
-    return edges
-
-
-def check_poset_edge_path(poset: SimplicialPoset, path) -> tuple[PosetEdge, ...]:
-    edges = tuple(PosetEdge(e[0], int(e[1]), int(e[2])) for e in path)
-    if not edges:
-        raise ValidationError("edge paths must be nonempty")
-    for e, e2 in zip(edges, edges[1:]):
-        if e.term != e2.init:
-            raise ValidationError(f"path breaks between {e} and {e2}")
+    for e, nxt in zip(edges, edges[1:]):
+        if e[-1] != nxt[-2]:
+            raise ValidationError(f"path breaks between {e} and {nxt}")
     for e in edges:
-        if e.elem is None:
-            if e.init != e.term or poset.rank(e.init) != 1:
+        if not poset:
+            u, v = e
+            if not space.has_face((u,) if u == v else _canon(u, v)):
+                raise FaceNotFoundError(f"({u},{v}) is not an edge of the complex")
+        elif e.elem is None:
+            if e.init != e.term or space.rank(e.init) != 1:
                 raise ValidationError(f"{e} is not a stationary edge at an atom")
-        else:
-            if poset.rank(e.elem) != 2:
-                raise ValidationError(f"element {e.elem} is not an edge element")
-            if e.init == e.term or poset.atoms_of(e.elem) != {e.init, e.term}:
-                raise ValidationError(f"{e} does not traverse element {e.elem}")
+        elif space.rank(e.elem) != 2:
+            raise ValidationError(f"element {e.elem} is not an edge element")
+        elif e.init == e.term or space.atoms_of(e.elem) != {e.init, e.term}:
+            raise ValidationError(f"{e} does not traverse element {e.elem}")
     return edges
+
+
+def _read_edge(poset: bool, e):
+    """A raw edge as a complex edge ``(u, v)`` or, in a poset, a :class:`PosetEdge`."""
+    if poset:
+        return PosetEdge(None if e[0] is None else int(e[0]), int(e[1]), int(e[2]))
+    return (int(e[0]), int(e[1]))
+
+
+def _reverse(e):
+    return e.reverse() if isinstance(e, PosetEdge) else (e[1], e[0])
+
+
+def _stationary(e):
+    """The stationary edge at the start of ``e``."""
+    return PosetEdge(None, e.init, e.init) if isinstance(e, PosetEdge) else (e[0], e[0])
 
 
 # -- certificates ---------------------------------------------------------------
@@ -134,55 +144,52 @@ class Certificate:
             elif kind == "cancel":
                 moves.append((kind, pos))
             elif kind == "insert":
-                edge = entry.get("edge")
-                if setting == "complex":
-                    moves.append((kind, pos, (int(edge[0]), int(edge[1]))))
-                else:
-                    moves.append(
-                        (kind, pos, PosetEdge(None if edge[0] is None else int(edge[0]), int(edge[1]), int(edge[2])))
-                    )
+                moves.append((kind, pos, _read_edge(setting == "poset", entry.get("edge"))))
             else:
                 raise ValidationError(f"unknown move kind {kind!r}")
         return cls(setting, tuple(moves))
 
 
-def _apply_move_complex(complex, path, move):
+def _apply_move(space, path, move, triangle_move):
+    """Replay one move; ``triangle_move`` is the setting's expand/contract."""
     kind = move[0]
     if kind in ("expand", "contract"):
-        _, pos, triple = move
-        a, b, c = triple
-        witness = tuple(sorted(set((a, b, c))))
-        if not complex.has_face(witness):
-            raise ValidationError(f"witness {list(witness)} is not a face")
-        if kind == "expand":
-            if not 0 <= pos < len(path) or path[pos] != (a, c):
-                raise ValidationError(f"expand at {pos} does not match the path")
-            return path[:pos] + ((a, b), (b, c)) + path[pos + 1 :]
-        if not 0 <= pos < len(path) - 1 or path[pos] != (a, b) or path[pos + 1] != (b, c):
-            raise ValidationError(f"contract at {pos} does not match the path")
-        return path[:pos] + ((a, c),) + path[pos + 2 :]
+        return triangle_move(space, path, move)
     if kind == "cancel":
         _, pos = move
         if not 0 <= pos < len(path) - 1:
             raise ValidationError("cancel position out of range")
-        (u, v), nxt = path[pos], path[pos + 1]
-        if nxt != (v, u):
+        if path[pos + 1] != _reverse(path[pos]):
             raise ValidationError("cancel needs an edge followed by its reverse")
         if len(path) == 2:
-            return ((u, u),)
+            return (_stationary(path[pos]),)
         return path[:pos] + path[pos + 2 :]
     if kind == "insert":
-        _, pos, (u, v) = move
-        face = (u,) if u == v else _canon(u, v)
-        if not complex.has_face(face):
-            raise ValidationError(f"({u},{v}) is not an edge of the complex")
+        _, pos, edge = move
+        (edge,) = check_edge_path(space, [edge])
         if not 0 <= pos <= len(path):
             raise ValidationError("insert position out of range")
-        junction = path[pos][0] if pos < len(path) else path[-1][1]
-        if junction != u:
+        junction = path[pos][-2] if pos < len(path) else path[-1][-1]
+        if junction != edge[-2]:
             raise ValidationError("inserted pair does not chain with the path")
-        return path[:pos] + ((u, v), (v, u)) + path[pos:]
+        return path[:pos] + (edge, _reverse(edge)) + path[pos:]
     raise ValidationError(f"unknown move kind {kind!r}")
+
+
+def _triangle_move_complex(complex, path, move):
+    """Expand ``a -> c`` into ``a -> b -> c`` or contract it back, for the ordered
+    witness ``(a, b, c)``; ``(u, mid, u)`` contracts ``u -> mid -> u`` to ``(u, u)``."""
+    kind, pos, (a, b, c) = move
+    witness = tuple(sorted({a, b, c}))
+    if not complex.has_face(witness):
+        raise ValidationError(f"witness {list(witness)} is not a face")
+    if kind == "expand":
+        if not 0 <= pos < len(path) or path[pos] != (a, c):
+            raise ValidationError(f"expand at {pos} does not match the path")
+        return path[:pos] + ((a, b), (b, c)) + path[pos + 1 :]
+    if not 0 <= pos < len(path) - 1 or path[pos] != (a, b) or path[pos + 1] != (b, c):
+        raise ValidationError(f"contract at {pos} does not match the path")
+    return path[:pos] + ((a, c),) + path[pos + 2 :]
 
 
 def _rank3_triangle(poset, sigma):
@@ -196,10 +203,10 @@ def _rank3_triangle(poset, sigma):
     return atoms, sides
 
 
-def _apply_move_poset(poset, path, move):
-    kind = move[0]
+def _triangle_move_poset(poset, path, move):
+    """Expand one edge into two, or contract two into one, across a rank-3 witness."""
+    kind, pos, sigma = move
     if kind == "expand":
-        _, pos, sigma = move
         if not 0 <= pos < len(path):
             raise ValidationError("expand position out of range")
         cur = path[pos]
@@ -218,72 +225,49 @@ def _apply_move_poset(poset, path, move):
         if len(first) != 1 or len(second) != 1:
             raise ValidationError(f"sides of {sigma} do not match the expansion")
         return path[:pos] + (PosetEdge(first[0], x, y), PosetEdge(second[0], y, z)) + path[pos + 1 :]
-    if kind == "contract":
-        _, pos, sigma = move
-        if not 0 <= pos < len(path) - 1:
-            raise ValidationError("contract position out of range")
-        e1, e2 = path[pos], path[pos + 1]
-        if e1.elem is None or e2.elem is None or e1.elem == e2.elem:
-            raise ValidationError("contract needs two distinct edge elements")
-        atoms, sides = _rank3_triangle(poset, sigma)
-        x, y, z = e1.init, e1.term, e2.term
-        if {x, y, z} != set(atoms):
-            raise ValidationError("triangle atoms do not match the contracted edges")
-        if e1.elem not in sides or e2.elem not in sides:
-            raise ValidationError("contracted edges are not sides of the witness")
-        third = [e for e in sides if e not in (e1.elem, e2.elem)]
-        if len(third) != 1 or poset.atoms_of(third[0]) != {x, z}:
-            raise ValidationError("witness has no side joining the outer atoms")
-        return path[:pos] + (PosetEdge(third[0], x, z),) + path[pos + 2 :]
-    if kind == "cancel":
-        _, pos = move
-        if not 0 <= pos < len(path) - 1:
-            raise ValidationError("cancel position out of range")
-        e1, e2 = path[pos], path[pos + 1]
-        if e2 != e1.reverse():
-            raise ValidationError("cancel needs an edge followed by its inverse")
-        if len(path) == 2:
-            return (PosetEdge(None, e1.init, e1.init),)
-        return path[:pos] + path[pos + 2 :]
-    if kind == "insert":
-        _, pos, edge = move
-        check_poset_edge_path(poset, [edge])
-        if not 0 <= pos <= len(path):
-            raise ValidationError("insert position out of range")
-        junction = path[pos].init if pos < len(path) else path[-1].term
-        if junction != edge.init:
-            raise ValidationError("inserted pair does not chain with the path")
-        return path[:pos] + (edge, edge.reverse()) + path[pos:]
-    raise ValidationError(f"unknown move kind {kind!r}")
+    if not 0 <= pos < len(path) - 1:
+        raise ValidationError("contract position out of range")
+    e1, e2 = path[pos], path[pos + 1]
+    if e1.elem is None or e2.elem is None or e1.elem == e2.elem:
+        raise ValidationError("contract needs two distinct edge elements")
+    atoms, sides = _rank3_triangle(poset, sigma)
+    x, y, z = e1.init, e1.term, e2.term
+    if {x, y, z} != set(atoms):
+        raise ValidationError("triangle atoms do not match the contracted edges")
+    if e1.elem not in sides or e2.elem not in sides:
+        raise ValidationError("contracted edges are not sides of the witness")
+    third = [e for e in sides if e not in (e1.elem, e2.elem)]
+    if len(third) != 1 or poset.atoms_of(third[0]) != {x, z}:
+        raise ValidationError("witness has no side joining the outer atoms")
+    return path[:pos] + (PosetEdge(third[0], x, z),) + path[pos + 2 :]
+
+
+# setting -> (space type, expand/contract replay)
+_SETTINGS = {
+    "complex": (SimplicialComplex, _triangle_move_complex),
+    "poset": (SimplicialPoset, _triangle_move_poset),
+}
 
 
 def apply_certificate(space, source, certificate: Certificate):
     """Replay every move on ``source``; raises on the first invalid move."""
-    if certificate.setting == "complex":
-        if not isinstance(space, SimplicialComplex):
-            raise ValidationError("complex certificate needs a simplicial complex")
-        path = check_edge_path(space, source)
-        for move in certificate.moves:
-            path = _apply_move_complex(space, path, move)
-        return path
-    if certificate.setting == "poset":
-        if not isinstance(space, SimplicialPoset):
-            raise ValidationError("poset certificate needs a simplicial poset")
-        path = check_poset_edge_path(space, source)
-        for move in certificate.moves:
-            path = _apply_move_poset(space, path, move)
-        return path
-    raise ValidationError(f"unknown certificate setting {certificate.setting!r}")
+    setting = certificate.setting
+    if setting not in _SETTINGS:
+        raise ValidationError(f"unknown certificate setting {setting!r}")
+    space_type, triangle_move = _SETTINGS[setting]
+    if not isinstance(space, space_type):
+        raise ValidationError(f"{setting} certificate needs a simplicial {setting}")
+    path = check_edge_path(space, source)
+    for move in certificate.moves:
+        path = _apply_move(space, path, move, triangle_move)
+    return path
 
 
 def verify_certificate(space, source, target, certificate: Certificate) -> bool:
     """True iff the certificate replays cleanly and lands exactly on ``target``."""
     try:
         final = apply_certificate(space, source, certificate)
-        if certificate.setting == "complex":
-            expected = check_edge_path(space, target)
-        else:
-            expected = check_poset_edge_path(space, target)
+        expected = check_edge_path(space, target)
     except (ValidationError, FaceNotFoundError):
         return False
     return final == expected
@@ -490,7 +474,7 @@ def full_presentation(complex, tree: NestedSpanningTree) -> GroupPresentation:
     if not complex.is_connected():
         raise ValidationError("presentations need a connected complex")
     kappa = complex.coloring
-    edges = complex.faces(1) if complex.dim >= 1 else []
+    edges = complex.edges()
     index = {e: i + 1 for i, e in enumerate(edges)}
     generators = [
         Generator(
@@ -617,7 +601,7 @@ def rewrite_path_to_colors(complex, colors, path):
 
     def apply(move):
         nonlocal work
-        work = list(_apply_move_complex(complex, tuple(work), move))
+        work = list(_triangle_move_complex(complex, tuple(work), move))
         moves.append(move)
 
     idx = 0
@@ -868,7 +852,7 @@ def poset_edge_path_group(poset, base=None) -> GroupPresentation:
         base = min(atoms)
     if poset.rank(base) != 1:
         raise FaceNotFoundError(f"basepoint {base} must be an atom")
-    if poset.rank_of_poset < 2:
+    if poset.d < 2:
         return GroupPresentation((), ())
 
     oc = poset.order_complex()

@@ -12,7 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complex import PropertyReport, SimplicialComplex, h_from_f, proper_coloring
+from .complex import (
+    PropertyReport,
+    SimplicialComplex,
+    _coloring_from_json,
+    _facets_connected,
+    _graph_connected,
+    _is_balanced,
+    _links_connected,
+    _reachable,
+    h_from_f,
+)
 from .errors import (
     FaceNotFoundError,
     MissingColoringError,
@@ -52,15 +62,13 @@ class SimplicialPoset:
                 raise ValidationError(f"element {lo} cannot cover itself")
             cover_set.add((lo, hi))
         self._covers: tuple[tuple[int, int], ...] = tuple(sorted(cover_set))
-        self._up: dict[int, tuple[int, ...]] = {x: () for x in self._rank}
-        self._down: dict[int, tuple[int, ...]] = {x: () for x in self._rank}
         up: dict[int, list[int]] = {x: [] for x in self._rank}
         down: dict[int, list[int]] = {x: [] for x in self._rank}
         for lo, hi in self._covers:
             up[lo].append(hi)
             down[hi].append(lo)
-        self._up = {x: tuple(sorted(ns)) for x, ns in up.items()}
-        self._down = {x: tuple(sorted(ns)) for x, ns in down.items()}
+        self._up: dict[int, tuple[int, ...]] = {x: tuple(sorted(ns)) for x, ns in up.items()}
+        self._down: dict[int, tuple[int, ...]] = {x: tuple(sorted(ns)) for x, ns in down.items()}
 
         if coloring is not None:
             coloring = {int(v): int(c) for v, c in coloring.items()}
@@ -97,7 +105,8 @@ class SimplicialPoset:
         return dict(self._labels) if self._labels is not None else None
 
     @property
-    def rank_of_poset(self) -> int:
+    def d(self) -> int:
+        """The largest rank, the poset analogue of a complex's facet size."""
         return max(self._rank.values(), default=0)
 
     def rank(self, x: int) -> int:
@@ -114,47 +123,33 @@ class SimplicialPoset:
     def maximal_elements(self) -> tuple[int, ...]:
         return tuple(sorted(x for x in self._rank if not self._up[x]))
 
-    def upper_covers(self, x: int) -> tuple[int, ...]:
-        self.rank(x)
-        return self._up[x]
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """The atoms, which play the part of a complex's vertices."""
+        return self.atoms()
 
-    def lower_covers(self, x: int) -> tuple[int, ...]:
-        self.rank(x)
-        return self._down[x]
+    def adjacency(self) -> dict[int, set[int]]:
+        """Atoms lying under a common facet, the poset's 1-skeleton."""
+        adj: dict[int, set[int]] = {a: set() for a in self.atoms()}
+        for facet in self.maximal_elements():
+            for a, b in combinations(sorted(self.atoms_of(facet)), 2):
+                adj[a].add(b)
+                adj[b].add(a)
+        return adj
 
     def down_set(self, x: int) -> frozenset[int]:
         """All elements <= x (excluding the implicit bottom), memoized."""
-        memo = self._cache.setdefault("down", {})
-        if x not in memo:
-            self.rank(x)
-            seen = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for z in self._down[y]:
-                    if z not in seen:
-                        seen.add(z)
-                        stack.append(z)
-            memo[x] = frozenset(seen)
-        return memo[x]
+        return self._closure("down", self._down, x)
 
     def up_set(self, x: int) -> frozenset[int]:
-        memo = self._cache.setdefault("up", {})
+        return self._closure("up", self._up, x)
+
+    def _closure(self, key, adjacency, x) -> frozenset[int]:
+        memo = self._cache.setdefault(key, {})
         if x not in memo:
             self.rank(x)
-            seen = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for z in self._up[y]:
-                    if z not in seen:
-                        seen.add(z)
-                        stack.append(z)
-            memo[x] = frozenset(seen)
+            memo[x] = frozenset(_reachable(x, adjacency))
         return memo[x]
-
-    def leq(self, y: int, x: int) -> bool:
-        return y in self.down_set(x)
 
     def atoms_of(self, x: int) -> frozenset[int]:
         return frozenset(y for y in self.down_set(x) if self._rank[y] == 1)
@@ -165,14 +160,15 @@ class SimplicialPoset:
         return frozenset(self._coloring[a] for a in self.atoms_of(x))
 
     @property
-    def palette(self) -> tuple[int, ...]:
+    def colors(self) -> tuple[int, ...]:
+        """Sorted distinct color values of the attached atom coloring."""
         if self._coloring is None:
             raise MissingColoringError("poset has no coloring attached")
         return tuple(sorted(set(self._coloring.values())))
 
     def __repr__(self):
         return (
-            f"SimplicialPoset({len(self._rank)} elements, rank {self.rank_of_poset})"
+            f"SimplicialPoset({len(self._rank)} elements, rank {self.d})"
         )
 
     # -- validation --------------------------------------------------------
@@ -237,14 +233,17 @@ class SimplicialPoset:
 
     @property
     def is_pure(self) -> bool:
-        d = self.rank_of_poset
+        d = self.d
         return all(self._rank[x] == d for x in self.maximal_elements())
 
     def order_complex(self) -> SimplicialComplex:
-        """Complex of chains of elements, colored by rank; vertex ids are element ids."""
+        """Complex of chains of elements, colored by rank; vertex ids are element ids.
+
+        Memoized, so its homology and property caches are shared by every caller.
+        """
         self.require_valid()
-        if not self._rank:
-            return SimplicialComplex([()])
+        if "order_complex" in self._cache:
+            return self._cache["order_complex"]
         chains: list[tuple[int, ...]] = []
 
         def descend(x, suffix):
@@ -258,7 +257,10 @@ class SimplicialPoset:
         for top in self.maximal_elements():
             descend(top, ())
         coloring = {x: self._rank[x] for x in self._rank}
-        return SimplicialComplex(sorted(set(chains)), coloring, self._labels)
+        self._cache["order_complex"] = SimplicialComplex(
+            sorted(set(chains)), coloring or None, self._labels
+        )
+        return self._cache["order_complex"]
 
     def link(self, x: int | None) -> "SimplicialPoset":
         """The upper set of ``x`` re-ranked so that ``x`` becomes the implicit bottom."""
@@ -268,7 +270,6 @@ class SimplicialPoset:
         base = self.rank(x)
         members = self.up_set(x) - {x}
         ranks = {y: self._rank[y] - base for y in members}
-        covers = [(lo, hi) for lo, hi in self._covers if lo in members and hi in members]
         coloring = None
         if self._coloring is not None:
             base_atoms = self.atoms_of(x)
@@ -277,12 +278,7 @@ class SimplicialPoset:
                 if ranks[y] == 1:
                     extra = self.atoms_of(y) - base_atoms
                     coloring[y] = self._coloring[next(iter(extra))]
-        labels = (
-            {y: self._labels[y] for y in members if y in self._labels}
-            if self._labels
-            else None
-        )
-        return SimplicialPoset(ranks, covers, coloring, labels)
+        return self._sub_poset(members, ranks, coloring)
 
     def rank_select(self, colors) -> "SimplicialPoset":
         """Sub-poset of elements all of whose atom colors lie in ``colors``."""
@@ -291,8 +287,12 @@ class SimplicialPoset:
         allowed = set(colors)
         members = {x for x in self._rank if self.color_set(x) <= allowed}
         ranks = {x: self._rank[x] for x in members}
-        covers = [(lo, hi) for lo, hi in self._covers if lo in members and hi in members]
         coloring = {v: c for v, c in self._coloring.items() if v in members}
+        return self._sub_poset(members, ranks, coloring)
+
+    def _sub_poset(self, members, ranks, coloring) -> "SimplicialPoset":
+        """The elements ``members`` with the given ranks and the covers among them."""
+        covers = [(lo, hi) for lo, hi in self._covers if lo in members and hi in members]
         labels = (
             {x: self._labels[x] for x in members if x in self._labels}
             if self._labels
@@ -302,97 +302,46 @@ class SimplicialPoset:
 
     def is_connected(self) -> bool:
         """Connectivity of the Hasse diagram (agrees with the order complex)."""
-        ids = self.ids
-        if len(ids) <= 1:
-            return True
-        adj = {x: self._up[x] + self._down[x] for x in ids}
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            y = stack.pop()
-            for z in adj[y]:
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-        return len(seen) == len(ids)
+        return _graph_connected(self.ids, {x: self._up[x] + self._down[x] for x in self._rank})
 
     def links_connected(self) -> bool:
         """Link connectivity for the bottom and every face of rank < d - 1."""
         if "links_ok" not in self._cache:
             self.require_valid()
-            d = self.rank_of_poset
-            ok = True
-            if d >= 2:
-                ok = self.is_connected()
-                if ok:
-                    for x in sorted(self._rank):
-                        if self._rank[x] < d - 1 and not self.link(x).is_connected():
-                            ok = False
-                            break
-            self._cache["links_ok"] = ok
+            d = self.d
+            # None is the implicit bottom, whose link is the whole poset
+            small = [None] + sorted(x for x in self._rank if self._rank[x] < d - 1)
+            self._cache["links_ok"] = d < 2 or _links_connected(self, small)
         return self._cache["links_ok"]
 
     def check_properties(self) -> PropertyReport:
         """Purity, balancedness, and link connectivity for small-rank faces."""
         self.require_valid()
         if "props" not in self._cache:
-            d = self.rank_of_poset
-            pure = self.is_pure
-            if self._coloring is not None and len(self.palette) == d:
-                balanced = pure
-            elif pure:
-                balanced = self.find_balanced_coloring() is not None
-            else:
-                balanced = False
-            self._cache["props"] = PropertyReport(pure, balanced, self.links_connected())
+            self._cache["props"] = PropertyReport(
+                self.is_pure, _is_balanced(self), self.links_connected()
+            )
         return self._cache["props"]
 
-    def find_balanced_coloring(self) -> dict[int, int] | None:
-        """Proper atom coloring (distinct under every facet) with d colors, or None."""
-        if not self.is_pure:
-            raise PurityError("balanced colorings are defined for pure posets")
-        d = self.rank_of_poset
-        atoms = self.atoms()
-        adj: dict[int, set[int]] = {a: set() for a in atoms}
-        for facet in self.maximal_elements():
-            members = sorted(self.atoms_of(facet))
-            for a, b in combinations(members, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        return proper_coloring(atoms, {a: tuple(sorted(ns)) for a, ns in adj.items()}, range(1, d + 1))
-
-    def f_h_vectors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Rank counts as an f-vector plus its alternating-sum transform."""
+    def f_vector(self) -> tuple[int, ...]:
+        """Element counts by rank; ``f[0] = 1`` counts the implicit bottom."""
         self.require_valid()
+        return tuple([1] + [len(self.elements_of_rank(r)) for r in range(1, self.d + 1)])
+
+    def h_vector(self) -> tuple[int, ...]:
+        """The alternating-sum transform of the f-vector; pure posets only."""
+        f = self.f_vector()
         if not self.is_pure:
-            raise PurityError("f/h-vectors are only defined for pure posets")
-        d = self.rank_of_poset
-        f = tuple([1] + [len(self.elements_of_rank(r)) for r in range(1, d + 1)])
-        return f, h_from_f(f)
+            raise PurityError("h-vectors are only defined for pure posets")
+        return h_from_f(f)
 
     def is_strongly_connected(self) -> bool:
         """Facet chain connectivity through shared covered rank-(d-1) faces."""
         if not self.is_pure:
             raise PurityError("strong connectivity is only defined for pure posets")
-        facets = self.maximal_elements()
-        if len(facets) <= 1:
-            return True
-        d = self.rank_of_poset
-        adj: dict[int, set[int]] = {f: set() for f in facets}
-        for tau in self.elements_of_rank(d - 1):
-            above = self._up[tau]
-            for a, b in combinations(above, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        seen = {facets[0]}
-        stack = [facets[0]]
-        while stack:
-            y = stack.pop()
-            for z in adj[y]:
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-        return len(seen) == len(facets)
+        return _facets_connected(
+            self.maximal_elements(), [self._up[tau] for tau in self.elements_of_rank(self.d - 1)]
+        )
 
     # -- serialization -------------------------------------------------------
 
@@ -420,6 +369,8 @@ class SimplicialPoset:
         covers = data.get("covers")
         if not isinstance(elements, list) or not isinstance(covers, list):
             raise ValidationError('"elements" and "covers" must be lists')
+        if not all(isinstance(c, list) and len(c) == 2 for c in covers):
+            raise ValidationError("each cover must be a [lower, upper] pair")
         ranks: dict[int, int] = {}
         labels: dict[int, str] = {}
         for entry in elements:
@@ -434,9 +385,7 @@ class SimplicialPoset:
         poset = cls(
             ranks,
             [(int(lo), int(hi)) for lo, hi in covers],
-            {int(v): c for v, c in data["coloring"].items()}
-            if data.get("coloring")
-            else None,
+            _coloring_from_json(data),
             labels or None,
         )
         recomputed = poset._heights()
@@ -448,18 +397,25 @@ class SimplicialPoset:
         return poset
 
     def _heights(self) -> dict[int, int]:
-        """Rank recomputed from covers: 1 + longest descending cover chain."""
-        memo: dict[int, int] = {}
+        """Rank recomputed from covers: 1 + longest descending cover chain.
 
-        def height(x):
-            if x not in memo:
-                below = self._down[x]
-                memo[x] = 1 if not below else 1 + max(height(y) for y in below)
-            return memo[x]
-
-        for x in self._rank:
-            height(x)
-        return memo
+        Elements are settled bottom-up once all their lower covers are, so
+        no recursion is needed; elements never settled lie on or above a
+        cover cycle.
+        """
+        height: dict[int, int] = {}
+        waiting = {x: len(self._down[x]) for x in self._rank}
+        ready = [x for x, n in waiting.items() if n == 0]
+        while ready:
+            x = ready.pop()
+            height[x] = 1 + max((height[y] for y in self._down[x]), default=0)
+            for z in self._up[x]:
+                waiting[z] -= 1
+                if not waiting[z]:
+                    ready.append(z)
+        if len(height) != len(self._rank):
+            raise ValidationError("covers form a cycle")
+        return height
 
 
 def face_poset(complex: SimplicialComplex) -> SimplicialPoset:

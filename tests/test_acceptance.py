@@ -75,7 +75,7 @@ def test_criterion_2_main_bound():
         assert comb(3, 2) * r <= h2
         assert h2 == comb(3, 2) * r
     # tight poset instance: the double-edge circle
-    _, hp = DOUBLE_CIRCLE.f_h_vectors()
+    hp = DOUBLE_CIRCLE.h_vector()
     lower = h1(DOUBLE_CIRCLE.order_complex()).min_generators
     assert comb(2, 2) * lower == 1 == hp[2]
     report(
@@ -90,8 +90,8 @@ def test_criterion_3_poset_bound():
         instances.append((f"face_poset({name})", face_poset(complex), complex))
     for name, poset, space in instances:
         assert poset.validate().valid, name
-        d = poset.rank_of_poset
-        _, h = poset.f_h_vectors()
+        d = poset.d
+        h = poset.h_vector()
         lower = h1(space).min_generators
         assert comb(d, 2) * lower <= h[2], f"poset bound fails on {name}"
     report(
@@ -205,12 +205,12 @@ def test_criterion_8_structural_lemmas():
     posets += [(f"face_poset({name})", face_poset(c)) for name, c in CORPUS.items()]
     for name, poset in posets:
         assert poset.check_properties().all_hold, name
-        d = poset.rank_of_poset
+        d = poset.d
         for x in poset.ids:
             if poset.rank(x) < d - 1:
                 assert poset.link(x).check_properties().all_hold, (name, x)
         assert poset.is_strongly_connected(), name
-        for pair in combinations(poset.palette, 2):
+        for pair in combinations(poset.colors, 2):
             assert poset.rank_select(pair).is_connected(), (name, pair)
     report(
         "PASS criterion 8: link inheritance, strong connectivity, and selected "

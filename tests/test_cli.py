@@ -87,6 +87,29 @@ def test_check_poset(tmp_path, capsys):
     assert json.loads(out)["all_hold"]
 
 
+
+MALFORMED_INPUTS = {
+    "coloring-list": {"type": "complex", "facets": [[0, 1], [1, 2]], "coloring": [1, 2, 1]},
+    "coloring-not-int": {"type": "complex", "facets": [[0, 1], [1, 2]], "coloring": {"0": 1, "1": "x", "2": 1}},
+    "one-element-cover": {"type": "poset", "elements": [{"id": 0, "rank": 1}], "covers": [[0]]},
+    "cyclic-covers": {
+        "type": "poset",
+        "elements": [{"id": 0, "rank": 1}, {"id": 1, "rank": 2}],
+        "covers": [[0, 1], [1, 0]],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "pi1"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, capsys, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_INPUTS[name]))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
 # -- hvec -------------------------------------------------------------------------
 
 
@@ -214,6 +237,23 @@ def test_verify_rejects_unbalanced(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 1
 
+
+
+def test_verify_ns_on_a_poset_factors_no_more(tmp_path, capsys, monkeypatch):
+    from topokit import homology, face_poset, shapes
+
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(face_poset(shapes.cross_polytope(3)).to_json()))
+    calls = []
+    snf = homology.smith_normal_form
+    monkeypatch.setattr(homology, "smith_normal_form", lambda a: calls.append(1) or snf(a))
+    counts = []
+    for flags in ((), ("--ns",)):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", str(path), *flags)
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
 
 # -- rewrite -------------------------------------------------------------------------
 

@@ -429,11 +429,11 @@ def test_face_poset_of_edge_group():
 
 
 def test_poset_realizations_are_valid_paths(double_circle):
-    from topokit.pi1 import check_poset_edge_path
+    from topokit.pi1 import check_edge_path
 
     pres = poset_edge_path_group(double_circle)
     for g in pres.generators:
-        check_poset_edge_path(double_circle, g.realization)
+        check_edge_path(double_circle, g.realization)
 
 
 def test_poset_and_complex_pipelines_agree(corpus):

@@ -95,7 +95,7 @@ def test_order_complex_invariants(corpus, double_circle):
         assert oc.f_vector()[1] == len(poset.ids)
         assert oc.check_properties().balanced
         assert oc.is_pure == poset.is_pure
-        assert set(oc.coloring.values()) == set(range(1, poset.rank_of_poset + 1))
+        assert set(oc.coloring.values()) == set(range(1, poset.d + 1))
     impure = face_poset(SimplicialComplex([(0, 1, 2), (2, 3)]))
     assert not impure.is_pure
     assert not impure.order_complex().is_pure
@@ -138,7 +138,7 @@ def test_link_of_missing_element(double_circle):
 def test_poset_links_inherit_properties(corpus, double_circle):
     posets = [double_circle, face_poset(corpus["octahedron"])]
     for poset in posets:
-        d = poset.rank_of_poset
+        d = poset.d
         for x in poset.ids:
             if poset.rank(x) < d - 1:
                 assert poset.link(x).check_properties().all_hold
@@ -175,7 +175,7 @@ def test_two_color_selections_connected(corpus, double_circle):
 
     posets = [double_circle] + [face_poset(corpus[n]) for n in ("octahedron", "cycle6")]
     for poset in posets:
-        for pair in combinations(poset.palette, 2):
+        for pair in combinations(poset.colors, 2):
             assert poset.rank_select(pair).is_connected()
 
 
@@ -205,7 +205,7 @@ def test_disjoint_union_fails_link_connectivity():
 
 
 def test_double_circle_f_h(double_circle):
-    f, h = double_circle.f_h_vectors()
+    f, h = double_circle.f_vector(), double_circle.h_vector()
     assert f == (1, 2, 2)
     assert h == (1, 0, 1)
 
@@ -213,20 +213,21 @@ def test_double_circle_f_h(double_circle):
 def test_face_poset_f_h_matches_complex(corpus):
     for name in ("cycle6", "octahedron"):
         complex = corpus[name]
-        f, h = face_poset(complex).f_h_vectors()
+        poset = face_poset(complex)
+        f, h = poset.f_vector(), poset.h_vector()
         assert f == complex.f_vector()
         assert h == complex.h_vector()
 
 
 def test_single_edge_face_poset_h():
-    _, h = face_poset(SimplicialComplex([(0, 1)])).f_h_vectors()
+    h = face_poset(SimplicialComplex([(0, 1)])).h_vector()
     assert h == (1, 0, 0)
 
 
 def test_f_h_requires_pure():
     poset = face_poset(SimplicialComplex([(0, 1, 2), (2, 3)]))
     with pytest.raises(PurityError):
-        poset.f_h_vectors()
+        poset.h_vector()
 
 
 # -- strong connectivity ------------------------------------------------------------------------
