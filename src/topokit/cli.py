@@ -73,10 +73,7 @@ def _emit(report, out_path=None):
 def check_report(obj) -> dict:
     report = obj.check_properties()
     out = report.as_dict()
-    if report.pure:
-        out["strongly_connected"] = obj.is_strongly_connected()
-    else:
-        out["strongly_connected"] = False
+    out["strongly_connected"] = report.pure and obj.is_strongly_connected()
     out["all_hold"] = report.all_hold and out["strongly_connected"]
     return out
 
@@ -107,11 +104,7 @@ def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
             "min_generators_upper_bound": len(simplified.generators),
         }
     bounds = generator_bounds(obj, rounds)
-    if colors is None:
-        palette = obj.colors
-        pair = tuple(sorted(palette)[:2])
-    else:
-        pair = tuple(sorted(colors))
+    pair = tuple(sorted(colors) if colors is not None else obj.colors[:2])
     if pair not in bounds["per_pair"]:
         raise ValidationError(f"no color pair {pair} in the palette")
     entry = bounds["per_pair"][pair]

@@ -20,6 +20,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
 
@@ -35,12 +36,13 @@ Face = tuple[int, ...]
 
 def as_face(vertices) -> Face:
     """Canonicalize an iterable of vertex ids into a sorted face tuple."""
-    face = tuple(sorted(vertices))
-    if len(set(face)) != len(face):
-        raise ValidationError(f"face has repeated vertices: {face}")
+    face = tuple(vertices)
     for v in face:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValidationError(f"vertex ids must be nonnegative integers, got {v!r}")
+    face = tuple(sorted(face))
+    if len(set(face)) != len(face):
+        raise ValidationError(f"face has repeated vertices: {face}")
     return face
 
 
@@ -149,7 +151,7 @@ class SimplicialComplex:
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return max(len(f) for f in self._facets) - 1
 
@@ -166,7 +168,7 @@ class SimplicialComplex:
     def labels(self) -> dict[int, str] | None:
         return dict(self._labels) if self._labels is not None else None
 
-    @property
+    @cached_property
     def colors(self) -> tuple[int, ...]:
         """Sorted distinct color values of the attached coloring."""
         if self._coloring is None:
@@ -347,31 +349,28 @@ class SimplicialComplex:
         for f in facets:
             if not isinstance(f, list):
                 raise ValidationError("each facet must be a list of vertex ids")
+            as_face(f)  # vertex types first: ids of mixed types do not compare
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
                 raise ValidationError(f"facet {f} is not strictly ascending")
             t = tuple(f)
             if t in seen:
                 raise ValidationError(f"duplicate facet: {f}")
             seen.add(t)
-        labels = data.get("labels")
-        return cls(
-            [tuple(f) for f in facets],
-            _coloring_from_json(data),
-            {int(v): s for v, s in labels.items()} if labels else None,
-        )
+        labels = _id_map_from_json(data, "labels", str)
+        return cls([tuple(f) for f in facets], _id_map_from_json(data, "coloring", int), labels)
 
 
-def _coloring_from_json(data: dict) -> dict[int, int] | None:
-    """The optional ``"coloring"`` object of a JSON complex or poset, as integers."""
-    raw = data.get("coloring")
+def _id_map_from_json(data: dict, key: str, convert) -> dict | None:
+    """The optional object ``data[key]`` (``"coloring"`` or ``"labels"``) keyed by integer ids."""
+    raw = data.get(key)
+    if not isinstance(raw, (dict, type(None))):
+        raise ValidationError(f'"{key}" must be an object keyed by ids')
     if not raw:
         return None
-    if not isinstance(raw, dict):
-        raise ValidationError('"coloring" must be an object mapping ids to colors')
     try:
-        return {int(v): int(c) for v, c in raw.items()}
+        return {int(v): convert(c) for v, c in raw.items()}
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"coloring ids and colors must be integers: {exc}") from None
+        raise ValidationError(f'"{key}" ids and values do not parse: {exc}') from None
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:

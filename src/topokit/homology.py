@@ -1,14 +1,19 @@
 """Exact integer chain complexes in degrees <= 2 and Smith normal form.
 
-Matrices are plain lists of lists of Python ints, so every computation is
-carried out in arbitrary precision.  The Smith normal form returns the full
-transform triple ``U @ A @ V == D`` with unimodular ``U`` and ``V``, which
-is what the first-homology summary and the cycle membership test run on.
+Matrices are lists of lists of Python ints or sparse ``{row: value}`` column
+dicts, so all arithmetic is exact.  First homology builds the boundary map
+``d2`` as sparse columns straight from the faces and factors it with
+:func:`unit_pivot_factor`: each +-1 pivot adds an invariant factor 1, and the
+dense :func:`smith_normal_form` (``U @ A @ V == D``) runs only on the block
+the pivots leave over.  Dense SNF and :func:`boundary_matrices` stay public
+as the tested oracle.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .complex import SimplicialComplex
 from .errors import ValidationError
@@ -37,10 +42,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 for j in range(cols):
                     oi[j] += x * bk[j]
     return out
-
-
-def mat_vec(a: Matrix, v: list[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
 def determinant(a: Matrix) -> int:
@@ -224,19 +225,106 @@ def snf_is_valid(a: Matrix, u: Matrix, d: Matrix, v: Matrix) -> bool:
         return False
     if abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
         return False
-    diag = snf_diagonal(d)
-    for i in range(len(d)):
-        for j in range(len(d[0]) if d else 0):
-            if i != j and d[i][j]:
-                return False
-    if any(x < 0 for x in diag):
+    if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
         return False
-    for x, y in zip(diag, diag[1:]):
-        if x == 0 and y != 0:
+    diag = snf_diagonal(d)
+    chain = zip(diag, diag[1:])
+    return all(x >= 0 for x in diag) and all(y % x == 0 if x else y == 0 for x, y in chain)
+
+
+# -- sparse unit-pivot elimination ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class SparseFactor:
+    """An integer matrix after unit-pivot elimination, with its dense residual.
+
+    ``pivots`` holds ``(row, column)`` in elimination order, each column a
+    ``{row: value}`` dict as it stood when chosen: +-1 in its pivot row, zero
+    in every earlier one.  The other columns end up zero on all pivot rows;
+    ``u`` and ``diagonal`` come from the dense Smith normal form of their
+    non-zero block, ``rows`` x ``columns``.
+    """
+
+    pivots: tuple
+    rows: tuple[int, ...]
+    columns: int
+    u: Matrix
+    diagonal: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots) + sum(1 for x in self.diagonal if x)
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        return tuple(x for x in self.diagonal if x > 1)
+
+    def contains(self, vector: list[int]) -> bool:
+        """Whether a dense vector, indexed by row, lies in the column lattice."""
+        w = list(vector)
+        for r, col in self.pivots:
+            c = w[r] * col[r]
+            if c:
+                for i, x in col.items():
+                    w[i] -= c * x
+        rest = [w[i] for i in self.rows]
+        if sum(map(abs, w)) != sum(map(abs, rest)):  # non-zero off the residual
             return False
-        if x and y % x:
-            return False
-    return True
+        for row, d in zip(self.u, self.diagonal + (0,) * len(self.u)):
+            wi = sum(a * b for a, b in zip(row, rest))
+            if wi % d if d else wi:
+                return False
+        return True
+
+
+def unit_pivot_factor(columns) -> SparseFactor:
+    """Factor the integer matrix whose columns are the given ``{row: value}`` dicts.
+
+    Live columns are taken smallest first, ties by index.  In each, the +-1
+    entry whose row has the fewest live columns (ties by row) becomes the
+    pivot, and exact column operations clear that row from every other live
+    column, which is queued again at its new size.  Dense Smith normal form
+    runs only on the columns that never get a +-1 entry, restricted to their
+    non-zero rows.
+    """
+    cols = [{i: x for i, x in c.items() if x} for c in columns]
+    live = defaultdict(set)  # row -> live columns with an entry in it
+    for j, col in enumerate(cols):
+        for i in col:
+            live[i].add(j)
+    queue = [(len(col), j) for j, col in enumerate(cols)]
+    heapify(queue)
+    pivots = []
+    while queue:
+        size, j = heappop(queue)
+        col = cols[j]
+        units = [i for i, x in col.items() if x in (1, -1)] if size == len(col) else []
+        if not units:
+            continue
+        r = min(units, key=lambda i: (len(live[i]), i))
+        for i in col:
+            live[i].discard(j)
+        for k in live.pop(r):
+            other = cols[k]
+            c = other[r] * col[r]
+            for i, x in col.items():
+                y = other.get(i, 0) - c * x
+                if y:
+                    other[i] = y
+                    live[i].add(k)
+                else:
+                    other.pop(i, None)
+                    live[i].discard(k)
+            heappush(queue, (len(other), k))
+        pivots.append((r, col))
+        cols[j] = {}  # out of the live set
+    left = [col for col in cols if col]
+    if not left:
+        return SparseFactor(tuple(pivots), (), 0, [], ())
+    rows = sorted({i for col in left for i in col})
+    u, d, _ = smith_normal_form([[col.get(i, 0) for col in left] for i in rows])
+    return SparseFactor(tuple(pivots), tuple(rows), len(left), u, tuple(snf_diagonal(d)))
 
 
 # -- simplicial boundary maps -------------------------------------------------
@@ -283,69 +371,60 @@ class HomologySummary:
 
 
 def chain_data(complex: SimplicialComplex) -> dict:
-    """Boundary matrices and the SNF of ``d2``, cached on the complex."""
+    """The edges, their index and the factored ``d2``, cached on the complex."""
     cache = complex._cache
     if "chain" not in cache:
-        d1, d2 = boundary_matrices(complex)
+        edges = complex.edges()
+        index = {e: i for i, e in enumerate(edges)}
+        tris = complex.faces(2) if complex.dim >= 2 else []
         cache["chain"] = {
-            "edges": complex.edges(),
-            "d1": d1,
-            "d2": d2,
-            "snf2": smith_normal_form(d2),
+            "edges": edges,
+            "edge_index": index,
+            "d2": unit_pivot_factor(
+                {index[(y, z)]: 1, index[(x, z)]: -1, index[(x, y)]: 1} for x, y, z in tris
+            ),
         }
     return cache["chain"]
 
 
 def h1(complex: SimplicialComplex) -> HomologySummary:
-    """H1 over the integers via Smith normal form; the complex must be connected."""
+    """H1 over the integers via the factored ``d2``; the complex must be connected."""
     if not complex.is_connected():
         raise ValidationError("H1 summary requires a connected complex")
     data = chain_data(complex)
     # d1 of a connected complex has rank |V| - 1; the clamp keeps the void
     # complex at betti1 = 0
     rank1 = max(len(complex.vertices) - 1, 0)
-    diag2 = snf_diagonal(data["snf2"][1])
-    rank2 = sum(1 for x in diag2 if x)
-    betti = len(data["edges"]) - rank1 - rank2
+    betti = len(data["edges"]) - rank1 - data["d2"].rank
     # im d2 lies in the saturated subgroup ker d1, so the invariant factors of
     # d2 are already those of the restriction to ker d1
-    torsion = tuple(x for x in diag2 if x > 1)
-    return HomologySummary(betti, torsion)
+    return HomologySummary(betti, data["d2"].torsion)
 
 
 def edge_path_cycle_vector(complex: SimplicialComplex, path) -> list[int]:
     """Signed edge-incidence vector of an edge path (degenerate edges count 0)."""
     data = chain_data(complex)
-    index = {e: i for i, e in enumerate(data["edges"])}
+    index = data["edge_index"]
     z = [0] * len(data["edges"])
     for u, v in path:
-        if u == v:
-            continue
-        if u < v:
-            z[index[(u, v)]] += 1
-        else:
-            z[index[(v, u)]] -= 1
+        if u != v:
+            z[index[(min(u, v), max(u, v))]] += 1 if u < v else -1
     return z
 
 
 def cycle_class_equal(complex: SimplicialComplex, z1: list[int], z2: list[int]) -> bool:
-    """Whether two 1-cycles differ by a boundary, decided exactly via the SNF of d2."""
+    """Whether two 1-cycles differ by a boundary, decided exactly on the factored d2."""
     data = chain_data(complex)
-    d1 = data["d1"]
+    edges = data["edges"]
     for z in (z1, z2):
-        if len(z) != len(data["edges"]):
+        if len(z) != len(edges):
             raise ValidationError("cycle vector has the wrong length")
-        if any(mat_vec(d1, z)):
+        boundary: dict[int, int] = {}
+        for i, x in enumerate(z):
+            if x:
+                u, v = edges[i]
+                boundary[u] = boundary.get(u, 0) - x
+                boundary[v] = boundary.get(v, 0) + x
+        if any(boundary.values()):
             raise ValidationError("input is not a cycle")
-    u2, d2, _ = data["snf2"]
-    diff = [x - y for x, y in zip(z1, z2)]
-    w = mat_vec(u2, diff)
-    diag = snf_diagonal(d2)
-    for i, wi in enumerate(w):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if wi:
-                return False
-        elif wi % di:
-            return False
-    return True
+    return data["d2"].contains([x - y for x, y in zip(z1, z2)])

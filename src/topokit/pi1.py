@@ -23,7 +23,7 @@ rank-2 element they traverse, which keeps parallel edges apart.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -35,7 +35,7 @@ from .errors import (
     PropertyError,
     ValidationError,
 )
-from .homology import smith_normal_form, snf_diagonal
+from .homology import unit_pivot_factor
 from .poset import SimplicialPoset
 
 ComplexEdge = tuple[int, int]
@@ -418,19 +418,14 @@ class GroupPresentation:
 
     def abelianization(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, invariant factors > 1) of the abelianized group."""
-        n = len(self.generators)
-        rows = []
+        columns = []
         for rel in self.relators:
-            row = [0] * n
+            col: dict[int, int] = {}
             for x in rel:
-                row[abs(x) - 1] += 1 if x > 0 else -1
-            rows.append(row)
-        if not rows or n == 0:
-            return n, ()
-        _, diag_matrix, _ = smith_normal_form(rows)
-        diag = snf_diagonal(diag_matrix)
-        rank = sum(1 for x in diag if x)
-        return n - rank, tuple(x for x in diag if x > 1)
+                col[abs(x)] = col.get(abs(x), 0) + (1 if x > 0 else -1)
+            columns.append(col)
+        factor = unit_pivot_factor(columns)
+        return len(self.generators) - factor.rank, factor.torsion
 
     def render(self) -> str:
         lines = [
@@ -688,14 +683,8 @@ def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentat
 
 
 def _cyclic_canonical(word) -> tuple[int, ...]:
-    word = tuple(word)
-    if not word:
-        return word
-    options = []
-    for w in (word, tuple(invert_word(word))):
-        for s in range(len(w)):
-            options.append(w[s:] + w[:s])
-    return min(options)
+    words = (tuple(word), tuple(invert_word(word)))
+    return min((w[s:] + w[:s] for w in words for s in range(len(w))), default=())
 
 
 def tietze_simplify(presentation, max_rounds: int = 50) -> GroupPresentation:
@@ -722,9 +711,7 @@ def tietze_simplify(presentation, max_rounds: int = 50) -> GroupPresentation:
             order = sorted(range(len(rels)), key=lambda k: (len(rels[k]), k))
             for ri in order:
                 rel = rels[ri]
-                counts: dict[int, int] = {}
-                for x in rel:
-                    counts[abs(x)] = counts.get(abs(x), 0) + 1
+                counts = Counter(map(abs, rel))
                 pos = next((p for p, x in enumerate(rel) if counts[abs(x)] == 1), None)
                 if pos is None:
                     continue
@@ -780,7 +767,6 @@ def generator_bounds(complex, tietze_rounds: int = 50) -> dict:
     _require_pi1_ready(complex)
     palette = complex.colors
     per_pair: dict[tuple[int, int], dict] = {}
-    best = None
     for pair in combinations(palette, 2):
         sel = frozenset(pair)
         tree = build_nested_tree(complex, sel)
@@ -794,9 +780,8 @@ def generator_bounds(complex, tietze_rounds: int = 50) -> dict:
             "post_tietze": len(simplified.generators),
             "presentation": simplified,
         }
-        if best is None or per_pair[pair]["post_tietze"] < best:
-            best = per_pair[pair]["post_tietze"]
-    return {"per_pair": per_pair, "best": best if best is not None else 0}
+    best = min((entry["post_tietze"] for entry in per_pair.values()), default=0)
+    return {"per_pair": per_pair, "best": best}
 
 
 # -- poset edge-path groups ---------------------------------------------------------

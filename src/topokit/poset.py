@@ -15,9 +15,9 @@ from itertools import combinations
 from .complex import (
     PropertyReport,
     SimplicialComplex,
-    _coloring_from_json,
     _facets_connected,
     _graph_connected,
+    _id_map_from_json,
     _is_balanced,
     _links_connected,
     _reachable,
@@ -385,7 +385,7 @@ class SimplicialPoset:
         poset = cls(
             ranks,
             [(int(lo), int(hi)) for lo, hi in covers],
-            _coloring_from_json(data),
+            _id_map_from_json(data, "coloring", int),
             labels or None,
         )
         recomputed = poset._heights()

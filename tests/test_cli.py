@@ -97,6 +97,10 @@ MALFORMED_INPUTS = {
         "elements": [{"id": 0, "rank": 1}, {"id": 1, "rank": 2}],
         "covers": [[0, 1], [1, 0]],
     },
+    "facet-mixed-types": {"type": "complex", "facets": [[0, "a"]]},
+    "facet-null-vertex": {"type": "complex", "facets": [[0, None]]},
+    "labels-list": {"type": "complex", "facets": [[0, 1]], "labels": ["x", "y"]},
+    "coloring-zero": {"type": "complex", "facets": [[0, 1]], "coloring": 0},
 }
 
 
@@ -245,14 +249,15 @@ def test_verify_ns_on_a_poset_factors_no_more(tmp_path, capsys, monkeypatch):
     path = tmp_path / "poset.json"
     path.write_text(json.dumps(face_poset(shapes.cross_polytope(3)).to_json()))
     calls = []
-    snf = homology.smith_normal_form
-    monkeypatch.setattr(homology, "smith_normal_form", lambda a: calls.append(1) or snf(a))
+    factor = homology.unit_pivot_factor
+    monkeypatch.setattr(homology, "unit_pivot_factor", lambda c: calls.append(1) or factor(c))
     counts = []
     for flags in ((), ("--ns",)):
         calls.clear()
         code, _, _ = run(capsys, "verify", str(path), *flags)
         assert code == 0
         counts.append(len(calls))
+    assert counts[0] == 1
     assert counts[1] <= counts[0]
 
 # -- rewrite -------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import invariant_factors_by_minors
+from conftest import invariant_factors_by_minors, random_closed_path
 
 from topokit import (
     SimplicialComplex,
@@ -16,7 +18,34 @@ from topokit import (
     snf_is_valid,
 )
 from topokit import shapes
-from topokit.homology import mat_mul, snf_diagonal
+from topokit.homology import mat_mul, snf_diagonal, unit_pivot_factor
+
+
+def dense_h1(complex):
+    """H1 from the dense boundary matrices and their dense Smith normal forms."""
+    d1, d2 = boundary_matrices(complex)
+    factors2 = invariant_factors(d2)
+    betti = len(d2) - len(invariant_factors(d1)) - len(factors2)
+    return betti, tuple(x for x in factors2 if x > 1)
+
+
+def dense_class_oracle(complex):
+    """Membership of z1 - z2 in im d2, through the dense U of the Smith form of d2."""
+    u, d, _ = smith_normal_form(boundary_matrices(complex)[1])
+    diag = snf_diagonal(d)
+    diag += [0] * (len(u) - len(diag))
+
+    def same_class(z1, z2):
+        w = [sum(a * (x - y) for a, x, y in zip(row, z1, z2)) for row in u]
+        return all((wi % di == 0) if di else wi == 0 for wi, di in zip(w, diag))
+
+    return same_class
+
+
+def sd(complex, times):
+    for _ in range(times):
+        complex = complex.barycentric_subdivision()
+    return complex
 
 
 # -- boundary matrices ---------------------------------------------------------
@@ -98,7 +127,52 @@ def test_snf_against_minors_oracle_small_sample():
         assert invariant_factors(a) == invariant_factors_by_minors(a)
 
 
+# -- sparse unit-pivot factorisation --------------------------------------------
+
+
+def columns_of(a):
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a[0]) if a else 0)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 8 x 8, entries in {-1, 0, 1} or in -4..4."""
+    rows, cols, bound = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.sampled_from([1, 4]))
+    return [[draw(st.integers(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+def test_kernel_invariant_factors_match_dense(a):
+    factor = unit_pivot_factor(columns_of(a))
+    kernel = [1] * len(factor.pivots) + [x for x in factor.diagonal if x]
+    assert kernel == invariant_factors(a)
+
+
+def test_kernel_pivot_columns_clear_earlier_pivot_rows(corpus):
+    factor = unit_pivot_factor(columns_of(boundary_matrices(corpus["sd_rp2"])[1]))
+    seen = []
+    for row, col in factor.pivots:
+        assert col[row] in (1, -1)
+        assert not any(col.get(r) for r in seen)
+        seen.append(row)
+    assert factor.torsion == (2,)
+
+
 # -- first homology -----------------------------------------------------------------
+
+
+def test_h1_matches_dense_oracle(corpus, double_circle):
+    for complex in list(corpus.values()) + [double_circle.order_complex()]:
+        summary = h1(complex)
+        assert (summary.betti1, summary.torsion) == dense_h1(complex)
+
+
+def test_h1_of_second_and_third_subdivisions():
+    summary = h1(sd(shapes.sd_projective_plane(), 1))
+    assert (summary.betti1, summary.torsion) == (0, (2,))
+    summary = h1(sd(shapes.sd_torus(), 2))
+    assert (summary.betti1, summary.torsion) == (2, ())
 
 
 def test_h1_circle():
@@ -172,6 +246,31 @@ def test_cycle_check_rejects_non_cycles():
     not_cycle = [1, 0, 0, 0, 0, 0]
     with pytest.raises(ValidationError):
         cycle_class_equal(hexagon, not_cycle, not_cycle)
+
+
+def test_cycle_check_rejects_wrong_length():
+    hexagon = shapes.cycle_complex(6)
+    with pytest.raises(ValidationError):
+        cycle_class_equal(hexagon, [0] * 5, [0] * 5)
+
+
+@pytest.mark.parametrize("name", ["sd_torus", "sd_rp2"])
+def test_cycle_class_matches_dense_membership(corpus, name):
+    complex = corpus[name]
+    same_class = dense_class_oracle(complex)
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(40):
+        root = rng.choice(complex.vertices)
+        first = random_closed_path(complex, root, rng)
+        extra = random_closed_path(complex, root, rng)
+        second = first + extra * rng.choice([1, 2]) if rng.random() < 0.5 else extra
+        z1 = edge_path_cycle_vector(complex, first)
+        z2 = edge_path_cycle_vector(complex, second)
+        answer = cycle_class_equal(complex, z1, z2)
+        assert answer == same_class(z1, z2)
+        outcomes.add(answer)
+    assert outcomes == {True, False}
 
 
 def test_degenerate_edges_contribute_nothing():
