@@ -37,9 +37,17 @@ DEFAULT_TIETZE_ROUNDS = 50
 
 
 def _tietze_rounds(value=None) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("TOPO_TIETZE_ROUNDS", DEFAULT_TIETZE_ROUNDS))
+    """``--tietze-rounds``, else ``TOPO_TIETZE_ROUNDS``, else the default; a
+    non-integer or negative value is invalid input."""
+    if value is None:
+        value = os.environ.get("TOPO_TIETZE_ROUNDS", DEFAULT_TIETZE_ROUNDS)
+    try:
+        rounds = int(value)
+    except ValueError:
+        rounds = None
+    if rounds is None or rounds < 0:
+        raise ValidationError(f"tietze rounds must be a nonnegative integer, got {value!r}")
+    return rounds
 
 
 def load_input(path: str):

@@ -47,15 +47,20 @@ def as_face(vertices) -> Face:
 
 
 def _maximal(faces) -> list[Face]:
-    """Filter an iterable of faces down to the inclusion-maximal ones."""
-    unique = sorted(set(faces), key=lambda f: (-len(f), f))
+    """Filter an iterable of faces down to the inclusion-maximal ones.
+
+    Faces go largest first, and each is tested only against the kept faces
+    through its first vertex, which are the only ones that can contain it.
+    """
     kept: list[Face] = []
-    kept_sets: list[frozenset[int]] = []
-    for face in unique:
+    through: dict[int, list[frozenset[int]]] = {}  # vertex -> kept faces containing it
+    for face in sorted(set(faces), key=lambda f: (-len(f), f)):
         fs = frozenset(face)
-        if not any(fs <= other for other in kept_sets):
-            kept.append(face)
-            kept_sets.append(fs)
+        if kept and (not face or any(fs <= g for g in through.get(face[0], ()))):
+            continue
+        kept.append(face)
+        for v in face:
+            through.setdefault(v, []).append(fs)
     return sorted(kept, key=lambda f: (len(f), f))
 
 
@@ -228,9 +233,40 @@ class SimplicialComplex:
         return self._cache["adj"]
 
     def facets_containing(self, face) -> list[Face]:
+        """Facets containing ``face``, in stored order: the intersection of the
+        stars of its vertices, a star being the positions of the facets through
+        a vertex (indexed on first use)."""
         face = as_face(face)
-        fs = set(face)
-        return [f for f in self._facets if fs <= set(f)]
+        if not face:
+            return list(self._facets)
+        if "star" not in self._cache:
+            star: dict[int, set[int]] = {}
+            for i, f in enumerate(self._facets):
+                for v in f:
+                    star.setdefault(v, set()).add(i)
+            self._cache["star"] = star
+        star = self._cache["star"]
+        if not all(v in star for v in face):
+            return []
+        return [self._facets[i] for i in sorted(set.intersection(*(star[v] for v in face)))]
+
+    def selected_link_graph(self, vertex, colors) -> dict[int, tuple[int, ...]]:
+        """Adjacency of the link of ``vertex`` restricted to vertices colored in
+        ``colors``, neighbors ascending; cached per (vertex, colors)."""
+        if self._coloring is None:
+            raise MissingColoringError("color selection needs a coloring")
+        graphs = self._cache.setdefault("link_graphs", {})
+        colors = frozenset(colors)
+        key = (vertex, colors)
+        if key not in graphs:
+            adj: dict[int, set[int]] = {}
+            for facet in self.facets_containing((vertex,)):
+                sel = [w for w in facet if w != vertex and self._coloring[w] in colors]
+                for a, b in combinations(sel, 2):
+                    adj.setdefault(a, set()).add(b)
+                    adj.setdefault(b, set()).add(a)
+            graphs[key] = {w: tuple(sorted(ns)) for w, ns in adj.items()}
+        return graphs[key]
 
     # -- f- and h-vectors -----------------------------------------------------
 
@@ -412,7 +448,8 @@ def proper_coloring(vertices, adjacency, palette) -> dict[int, int] | None:
 
     The most constrained vertex (fewest remaining colors) is assigned first,
     ties broken by ascending id; colors are tried in ascending order, so the
-    result is deterministic.
+    result is deterministic.  Backtracking keeps an explicit stack, so the
+    search depth is not bounded by Python's recursion limit.
     """
     order = sorted(vertices)
     palette = sorted(palette)
@@ -429,21 +466,21 @@ def proper_coloring(vertices, adjacency, palette) -> dict[int, int] | None:
                 best = (key, v, used)
         return best
 
-    def solve() -> bool:
-        pick = next_vertex()
-        if pick is None:
-            return True
+    stack: list = []  # (vertex, iterator over the colors left to try for it)
+    while (pick := next_vertex()) is not None:
         _, v, used = pick
-        for c in palette:
-            if c in used:
-                continue
-            assignment[v] = c
-            if solve():
-                return True
-            del assignment[v]
-        return False
-
-    return dict(assignment) if solve() else None
+        stack.append((v, iter([c for c in palette if c not in used])))
+        while stack:
+            v, options = stack[-1]
+            assignment.pop(v, None)
+            c = next(options, None)
+            if c is not None:
+                assignment[v] = c
+                break
+            stack.pop()
+        else:
+            return None
+    return dict(assignment)
 
 
 def find_balanced_coloring(space) -> dict[int, int] | None:

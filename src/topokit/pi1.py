@@ -73,10 +73,14 @@ def check_edge_path(space, path) -> tuple:
     for e, nxt in zip(edges, edges[1:]):
         if e[-1] != nxt[-2]:
             raise ValidationError(f"path breaks between {e} and {nxt}")
+    faces = None if poset else space.face_set()
     for e in edges:
         if not poset:
             u, v = e
-            if not space.has_face((u,) if u == v else _canon(u, v)):
+            face = (u,) if u == v else _canon(u, v)
+            # _read_edge made the ids ints, so a face_set hit needs no as_face;
+            # a miss goes to has_face, which rejects negative ids
+            if face not in faces and not space.has_face(face):
                 raise FaceNotFoundError(f"({u},{v}) is not an edge of the complex")
         elif e.elem is None:
             if e.init != e.term or space.rank(e.init) != 1:
@@ -545,24 +549,19 @@ def _bridge_vertex(complex, colors, kappa, mid, tail):
     return best
 
 
-def _link_detour(complex, colors, kappa, center, start, goal):
+def _link_detour(complex, colors, center, start, goal):
     """Shortest path from start to goal through selected edges of the link of
     center, BFS with ascending tie-breaks."""
     if start == goal:
         return [start]
-    adj: dict[int, set[int]] = {start: set(), goal: set()}
-    for facet in complex.facets_containing((center,)):
-        sel = sorted(w for w in facet if w != center and kappa[w] in colors)
-        for a, b in combinations(sel, 2):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+    adj = complex.selected_link_graph(center, colors)
     parent = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
         if u == goal:
             break
-        for w in sorted(adj[u]):
+        for w in adj.get(u, ()):
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
@@ -587,7 +586,7 @@ def rewrite_path_to_colors(complex, colors, path):
     input path to the returned path.
     """
     colors = _require_pi1_ready(complex, colors)
-    work = list(check_edge_path(complex, path))
+    work = check_edge_path(complex, path)
     kappa = complex.coloring
     if kappa[work[0][0]] not in colors or kappa[work[-1][1]] not in colors:
         raise ValidationError("path endpoints must lie in the selected subcomplex")
@@ -596,7 +595,7 @@ def rewrite_path_to_colors(complex, colors, path):
 
     def apply(move):
         nonlocal work
-        work = list(_triangle_move_complex(complex, tuple(work), move))
+        work = _triangle_move_complex(complex, work, move)
         moves.append(move)
 
     idx = 0
@@ -609,7 +608,7 @@ def rewrite_path_to_colors(complex, colors, path):
         tail = work[idx + 1][1]
         bridge = _bridge_vertex(complex, colors, kappa, mid, tail)
         apply(("expand", idx + 1, (mid, bridge, tail)))
-        hops = _link_detour(complex, colors, kappa, mid, u, bridge)
+        hops = _link_detour(complex, colors, mid, u, bridge)
         if len(hops) == 1:
             apply(("contract", idx, (u, mid, u)))
         else:

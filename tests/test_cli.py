@@ -178,6 +178,22 @@ def test_pi1_tietze_env_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["min_generators_upper_bound"] == 1
 
 
+@pytest.mark.parametrize(
+    "env,flag",
+    [("abc", None), ("-3", None), ("1.5", None), (None, "-1"), ("2", "-1")],
+)
+@pytest.mark.parametrize("command", ["pi1", "verify"])
+def test_bad_tietze_rounds_exit_2(tmp_path, capsys, monkeypatch, command, env, flag):
+    path = gen_file(tmp_path, capsys, "cross-polytope", "--dim", "3")
+    if env is not None:
+        monkeypatch.setenv("TOPO_TIETZE_ROUNDS", env)
+    argv = (command, str(path)) + (("--tietze-rounds", flag) if flag else ())
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tietze rounds" in err
+
+
 # -- verify -------------------------------------------------------------------------
 
 

@@ -1,6 +1,12 @@
-import pytest
+import sys
+import traceback
+from itertools import combinations
 
-from conftest import brute_force_face_counts, h_from_f_by_polynomial
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import brute_force_face_counts, corpus_complexes, h_from_f_by_polynomial
 
 from topokit import (
     FaceNotFoundError,
@@ -177,6 +183,42 @@ def test_coloring_search_is_deterministic():
     assert find_balanced_coloring(hexagon) == find_balanced_coloring(hexagon)
 
 
+# Colors found for the uncolored corpus by the earlier recursive search, in
+# vertex order (every corpus complex has vertices 0..n-1).
+PINNED_COLORINGS = {
+    "octahedron": "112233",
+    "cross4": "11223344",
+    "cross5": "1122334455",
+    "cycle4": "1212",
+    "cycle6": "121212",
+    "cycle8": "12121212",
+    "sd_torus": "111111122222222222222222222233333333333333",
+    "sd_rp2": "1111112222222222222223333333333",
+    "sum2": "112233123",
+    "sum3": "112233123123",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COLORINGS))
+def test_coloring_search_matches_pinned_colorings(name):
+    bare = SimplicialComplex(corpus_complexes()[name].facets)
+    coloring = find_balanced_coloring(bare)
+    assert "".join(str(coloring[v]) for v in bare.vertices) == PINNED_COLORINGS[name]
+
+
+def test_coloring_search_does_not_recurse_per_vertex():
+    sd2 = SimplicialComplex(shapes.sd_torus().barycentric_subdivision().facets)
+    assert len(sd2.vertices) == 252
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+    try:
+        coloring = find_balanced_coloring(sd2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert coloring is not None
+    assert all(coloring[u] != coloring[v] for u, v in sd2.edges())
+
+
 # -- property checks -------------------------------------------------------------------
 
 
@@ -321,6 +363,52 @@ def test_contained_facets_rejected():
 def test_from_faces_maximalizes():
     complex = SimplicialComplex.from_faces([(0, 1, 2), (0, 1), (2,)])
     assert complex.facets == ((0, 1, 2),)
+
+
+# -- star index against brute-force scans ----------------------------------------------------
+
+face_lists = st.lists(st.lists(st.integers(0, 7), max_size=4, unique=True), max_size=12)
+
+
+def scan_facets_containing(complex, face):
+    """Every facet checked in stored order: the index must answer exactly this."""
+    fs = set(face)
+    return [f for f in complex.facets if fs <= set(f)]
+
+
+def maximal_by_pairs(faces):
+    """Faces contained in no other face, every pair compared."""
+    unique = {tuple(sorted(f)) for f in faces}
+    kept = [f for f in unique if not any(set(f) < set(g) for g in unique)]
+    return tuple(sorted(kept, key=lambda f: (len(f), f))) or ((),)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(face_lists, st.lists(st.lists(st.integers(0, 9), max_size=4, unique=True), max_size=6))
+def test_facets_containing_matches_scan(faces, queries):
+    complex = SimplicialComplex.from_faces(faces)
+    for face in sorted(complex.face_set()) + queries + [[], [8], [3, 9]]:
+        assert complex.facets_containing(face) == scan_facets_containing(complex, face)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(face_lists)
+def test_from_faces_matches_pairwise_maximal_filter(faces):
+    assert SimplicialComplex.from_faces(faces).facets == maximal_by_pairs(faces)
+
+
+def test_selected_link_graph_is_selected_link_skeleton(corpus):
+    for complex in corpus.values():
+        for v in complex.vertices:
+            for pair in combinations(complex.colors, 2):
+                skeleton = complex.link((v,)).rank_select(pair).adjacency()
+                expected = {w: ns for w, ns in skeleton.items() if ns}
+                assert complex.selected_link_graph(v, pair) == expected
+
+
+def test_selected_link_graph_needs_coloring():
+    with pytest.raises(MissingColoringError):
+        SimplicialComplex([(0, 1, 2)]).selected_link_graph(0, (1, 2))
 
 
 def test_json_roundtrip(octahedron):

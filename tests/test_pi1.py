@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+
+from conftest import random_closed_path
 
 from topokit import (
     Certificate,
@@ -229,6 +232,23 @@ def test_rewrite_handles_degenerate_edges(octahedron):
     assert verify_certificate(octahedron, path, rewritten, cert)
     kappa = octahedron.coloring
     assert all(kappa[u] in {1, 2} and kappa[v] in {1, 2} for u, v in rewritten)
+
+
+def test_rewrite_on_warm_caches_matches_fresh_complex():
+    def rewrite_seeded_loops(torus):
+        rng = random.Random(7)
+        out = []
+        for pair in combinations(torus.colors, 2):
+            root = default_basepoint(torus, pair)
+            for _ in range(4):
+                path, cert = rewrite_path_to_colors(torus, pair, random_closed_path(torus, root, rng))
+                out.append((path, cert.moves))
+        return out
+
+    warm = shapes.sd_torus()
+    rewrite_seeded_loops(warm)
+    assert "star" in warm._cache and warm._cache["link_graphs"]
+    assert rewrite_seeded_loops(warm) == rewrite_seeded_loops(shapes.sd_torus())
 
 
 # -- certificates --------------------------------------------------------------------------
