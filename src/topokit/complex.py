@@ -290,10 +290,11 @@ class SimplicialComplex:
         face = as_face(face)
         if not self.has_face(face):
             raise FaceNotFoundError(f"{list(face)} is not a face")
-        fs = set(face)
-        return self._subcomplex(
-            [tuple(v for v in g if v not in fs) for g in self.facets_containing(face)]
-        )
+        return self._subcomplex(self._link_tops(face))
+
+    def _link_tops(self, face) -> list[Face]:
+        """``F - face`` for each facet ``F`` containing ``face``: the link's generators."""
+        return [tuple(v for v in g if v not in face) for g in self.facets_containing(face)]
 
     def closed_star(self, face) -> "SimplicialComplex":
         """Subcomplex generated by the facets containing ``face``."""
@@ -322,24 +323,20 @@ class SimplicialComplex:
 
     def is_connected(self) -> bool:
         """Graph connectivity of the 1-skeleton (void and single point count as connected)."""
-        return _graph_connected(self._vertices, self.adjacency())
+        return _tops_connected(self._facets)
 
     def is_strongly_connected(self) -> bool:
         """Facet chain connectivity: consecutive facets share a codimension-1 face."""
         if not self.is_pure:
             raise PurityError("strong connectivity is only defined for pure complexes")
-        by_ridge: dict[Face, list[Face]] = {}
-        for f in self._facets:
-            for ridge in combinations(f, len(f) - 1):
-                by_ridge.setdefault(ridge, []).append(f)
-        return _facets_connected(self._facets, by_ridge.values())
+        return _tops_connected(combinations(f, len(f) - 1) for f in self._facets if f)
 
     def check_properties(self) -> PropertyReport:
         """Exact tests for purity, balancedness, and connectivity of small-face links."""
         if "props" not in self._cache:
             balanced = _is_balanced(self)
             small = (face for size in range(0, self.d - 1) for face in self.faces(size - 1))
-            links_ok = _links_connected(self, small)
+            links_ok = all(_tops_connected(self._link_tops(face)) for face in small)
             self._cache["props"] = PropertyReport(self.is_pure, balanced, links_ok)
         return self._cache["props"]
 
@@ -381,19 +378,22 @@ class SimplicialComplex:
         facets = data.get("facets")
         if not isinstance(facets, list):
             raise ValidationError('"facets" must be a list of vertex lists')
-        seen = set()
         for f in facets:
             if not isinstance(f, list):
                 raise ValidationError("each facet must be a list of vertex ids")
             as_face(f)  # vertex types first: ids of mixed types do not compare
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
                 raise ValidationError(f"facet {f} is not strictly ascending")
-            t = tuple(f)
-            if t in seen:
-                raise ValidationError(f"duplicate facet: {f}")
-            seen.add(t)
         labels = _id_map_from_json(data, "labels", str)
-        return cls([tuple(f) for f in facets], _id_map_from_json(data, "coloring", int), labels)
+        coloring = _id_map_from_json(data, "coloring", _as_int)
+        return cls([tuple(f) for f in facets], coloring, labels)
+
+
+def _as_int(value) -> int:
+    """``value`` if it is a JSON integer; bools, floats, strings and null are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _id_map_from_json(data: dict, key: str, convert) -> dict | None:
@@ -430,17 +430,16 @@ def _reachable(start, adjacency) -> set:
     return seen
 
 
-def _graph_connected(vertices, adjacency) -> bool:
-    return len(vertices) <= 1 or len(_reachable(vertices[0], adjacency)) == len(vertices)
-
-
-def _facets_connected(facets, groups) -> bool:
-    """Connectivity of facets, adjacent when in a common group (one ridge's facets)."""
-    adjacency: dict = {f: set() for f in facets}
-    for group in groups:
-        for f in group:
-            adjacency[f].update(group)
-    return _graph_connected(facets, adjacency)
+def _tops_connected(tops) -> bool:
+    """Whether the elements of the tuples in ``tops`` are connected, two being
+    joined when some tuple holds both: the 1-skeleton of the complex the tuples
+    generate.  No element, or one, counts as connected."""
+    adjacency: dict = {}
+    for top in map(tuple, tops):
+        for v in top:
+            adjacency.setdefault(v, set()).update(top)
+    start = next(iter(adjacency), None)
+    return start is None or len(_reachable(start, adjacency)) == len(adjacency)
 
 
 def proper_coloring(vertices, adjacency, palette) -> dict[int, int] | None:
@@ -488,11 +487,6 @@ def find_balanced_coloring(space) -> dict[int, int] | None:
     if not space.is_pure:
         raise PurityError("balanced colorings are defined for pure complexes and posets")
     return proper_coloring(space.vertices, space.adjacency(), range(1, space.d + 1))
-
-
-def _links_connected(space, small_faces) -> bool:
-    """Whether every face with fewer than ``d - 1`` vertices has a connected link."""
-    return all(space.link(face).is_connected() for face in small_faces)
 
 
 def _is_balanced(space) -> bool:

@@ -284,12 +284,11 @@ class NestedSpanningTree:
     """A spanning tree of the whole complex containing a spanning tree of the
     color-selected subcomplex; parent pointers answer path-to-root queries."""
 
-    def __init__(self, complex, colors, root, parent, inner_vertices, inner_edges):
+    def __init__(self, complex, colors, root, parent, inner_edges):
         self.complex = complex
         self.colors = frozenset(colors)
         self.root = root
         self.parent = dict(parent)
-        self.inner_vertices = frozenset(inner_vertices)
         self.inner_edges = frozenset(inner_edges)
         self.edges = frozenset(
             _canon(v, p) for v, p in self.parent.items() if p is not None
@@ -368,12 +367,11 @@ def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
         raise ContractViolationError(
             "selected subcomplex is disconnected although the property checks passed"
         )
-    inner_vertices = frozenset(parent)
     inner_edges = frozenset(
         _canon(v, p) for v, p in parent.items() if p is not None
     )
 
-    queue = deque(sorted(inner_vertices))
+    queue = deque(sorted(parent))
     while queue:
         u = queue.popleft()
         for w in adj[u]:
@@ -382,7 +380,7 @@ def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
                 queue.append(w)
     if len(parent) != len(complex.vertices):
         raise ContractViolationError("complex is disconnected although checks passed")
-    return NestedSpanningTree(complex, colors, root, parent, inner_vertices, inner_edges)
+    return NestedSpanningTree(complex, colors, root, parent, inner_edges)
 
 
 # -- presentations ----------------------------------------------------------------

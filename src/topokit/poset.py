@@ -15,12 +15,11 @@ from itertools import combinations
 from .complex import (
     PropertyReport,
     SimplicialComplex,
-    _facets_connected,
-    _graph_connected,
+    _as_int,
     _id_map_from_json,
     _is_balanced,
-    _links_connected,
     _reachable,
+    _tops_connected,
     h_from_f,
 )
 from .errors import (
@@ -302,7 +301,7 @@ class SimplicialPoset:
 
     def is_connected(self) -> bool:
         """Connectivity of the Hasse diagram (agrees with the order complex)."""
-        return _graph_connected(self.ids, {x: self._up[x] + self._down[x] for x in self._rank})
+        return _tops_connected((x,) + self._up[x] for x in self._rank)
 
     def links_connected(self) -> bool:
         """Link connectivity for the bottom and every face of rank < d - 1."""
@@ -311,8 +310,19 @@ class SimplicialPoset:
             d = self.d
             # None is the implicit bottom, whose link is the whole poset
             small = [None] + sorted(x for x in self._rank if self._rank[x] < d - 1)
-            self._cache["links_ok"] = d < 2 or _links_connected(self, small)
+            self._cache["links_ok"] = d < 2 or all(
+                _tops_connected(self._link_tops(x)) for x in small
+            )
         return self._cache["links_ok"]
+
+    def _link_tops(self, x) -> list[tuple[int, ...]]:
+        """For each facet above ``x``, the elements covering ``x`` below it (the
+        atoms when ``x`` is the bottom ``None``).  Covers, not atoms: two rank-2
+        elements may share their atoms without being joined in the link."""
+        if x is None:
+            return [tuple(self.atoms_of(m)) for m in self.maximal_elements()]
+        facets = (m for m in self.up_set(x) if not self._up[m])
+        return [tuple(y for y in self._up[x] if y in self.down_set(m)) for m in facets]
 
     def check_properties(self) -> PropertyReport:
         """Purity, balancedness, and link connectivity for small-rank faces."""
@@ -336,12 +346,10 @@ class SimplicialPoset:
         return h_from_f(f)
 
     def is_strongly_connected(self) -> bool:
-        """Facet chain connectivity through shared covered rank-(d-1) faces."""
+        """Facet chain connectivity through shared covered faces (the bottom, at d = 1)."""
         if not self.is_pure:
             raise PurityError("strong connectivity is only defined for pure posets")
-        return _facets_connected(
-            self.maximal_elements(), [self._up[tau] for tau in self.elements_of_rank(self.d - 1)]
-        )
+        return _tops_connected(self._down[m] for m in self.maximal_elements())
 
     # -- serialization -------------------------------------------------------
 
@@ -376,16 +384,16 @@ class SimplicialPoset:
         for entry in elements:
             if not isinstance(entry, dict) or "id" not in entry or "rank" not in entry:
                 raise ValidationError("each element needs an id and a rank")
-            x = int(entry["id"])
+            x = _as_int(entry["id"])
             if x in ranks:
                 raise ValidationError(f"duplicate element id {x}")
-            ranks[x] = int(entry["rank"])
+            ranks[x] = _as_int(entry["rank"])
             if "label" in entry:
                 labels[x] = str(entry["label"])
         poset = cls(
             ranks,
-            [(int(lo), int(hi)) for lo, hi in covers],
-            _id_map_from_json(data, "coloring", int),
+            [(_as_int(lo), _as_int(hi)) for lo, hi in covers],
+            _id_map_from_json(data, "coloring", _as_int),
             labels or None,
         )
         recomputed = poset._heights()

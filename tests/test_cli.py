@@ -1,7 +1,14 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from topokit import SimplicialComplex, face_poset
 from topokit.cli import main
 
 
@@ -101,6 +108,30 @@ MALFORMED_INPUTS = {
     "facet-null-vertex": {"type": "complex", "facets": [[0, None]]},
     "labels-list": {"type": "complex", "facets": [[0, 1]], "labels": ["x", "y"]},
     "coloring-zero": {"type": "complex", "facets": [[0, 1]], "coloring": 0},
+    "coloring-float": {"type": "complex", "facets": [[0, 1]], "coloring": {"0": 1.5, "1": 2}},
+    "coloring-bool": {"type": "complex", "facets": [[0, 1]], "coloring": {"0": True, "1": 2}},
+    "poset-id-string": {"type": "poset", "elements": [{"id": "a", "rank": 1}], "covers": []},
+    "poset-id-null": {"type": "poset", "elements": [{"id": None, "rank": 1}], "covers": []},
+    "poset-id-float": {"type": "poset", "elements": [{"id": 1.5, "rank": 1}], "covers": []},
+    "poset-id-bool": {"type": "poset", "elements": [{"id": True, "rank": 1}], "covers": []},
+    "poset-rank-string": {"type": "poset", "elements": [{"id": 0, "rank": "x"}], "covers": []},
+    "poset-cover-string": {
+        "type": "poset",
+        "elements": [{"id": 0, "rank": 1}, {"id": 1, "rank": 2}],
+        "covers": [["a", 0]],
+    },
+    "poset-coloring-float": {
+        "type": "poset",
+        "elements": [{"id": 0, "rank": 1}],
+        "covers": [],
+        "coloring": {"0": 1.5},
+    },
+    "poset-coloring-bool": {
+        "type": "poset",
+        "elements": [{"id": 0, "rank": 1}],
+        "covers": [],
+        "coloring": {"0": True},
+    },
 }
 
 
@@ -113,6 +144,77 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, name):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("facets", [[], [[]]])
+def test_check_void_complex(tmp_path, capsys, facets):
+    path = tmp_path / "void.json"
+    path.write_text(json.dumps({"type": "complex", "facets": facets}))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0, err
+    assert all(json.loads(out).values())
+
+
+# Small JSON objects of both types.  Each part is well formed nine times in ten,
+# so that many inputs get past parsing, and otherwise any JSON value.
+json_values = st.one_of(
+    st.integers(-1, 4),
+    st.text(max_size=2),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 5), max_size=3),
+)
+
+
+def mostly(good):
+    return st.integers(0, 9).flatmap(lambda k: good if k else json_values)
+
+
+ids = mostly(st.integers(0, 5))
+id_maps = mostly(st.dictionaries(st.sampled_from("012345"), mostly(st.integers(1, 3)), max_size=6))
+facet_lists = st.lists(st.lists(st.integers(0, 5), max_size=4, unique=True), max_size=6).map(
+    lambda faces: [list(f) for f in SimplicialComplex.from_faces(faces).facets]
+)
+fuzzed_complexes = st.fixed_dictionaries(
+    {"type": st.just("complex"), "facets": mostly(facet_lists)},
+    optional={"coloring": id_maps, "labels": id_maps},
+)
+fuzzed_elements = st.fixed_dictionaries(
+    {"id": ids, "rank": mostly(st.integers(1, 3))}, optional={"label": json_values}
+)
+fuzzed_posets = st.fixed_dictionaries(
+    {
+        "type": st.just("poset"),
+        "elements": mostly(st.lists(mostly(fuzzed_elements), max_size=6)),
+        "covers": mostly(st.lists(mostly(st.lists(ids, min_size=2, max_size=2)), max_size=8)),
+    },
+    optional={"coloring": id_maps},
+)
+# face posets of graphs on three vertices: valid posets, at most 6 ids
+face_posets = st.builds(
+    lambda faces, coloring: {
+        **face_poset(SimplicialComplex.from_faces(faces)).to_json(),
+        "coloring": coloring,
+    },
+    st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True), max_size=3),
+    id_maps,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(fuzzed_complexes, fuzzed_posets, face_posets))
+def test_fuzzed_input_keeps_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        for command in ("check", "verify", "pi1"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, path])
+            assert code in (0, 1, 2), (command, data)
+            assert "Traceback" not in err.getvalue()
 
 # -- hvec -------------------------------------------------------------------------
 

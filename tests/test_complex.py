@@ -19,6 +19,7 @@ from topokit import (
     h_additivity_table,
 )
 from topokit import shapes
+from topokit.complex import _tops_connected
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +396,71 @@ def test_facets_containing_matches_scan(faces, queries):
 @given(face_lists)
 def test_from_faces_matches_pairwise_maximal_filter(faces):
     assert SimplicialComplex.from_faces(faces).facets == maximal_by_pairs(faces)
+
+
+# -- the connectivity walk against the link-building definitions ---------------------
+
+
+def skeleton_connected(complex):
+    """Walk the 1-skeleton adjacency of a built complex (the definition before the walk)."""
+    adjacency = complex.adjacency()
+    seen = set(complex.vertices[:1])
+    stack = list(seen)
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(complex.vertices)
+
+
+def ridge_grouped_strongly_connected(complex):
+    """Facets joined when they share a ridge, through the facets grouped by ridge."""
+    by_ridge = {}
+    for f in complex.facets:
+        for ridge in combinations(f, len(f) - 1) if f else ():
+            by_ridge.setdefault(ridge, []).append(f)
+    reached = {complex.facets[0]}
+    grew = True
+    while grew:
+        grew = False
+        for group in by_ridge.values():
+            if reached.intersection(group) and not reached.issuperset(group):
+                reached.update(group)
+                grew = True
+    return len(reached) == len(complex.facets)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(face_lists)
+def test_connectivity_walk_matches_link_definitions(faces):
+    complex = SimplicialComplex.from_faces(faces)
+    small = []
+    for face in sorted(complex.face_set()):
+        built = skeleton_connected(complex.link(face))
+        assert _tops_connected(complex._link_tops(face)) == built, face
+        if len(face) < complex.d - 1:
+            small.append(built)
+    assert complex.check_properties().links_connected == all(small)
+    assert complex.is_connected() == skeleton_connected(complex)
+    if complex.is_pure:
+        assert complex.is_strongly_connected() == ridge_grouped_strongly_connected(complex)
+
+
+@pytest.mark.parametrize(
+    "facets,strongly,links,connected",
+    [
+        ([], True, True, True),  # the void complex
+        ([()], True, True, True),
+        ([(0,), (1,)], True, True, False),  # two points share the empty ridge
+        ([(0, 1), (2, 3)], False, False, False),
+    ],
+)
+def test_connectivity_of_degenerate_complexes(facets, strongly, links, connected):
+    complex = SimplicialComplex(facets)
+    assert complex.is_strongly_connected() == strongly
+    assert complex.check_properties().links_connected == links
+    assert complex.is_connected() == connected
 
 
 def test_selected_link_graph_is_selected_link_skeleton(corpus):

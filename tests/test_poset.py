@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topokit import (
     FaceNotFoundError,
@@ -10,6 +12,7 @@ from topokit import (
     face_poset,
 )
 from topokit import shapes
+from topokit.complex import _tops_connected
 
 
 def shifted_double_circle(offset):
@@ -142,6 +145,71 @@ def test_poset_links_inherit_properties(corpus, double_circle):
         for x in poset.ids:
             if poset.rank(x) < d - 1:
                 assert poset.link(x).check_properties().all_hold
+
+
+# -- the link walk against Hasse diagrams of built links ------------------------------
+
+
+def hasse_connected(poset):
+    """Walk the Hasse diagram of a built poset (the definition before the walk)."""
+    neighbors = {x: set() for x in poset.ids}
+    for lo, hi in poset.covers:
+        neighbors[lo].add(hi)
+        neighbors[hi].add(lo)
+    seen = set(poset.ids[:1])
+    stack = list(seen)
+    while stack:
+        for y in neighbors[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(poset.ids)
+
+
+def check_link_walk(poset):
+    small = []
+    for x in [None, *poset.ids]:
+        built = hasse_connected(poset.link(x))
+        assert _tops_connected(poset._link_tops(x)) == built, x
+        if x is None or poset.rank(x) < poset.d - 1:
+            small.append(built)
+    assert poset.links_connected() == (poset.d < 2 or all(small))
+    assert poset.is_connected() == hasse_connected(poset)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.integers(0, 6), max_size=4, unique=True), max_size=10))
+def test_link_walk_matches_hasse_diagrams_on_face_posets(faces):
+    complex = SimplicialComplex.from_faces(faces)
+    poset = face_poset(complex)
+    check_link_walk(poset)
+    if complex.is_pure:
+        assert poset.is_strongly_connected() == complex.is_strongly_connected()
+
+
+def pinched_triangles():
+    """Triangles 20 on atoms {0, 1, 2} and 21 on {0, 1, 3}, whose 0-1 sides
+    are the distinct rank-2 elements 10 and 11."""
+    ranks = {0: 1, 1: 1, 2: 1, 3: 1, 20: 3, 21: 3}
+    ranks.update({e: 2 for e in range(10, 16)})
+    covers = [(0, 10), (1, 10), (0, 12), (2, 12), (1, 13), (2, 13), (10, 20), (12, 20), (13, 20)]
+    covers += [(0, 11), (1, 11), (0, 14), (3, 14), (1, 15), (3, 15), (11, 21), (14, 21), (15, 21)]
+    return SimplicialPoset(ranks, covers, {0: 1, 1: 2, 2: 3, 3: 3})
+
+
+def test_link_walk_on_double_circle_and_pinched_triangles(double_circle):
+    check_link_walk(double_circle)
+    check_link_walk(pinched_triangles())
+
+
+def test_link_connectivity_joins_through_covers_not_atoms():
+    poset = pinched_triangles()
+    assert poset.validate().valid
+    # both facets above atom 0 also hold atom 1, but no element covering 0
+    assert not hasse_connected(poset.link(0))
+    assert not poset.links_connected()
+    report = poset.check_properties()
+    assert report.pure and report.balanced and not report.links_connected
 
 
 # -- rank selection --------------------------------------------------------------------
