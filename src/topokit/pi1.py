@@ -14,6 +14,14 @@ Two further ingredients make the presentation shrink:
   subcomplex by detouring around each off-color vertex through its link,
   emitting a replayable certificate of elementary moves.
 
+The presentation is restricted to a pair of colors by rewriting each
+off-color generator (a, b) into the selected subcomplex.  Only the stretch of
+its tree loop from a's nearest selected tree ancestor through (a, b) to b's
+is rewritten: the rest runs through the inner tree and reads as no letters,
+and the rewriter changes a path only between consecutive selected vertices,
+so the word is the one the whole loop would give.  The inputs are validated
+once per restriction, not once per generator.
+
 Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
 followed by its reverse, or inserting such a pair.  For simplicial posets
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, _as_int
 from .errors import (
     ContractViolationError,
     FaceNotFoundError,
@@ -132,26 +140,47 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data) -> "Certificate":
+        if not isinstance(data, dict):
+            raise ValidationError("a certificate must be a JSON object")
         setting = data.get("setting")
         if setting not in ("complex", "poset"):
             raise ValidationError("certificate setting must be 'complex' or 'poset'")
+        entries = data.get("moves", [])
+        if not isinstance(entries, list):
+            raise ValidationError("certificate moves must be a list")
+        poset = setting == "poset"
         moves = []
-        for entry in data.get("moves", []):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValidationError(f"a move must be a JSON object, got {entry!r}")
             kind = entry.get("kind")
-            pos = int(entry.get("pos"))
+            pos = _as_int(entry.get("pos"))
             if kind in ("expand", "contract"):
                 witness = entry.get("witness")
-                if setting == "complex":
-                    moves.append((kind, pos, tuple(int(x) for x in witness)))
+                if poset:
+                    moves.append((kind, pos, _as_int(witness)))
                 else:
-                    moves.append((kind, pos, int(witness)))
+                    moves.append((kind, pos, tuple(_as_int(x) for x in _json_list(witness))))
             elif kind == "cancel":
                 moves.append((kind, pos))
             elif kind == "insert":
-                moves.append((kind, pos, _read_edge(setting == "poset", entry.get("edge"))))
+                edge = _json_list(entry.get("edge"), 3 if poset else 2)
+                if poset:
+                    elem = None if edge[0] is None else _as_int(edge[0])
+                    moves.append((kind, pos, PosetEdge(elem, _as_int(edge[1]), _as_int(edge[2]))))
+                else:
+                    moves.append((kind, pos, (_as_int(edge[0]), _as_int(edge[1]))))
             else:
                 raise ValidationError(f"unknown move kind {kind!r}")
         return cls(setting, tuple(moves))
+
+
+def _json_list(value, size=None):
+    """``value`` if it is a JSON array (of ``size`` entries, when given)."""
+    if not isinstance(value, (list, tuple)) or (size is not None and len(value) != size):
+        want = "an array" if size is None else f"an array of {size} entries"
+        raise ValidationError(f"expected {want}, got {value!r}")
+    return value
 
 
 def _apply_move(space, path, move, triangle_move):
@@ -183,9 +212,12 @@ def _apply_move(space, path, move, triangle_move):
 def _triangle_move_complex(complex, path, move):
     """Expand ``a -> c`` into ``a -> b -> c`` or contract it back, for the ordered
     witness ``(a, b, c)``; ``(u, mid, u)`` contracts ``u -> mid -> u`` to ``(u, u)``."""
-    kind, pos, (a, b, c) = move
+    kind, pos, witness = move
+    if len(witness) != 3:
+        raise ValidationError(f"witness {list(witness)} does not name three vertices")
+    a, b, c = witness
     witness = tuple(sorted({a, b, c}))
-    if not complex.has_face(witness):
+    if witness not in complex.face_set() and not complex.has_face(witness):
         raise ValidationError(f"witness {list(witness)} is not a face")
     if kind == "expand":
         if not 0 <= pos < len(path) or path[pos] != (a, c):
@@ -532,19 +564,23 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
 
 def _bridge_vertex(complex, colors, kappa, mid, tail):
     """Minimum-id selected vertex completing {mid, tail} to a face, avoiding
-    the color of tail."""
-    allowed = colors - {kappa[tail]}
-    best = None
-    base = (mid,) if mid == tail else _canon(mid, tail)
-    for facet in complex.facets_containing(base):
-        for w in facet:
-            if kappa[w] in allowed and (best is None or w < best):
-                best = w
-    if best is None:
-        raise ContractViolationError(
-            f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
-        )
-    return best
+    the color of tail; cached per (mid, tail, colors)."""
+    bridges = complex._cache.setdefault("bridges", {})
+    key = (mid, tail, colors)
+    if key not in bridges:
+        allowed = colors - {kappa[tail]}
+        best = None
+        base = (mid,) if mid == tail else _canon(mid, tail)
+        for facet in complex.facets_containing(base):
+            for w in facet:
+                if kappa[w] in allowed and (best is None or w < best):
+                    best = w
+        if best is None:
+            raise ContractViolationError(
+                f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
+            )
+        bridges[key] = best
+    return bridges[key]
 
 
 def _link_detour(complex, colors, center, start, goal):
@@ -584,11 +620,23 @@ def rewrite_path_to_colors(complex, colors, path):
     input path to the returned path.
     """
     colors = _require_pi1_ready(complex, colors)
-    work = check_edge_path(complex, path)
+    path = check_edge_path(complex, path)
     kappa = complex.coloring
-    if kappa[work[0][0]] not in colors or kappa[work[-1][1]] not in colors:
+    if kappa[path[0][0]] not in colors or kappa[path[-1][1]] not in colors:
         raise ValidationError("path endpoints must lie in the selected subcomplex")
+    work, moves = _rewrite(complex, colors, kappa, path)
+    return work, Certificate("complex", tuple(moves))
 
+
+def _rewrite(complex, colors, kappa, path):
+    """The rewrite loop of :func:`rewrite_path_to_colors` on a checked path with
+    selected endpoints; returns the rewritten path and its moves.
+
+    Each bypass touches only the stretch between the selected vertex before
+    the off-color vertex and the next selected one, so the path changes only
+    between consecutive selected vertices.
+    """
+    work = path
     moves: list[tuple] = []
 
     def apply(move):
@@ -613,7 +661,7 @@ def rewrite_path_to_colors(complex, colors, path):
             for j in range(len(hops) - 2):
                 apply(("expand", idx + j, (hops[j], hops[j + 1], mid)))
             apply(("contract", idx + len(hops) - 2, (hops[-2], mid, bridge)))
-    return tuple(work), Certificate("complex", tuple(moves))
+    return work, moves
 
 
 # -- presentation restriction and simplification -----------------------------------
@@ -622,19 +670,37 @@ def rewrite_path_to_colors(complex, colors, path):
 def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentation:
     """Eliminate every generator outside the selected subcomplex.
 
-    Off-color generators are rewritten through their tree loops; the result
-    is presented on exactly the selected non-tree edges, whose count equals
-    the second h-entry of the selected subcomplex.
+    An off-color generator (a, b) stands for its tree loop, but only the
+    stretch from a's nearest selected tree ancestor through (a, b) to b's is
+    rewritten: the rest of the loop runs through the inner tree and reads as
+    no letters.  The inputs are validated once, here, not per generator.  The
+    result is presented on exactly the selected non-tree edges, whose count
+    equals the second h-entry of the selected subcomplex.
     """
-    colors = frozenset(int(c) for c in colors)
+    colors = _require_pi1_ready(complex, colors)
+    if tree.complex is not complex:
+        raise ValidationError("tree was built on a different complex")
     if tree.colors != colors:
         raise ValidationError("tree was built for a different color pair")
+    faces = complex.face_set()
     kappa = complex.coloring
+    parent = tree.parent
     kept: list[int] = []
     for i, g in enumerate(presentation.generators):
+        if len(g.edge) != 2 or g.edge not in faces:
+            raise FaceNotFoundError(f"generator edge {g.edge} is not an edge of the complex")
+        if g.tree != (g.edge in tree.edges):
+            raise ValidationError(f"generator edge {g.edge} disagrees with the tree")
         if not g.tree and kappa[g.edge[0]] in colors and kappa[g.edge[1]] in colors:
             kept.append(i)
     new_letter = {old + 1: new + 1 for new, old in enumerate(kept)}
+
+    def to_selected(v):
+        """Tree vertices from v up to its nearest selected ancestor."""
+        out = [v]
+        while kappa[out[-1]] not in colors:
+            out.append(parent[out[-1]])
+        return out
 
     def selected_word(loop):
         word = []
@@ -658,8 +724,10 @@ def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentat
         elif letter in new_letter:
             images[letter] = (new_letter[letter],)
         else:
-            loop = word_to_loop(presentation, tree, (letter,))
-            rewritten, _ = rewrite_path_to_colors(complex, colors, loop)
+            a, b = g.edge
+            verts = to_selected(a)[::-1] + to_selected(b)
+            segment = tuple(zip(verts, verts[1:]))
+            rewritten, _ = _rewrite(complex, colors, kappa, segment)
             images[letter] = tuple(selected_word(rewritten))
 
     relators = []

@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_closed_path
+from conftest import corpus_complexes, random_closed_path
 
 from topokit import (
     Certificate,
@@ -30,8 +32,8 @@ from topokit import (
     verify_certificate,
     word_to_loop,
 )
-from topokit import shapes
-from topokit.pi1 import free_reduce
+from topokit import pi1, shapes
+from topokit.pi1 import Generator, free_reduce, invert_word
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +356,167 @@ def test_restriction_preserves_abelianization(octahedron):
     assert restricted.abelianization() == pres.abelianization()
 
 
+def test_restriction_rejects_a_tree_of_another_complex(octahedron, hexagon):
+    tree = build_nested_tree(octahedron, {1, 2})
+    pres = full_presentation(octahedron, tree)
+    with pytest.raises(ValidationError, match="tree was built on a different complex"):
+        restrict_presentation(pres, hexagon, {1, 2}, tree)
+    cross4 = shapes.cross_polytope(4)
+    cross4_tree = build_nested_tree(cross4, {1, 2})
+    with pytest.raises(ValidationError, match="tree was built on a different complex"):
+        restrict_presentation(full_presentation(cross4, cross4_tree), octahedron, {1, 2}, cross4_tree)
+
+
+def test_restriction_rejects_generators_outside_the_complex(octahedron):
+    tree = build_nested_tree(octahedron, {1, 2})
+    cross4 = shapes.cross_polytope(4)
+    foreign = full_presentation(cross4, build_nested_tree(cross4, {1, 2}))
+    with pytest.raises(FaceNotFoundError, match="is not an edge of the complex"):
+        restrict_presentation(foreign, octahedron, {1, 2}, tree)
+    # {0, 1} is an antipodal pair of the octahedron, never an edge
+    bogus = GroupPresentation([Generator(edge=(0, 1))], [])
+    with pytest.raises(FaceNotFoundError, match=r"\(0, 1\) is not an edge of the complex"):
+        restrict_presentation(bogus, octahedron, {1, 2}, tree)
+
+
+def test_restriction_rejects_a_presentation_of_another_tree(octahedron):
+    tree = build_nested_tree(octahedron, {1, 2})
+    other = build_nested_tree(octahedron, {1, 2}, root=3)
+    assert other.edges != tree.edges
+    with pytest.raises(ValidationError, match="disagrees with the tree"):
+        restrict_presentation(full_presentation(octahedron, other), octahedron, {1, 2}, tree)
+
+
+def _whole_loop_restriction(presentation, complex, colors, tree):
+    """Oracle: rewrite every off-color generator's whole tree loop through the
+    public rewriter, validating each loop afresh."""
+    colors = frozenset(int(c) for c in colors)
+    kappa = complex.coloring
+    kept = [
+        i
+        for i, g in enumerate(presentation.generators)
+        if not g.tree and kappa[g.edge[0]] in colors and kappa[g.edge[1]] in colors
+    ]
+    new_letter = {old + 1: new + 1 for new, old in enumerate(kept)}
+
+    def selected_word(loop):
+        word = []
+        for u, v in loop:
+            e = (min(u, v), max(u, v))
+            if u == v or e in tree.edges:
+                continue
+            new = new_letter[presentation.generator_index(e)]
+            word.append(new if (u, v) == e else -new)
+        return word
+
+    images = {}
+    for i, g in enumerate(presentation.generators):
+        letter = i + 1
+        if g.tree:
+            images[letter] = ()
+        elif letter in new_letter:
+            images[letter] = (new_letter[letter],)
+        else:
+            loop = word_to_loop(presentation, tree, (letter,))
+            rewritten, _ = rewrite_path_to_colors(complex, colors, loop)
+            images[letter] = tuple(selected_word(rewritten))
+    relators = []
+    for rel in presentation.relators:
+        word = []
+        for x in rel:
+            word.extend(images[abs(x)] if x > 0 else invert_word(images[abs(x)]))
+        word = free_reduce(word)
+        if word:
+            relators.append(tuple(word))
+    generators = [
+        Generator(edge=presentation.generators[i].edge, tree=False, selected=True) for i in kept
+    ]
+    return GroupPresentation(generators, relators)
+
+
+def _assert_restrictions_agree(complex, pairs=None, root=None):
+    for pair in pairs or combinations(complex.colors, 2):
+        tree = build_nested_tree(complex, pair, root)
+        pres = full_presentation(complex, tree)
+        local = restrict_presentation(pres, complex, pair, tree)
+        oracle = _whole_loop_restriction(pres, complex, pair, tree)
+        assert local.generators == oracle.generators
+        assert local.relators == oracle.relators
+
+
+ORACLE_COMPLEXES = {
+    **{f"corpus-{name}": (lambda c=c: c) for name, c in corpus_complexes().items()},
+    **{f"sum{n}": (lambda n=n: shapes.octahedron_sum(n)) for n in range(2, 7)},
+    **{f"cross{d}": (lambda d=d: shapes.cross_polytope(d)) for d in range(3, 7)},
+    "sd2-torus": lambda: shapes.sd_torus().barycentric_subdivision(),
+    "oc-face-poset-octahedron": lambda: face_poset(shapes.cross_polytope(3)).order_complex(),
+    "oc-double-circle": lambda: shapes.double_edge_circle().order_complex(),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+def test_local_restriction_matches_whole_loop_oracle(name):
+    _assert_restrictions_agree(ORACLE_COMPLEXES[name]())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["sd_torus", "sd_rp2", "sum3", "cross4"]), st.data())
+def test_local_restriction_matches_oracle_at_random_roots(name, data):
+    complex = corpus_complexes()[name]
+    pair = data.draw(st.sampled_from(list(combinations(complex.colors, 2))))
+    selected = [v for v in complex.vertices if complex.coloring[v] in pair]
+    root = data.draw(st.sampled_from(selected))
+    _assert_restrictions_agree(complex, [pair], root)
+
+
+def test_restriction_validates_once_per_call(monkeypatch):
+    calls = []
+    ready = pi1._require_pi1_ready
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ready(*args, **kwargs)
+
+    monkeypatch.setattr(pi1, "_require_pi1_ready", counting)
+    torus = shapes.sd_torus()
+    generator_bounds(torus)
+    pairs = len(list(combinations(torus.colors, 2)))
+    off_color = sum(
+        1
+        for pair in combinations(torus.colors, 2)
+        for u, v in torus.edges()
+        if not {torus.coloring[u], torus.coloring[v]} <= set(pair)
+    )
+    # once for the whole run, then the tree and the restriction of each pair
+    assert len(calls) <= 1 + 2 * pairs < off_color
+
+
+def test_bridge_memo_matches_a_fresh_scan(monkeypatch):
+    rp2 = shapes.sd_projective_plane()
+    seen = []
+    bridge = pi1._bridge_vertex
+
+    def recording(complex, colors, kappa, mid, tail):
+        seen.append((colors, mid, tail))
+        return bridge(complex, colors, kappa, mid, tail)
+
+    monkeypatch.setattr(pi1, "_bridge_vertex", recording)
+    generator_bounds(rp2)
+    assert seen and set(rp2._cache["bridges"]) == {(m, t, c) for c, m, t in seen}
+    kappa = rp2.coloring
+    for colors, mid, tail in seen:
+        fresh = shapes.sd_projective_plane()
+        scan = min(
+            w
+            for facet in fresh.facets
+            if mid in facet and tail in facet
+            for w in facet
+            if kappa[w] in colors - {kappa[tail]}
+        )
+        assert bridge(rp2, colors, kappa, mid, tail) == scan
+        assert bridge(fresh, colors, fresh.coloring, mid, tail) == scan
+
+
 # -- Tietze simplification -----------------------------------------------------------------------
 
 
@@ -563,6 +726,7 @@ REJECTED_REPLAYS = [
     ("triangle", (E(3, 0, 1),), (("insert", 2, E(5, 1, 2)),), "insert position out of range"),
     ("triangle", (E(3, 0, 1),), (("insert", 0, E(5, 1, 2)),), "inserted pair does not chain with the path"),
     ("triangle", (E(3, 0, 1),), (("flip", 0),), "unknown move kind 'flip'"),
+    ("octahedron", ((0, 2),), (("expand", 0, (0, 2)),), r"witness \[0, 2\] does not name three vertices"),
 ]
 
 ACCEPTED_REPLAYS = [
@@ -578,6 +742,37 @@ ACCEPTED_REPLAYS = [
     ("triangle", (E(3, 0, 1), E(3, 1, 0)), ("cancel", 0), (E(None, 0, 0),)),
     ("triangle", (E(4, 0, 2),), ("insert", 1, E(5, 2, 1)), (E(4, 0, 2), E(5, 2, 1), E(5, 1, 2))),
 ]
+
+
+# (certificate JSON, message fragment); Certificate.from_json must refuse every row.
+MALFORMED_CERTIFICATES = [
+    (None, "a certificate must be a JSON object"),
+    ([], "a certificate must be a JSON object"),
+    ({"setting": "complex", "moves": {"kind": "cancel"}}, "certificate moves must be a list"),
+    ({"setting": "complex", "moves": [None]}, "a move must be a JSON object"),
+    ({"setting": "complex", "moves": [["cancel", 0]]}, "a move must be a JSON object"),
+    ({"setting": "complex", "moves": [{"kind": "cancel"}]}, "expected an integer, got None"),
+    ({"setting": "complex", "moves": [{"kind": "cancel", "pos": 1.7}]}, "expected an integer, got 1.7"),
+    ({"setting": "complex", "moves": [{"kind": "cancel", "pos": True}]}, "expected an integer, got True"),
+    ({"setting": "complex", "moves": [{"kind": "expand", "pos": 0, "witness": 3}]}, "expected an array"),
+    ({"setting": "complex", "moves": [{"kind": "expand", "pos": 0, "witness": [0, "4", 2]}]}, "expected an integer"),
+    ({"setting": "complex", "moves": [{"kind": "insert", "pos": 0, "edge": [2, 4, 5]}]}, "array of 2 entries"),
+    ({"setting": "poset", "moves": [{"kind": "insert", "pos": 0, "edge": [5, 1]}]}, "array of 3 entries"),
+    ({"setting": "poset", "moves": [{"kind": "expand", "pos": 0, "witness": [6]}]}, "expected an integer"),
+]
+
+
+@pytest.mark.parametrize("data,message", MALFORMED_CERTIFICATES)
+def test_certificate_json_rejects(data, message):
+    with pytest.raises(ValidationError, match=message):
+        Certificate.from_json(data)
+
+
+def test_two_vertex_witness_parses_but_does_not_verify(octahedron):
+    cert = Certificate.from_json(
+        {"setting": "complex", "moves": [{"kind": "expand", "pos": 0, "witness": [0, 2]}]}
+    )
+    assert not verify_certificate(octahedron, ((0, 2),), ((0, 2),), cert)
 
 
 def _setting(space):
