@@ -2,9 +2,9 @@
 
 A simplicial poset relaxes a complex by allowing several faces on the same
 vertex set, as long as every lower interval stays Boolean.  The smallest
-interesting example is a circle made of two parallel edges; its order
-complex is an honest 4-cycle, and the edge-path machinery lifts back to
-poset edges.
+interesting example is a circle made of two parallel edges.  Its first
+homology and edge-path group are read from the poset's own rank-2 and
+rank-3 elements; its order complex, an honest 4-cycle, gives the same H1.
 """
 
 from topokit import face_poset, h1, poset_edge_path_group, shapes
@@ -19,6 +19,8 @@ print(f"  f = {f}, h = {h}  (h2 = 1: one circle)")
 
 oc = circle.order_complex()
 print(f"\nIts order complex is a 4-cycle: f = {oc.f_vector()}, colors {oc.coloring}")
+assert h1(circle) == h1(oc)
+print(f"  H1 from the poset's own cells: {h1(circle)}, the same as the order complex's")
 
 pres = poset_edge_path_group(circle)
 print(f"\nEdge-path group: {pres}")
@@ -27,7 +29,7 @@ for i, g in enumerate(pres.generators):
         f"[{e.elem}:{e.init}->{e.term}]" for e in g.realization
     )
     print(f"  generator g{i+1} realized as the poset path {steps}")
-print(f"  abelianized: {pres.abelianization()}  == H1 {h1(oc)}")
+print(f"  abelianized: {pres.abelianization()}  == H1 {h1(circle)}")
 
 print("\nFace posets embed complexes into the poset world:")
 octahedron_poset = face_poset(shapes.cross_polytope(3))

@@ -34,7 +34,7 @@ print("The 6-cycle is the tight complex case (1*1 = 1 = h2); the double-edge")
 print("circle is the tight poset case:")
 circle = shapes.double_edge_circle()
 h = circle.h_vector()
-lower = h1(circle.order_complex()).min_generators
+lower = h1(circle).min_generators
 upper = len(tietze_simplify(poset_edge_path_group(circle)).generators)
 print(f"  double-edge circle: h2 = {h[2]}, lower = {lower}, upper = {upper}")
 print()

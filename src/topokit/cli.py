@@ -26,6 +26,7 @@ from .homology import h1
 from .pi1 import (
     generator_bounds,
     poset_edge_path_group,
+    require_full_palette,
     rewrite_path_to_colors,
     tietze_simplify,
     verify_certificate,
@@ -101,14 +102,12 @@ def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
     if isinstance(obj, SimplicialPoset):
         if colors is not None:
             raise ValidationError("--colors applies to complexes only")
-        presentation = poset_edge_path_group(obj)
-        simplified = tietze_simplify(presentation, rounds)
-        lower = h1(obj.order_complex()).min_generators
+        simplified = tietze_simplify(poset_edge_path_group(obj), rounds)
         return {
             "kind": "poset",
             "presentation": simplified.render(),
             "generators": len(simplified.generators),
-            "min_generators_lower_bound": lower,
+            "min_generators_lower_bound": h1(obj).min_generators,
             "min_generators_upper_bound": len(simplified.generators),
         }
     bounds = generator_bounds(obj, rounds)
@@ -148,23 +147,21 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
     props = obj.check_properties()
     if not props.all_hold:
         raise PropertyError(f"input fails the property checks: {props.as_dict()}")
+    require_full_palette(obj)
     d = obj.d
     h = obj.h_vector()
     additivity = h_additivity_table(obj)
+    summary = h1(obj)
     if isinstance(obj, SimplicialPoset):
         kind = "poset"
-        summary = h1(obj.order_complex())
-        presentation = tietze_simplify(poset_edge_path_group(obj), rounds)
-        upper = len(presentation.generators)
-        per_table = []
-        for pair in combinations(obj.colors, 2):
-            hs = obj.rank_select(pair).h_vector()
-            per_table.append(
-                {"colors": list(pair), "h2_selected": hs[2] if len(hs) > 2 else 0, "post_tietze": None}
-            )
+        upper = len(tietze_simplify(poset_edge_path_group(obj), rounds).generators)
+        # with all d colors on every facet, each pair selects a poset of rank 2
+        per_table = [
+            {"colors": list(p), "h2_selected": obj.rank_select(p).h_vector()[2], "post_tietze": None}
+            for p in combinations(obj.colors, 2)
+        ]
     else:
         kind = "complex"
-        summary = h1(obj)
         bounds = generator_bounds(obj, rounds)
         upper = bounds["best"]
         per_table = [

@@ -222,6 +222,10 @@ class SimplicialComplex:
     def edges(self) -> list[Face]:
         return self.faces(1) if self.dim >= 1 else []
 
+    def triangle_sides(self) -> list[tuple[Face, Face, Face]]:
+        """The edges ``(ab, bc, ac)`` of each triangle ``a < b < c``, triangles sorted."""
+        return [((a, b), (b, c), (a, c)) for a, b, c in (self.faces(2) if self.dim >= 2 else [])]
+
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """1-skeleton adjacency, neighbors in ascending order; cached."""
         if "adj" not in self._cache:

@@ -2,7 +2,9 @@
 
 Matrices are lists of lists of Python ints or sparse ``{row: value}`` column
 dicts, so all arithmetic is exact.  First homology builds the boundary map
-``d2`` as sparse columns straight from the faces and factors it with
+``d2`` as sparse columns straight from the triangles of a complex, or the
+rank-3 elements of a simplicial poset (a regular CW complex whose cells are
+simplices, with the homology of its order complex), and factors it with
 :func:`unit_pivot_factor`: each +-1 pivot adds an invariant factor 1, and the
 dense :func:`smith_normal_form` (``U @ A @ V == D``) runs only on the block
 the pivots leave over.  Dense SNF and :func:`boundary_matrices` stay public
@@ -370,31 +372,31 @@ class HomologySummary:
         }
 
 
-def chain_data(complex: SimplicialComplex) -> dict:
-    """The edges, their index and the factored ``d2``, cached on the complex."""
-    cache = complex._cache
+def chain_data(space) -> dict:
+    """The edges, their index and the factored ``d2``, cached on the complex or poset."""
+    cache = space._cache
     if "chain" not in cache:
-        edges = complex.edges()
+        edges = space.edges()
         index = {e: i for i, e in enumerate(edges)}
-        tris = complex.faces(2) if complex.dim >= 2 else []
         cache["chain"] = {
             "edges": edges,
             "edge_index": index,
             "d2": unit_pivot_factor(
-                {index[(y, z)]: 1, index[(x, z)]: -1, index[(x, y)]: 1} for x, y, z in tris
+                {index[bc]: 1, index[ac]: -1, index[ab]: 1}
+                for ab, bc, ac in space.triangle_sides()
             ),
         }
     return cache["chain"]
 
 
-def h1(complex: SimplicialComplex) -> HomologySummary:
-    """H1 over the integers via the factored ``d2``; the complex must be connected."""
-    if not complex.is_connected():
+def h1(space) -> HomologySummary:
+    """H1 over the integers via the factored ``d2``; the space must be connected."""
+    if not space.is_connected():
         raise ValidationError("H1 summary requires a connected complex")
-    data = chain_data(complex)
-    # d1 of a connected complex has rank |V| - 1; the clamp keeps the void
+    data = chain_data(space)
+    # d1 of a connected space has rank |V| - 1; the clamp keeps the void
     # complex at betti1 = 0
-    rank1 = max(len(complex.vertices) - 1, 0)
+    rank1 = max(len(space.vertices) - 1, 0)
     betti = len(data["edges"]) - rank1 - data["d2"].rank
     # im d2 lies in the saturated subgroup ker d1, so the invariant factors of
     # d2 are already those of the restriction to ker d1

@@ -14,13 +14,10 @@ Two further ingredients make the presentation shrink:
   subcomplex by detouring around each off-color vertex through its link,
   emitting a replayable certificate of elementary moves.
 
-The presentation is restricted to a pair of colors by rewriting each
-off-color generator (a, b) into the selected subcomplex.  Only the stretch of
-its tree loop from a's nearest selected tree ancestor through (a, b) to b's
-is rewritten: the rest runs through the inner tree and reads as no letters,
-and the rewriter changes a path only between consecutive selected vertices,
-so the word is the one the whole loop would give.  The inputs are validated
-once per restriction, not once per generator.
+The rewriter changes a path only between consecutive selected vertices, so
+restricting the presentation rewrites only a short stretch of each
+off-color generator's tree loop.  A simplicial poset's group is read from
+its own rank-2 and rank-3 elements, with no tree nesting or rewriting.
 
 Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
@@ -346,12 +343,18 @@ class NestedSpanningTree:
         return tuple(zip(verts, verts[1:]))
 
 
-def _require_pi1_ready(complex: SimplicialComplex, colors=None) -> frozenset | None:
-    palette = complex.colors  # raises MissingColoringError when uncolored
-    if len(palette) != complex.d:
+def require_full_palette(space) -> tuple[int, ...]:
+    """The palette of a complex or poset, which must have exactly ``d`` colors."""
+    palette = space.colors  # raises MissingColoringError when uncolored
+    if len(palette) != space.d:
         raise PropertyError(
-            f"coloring uses {len(palette)} colors on a complex with facet size {complex.d}"
+            f"coloring uses {len(palette)} colors on a complex with facet size {space.d}"
         )
+    return palette
+
+
+def _require_pi1_ready(complex: SimplicialComplex, colors=None) -> frozenset | None:
+    palette = require_full_palette(complex)
     report = complex.check_properties()
     if not report.all_hold:
         raise PropertyError(f"pure/balanced/connected-links checks failed: {report.as_dict()}")
@@ -518,9 +521,8 @@ def full_presentation(complex, tree: NestedSpanningTree) -> GroupPresentation:
     relators: list[tuple[int, ...]] = [
         (index[e],) for e in edges if e in tree.edges
     ]
-    if complex.dim >= 2:
-        for a, b, c in complex.faces(2):
-            relators.append((index[(a, b)], index[(b, c)], -index[(a, c)]))
+    for ab, bc, ac in complex.triangle_sides():
+        relators.append((index[ab], index[bc], -index[ac]))
     return GroupPresentation(generators, relators)
 
 
@@ -852,43 +854,16 @@ def generator_bounds(complex, tietze_rounds: int = 50) -> dict:
 # -- poset edge-path groups ---------------------------------------------------------
 
 
-def _parse_poset_loop(poset, loop) -> tuple[PosetEdge, ...]:
-    """Read an order-complex loop in ranks {1, 2} as a poset edge path.
-
-    Consecutive steps (atom, element)(element, atom) traverse the rank-2
-    element; a step that returns to the same atom becomes the element
-    traversed forth and back.
-    """
-    steps = [e for e in loop if e[0] != e[1]]
-    if not steps:
-        v = loop[0][0]
-        return (PosetEdge(None, v, v),)
-    verts = [steps[0][0]] + [e[1] for e in steps]
-    if len(verts) % 2 == 0:
-        raise ContractViolationError("selected loop has odd length; cannot parse")
-    out: list[PosetEdge] = []
-    for i in range(0, len(verts) - 1, 2):
-        a, e, b = verts[i], verts[i + 1], verts[i + 2]
-        if poset.rank(a) != 1 or poset.rank(e) != 2 or poset.rank(b) != 1:
-            raise ContractViolationError("loop does not alternate atoms and edge elements")
-        atoms = sorted(poset.atoms_of(e))
-        if a not in atoms or b not in atoms:
-            raise ContractViolationError(f"element {e} does not touch atoms {a}, {b}")
-        if a == b:
-            other = atoms[1] if atoms[0] == a else atoms[0]
-            out.append(PosetEdge(e, a, other))
-            out.append(PosetEdge(e, other, a))
-        else:
-            out.append(PosetEdge(e, a, b))
-    return tuple(out)
-
-
 def poset_edge_path_group(poset, base=None) -> GroupPresentation:
     """Present the edge-path group of a pure, connected-links simplicial poset.
 
-    The order complex is rank-colored, its presentation is restricted to the
-    rank pair {1, 2}, and each surviving generator is realized as a poset
-    edge path (carried in ``Generator.realization``).
+    A BFS from ``base`` (the least atom by default), taking the rank-2
+    elements at each atom in ascending order, spans the atoms.  Every other
+    rank-2 element is a generator, oriented from its lower atom up and named
+    by its edge in the rank-colored order complex: the sorted pair (its end
+    reached last, itself).  A rank-3 element on atoms a < b < c gives the
+    relator ``ab bc ac^-1`` less its tree sides.  ``Generator.realization``
+    is the tree path from the base, the element, and the tree path back.
     """
     poset.require_valid()
     if not poset.is_pure:
@@ -902,24 +877,42 @@ def poset_edge_path_group(poset, base=None) -> GroupPresentation:
         base = min(atoms)
     if poset.rank(base) != 1:
         raise FaceNotFoundError(f"basepoint {base} must be an atom")
-    if poset.d < 2:
-        return GroupPresentation((), ())
 
-    oc = poset.order_complex()
-    sel = frozenset({1, 2})
-    tree = build_nested_tree(oc, sel, base)
-    pres = full_presentation(oc, tree)
-    restricted = restrict_presentation(pres, oc, sel, tree)
+    ends = {e: tuple(sorted(poset.atoms_of(e))) for e in poset.edges()}
+    incident: dict[int, list[int]] = {a: [] for a in atoms}
+    for e, (a, b) in ends.items():  # e ascends, so every list does
+        incident[a].append(e)
+        incident[b].append(e)
+    up: dict[int, PosetEdge | None] = {base: None}  # atom -> tree edge toward base
+    queue = deque([base])
+    while queue:
+        a = queue.popleft()
+        for e in incident[a]:
+            b = ends[e][ends[e][0] == a]  # the other end
+            if b not in up:
+                up[b] = PosetEdge(e, b, a)
+                queue.append(b)
+    reached = {a: i for i, a in enumerate(up)}
+    tree = {t.elem for t in up.values() if t is not None}
+    names = {e: _canon(max(ab, key=reached.get), e) for e, ab in ends.items() if e not in tree}
 
+    def to_base(x) -> list[PosetEdge]:
+        path = []
+        while up[x] is not None:
+            path.append(up[x])
+            x = up[x].term
+        return path
+
+    order = sorted(names, key=names.get)
+    letter = {e: i + 1 for i, e in enumerate(order)}
     generators = []
-    for i, g in enumerate(restricted.generators):
-        loop = word_to_loop(restricted, tree, (i + 1,))
-        generators.append(
-            Generator(
-                edge=g.edge,
-                tree=False,
-                selected=True,
-                realization=_parse_poset_loop(poset, loop),
-            )
-        )
-    return GroupPresentation(generators, restricted.relators)
+    for e in order:
+        a, b = ends[e]
+        loop = [t.reverse() for t in reversed(to_base(a))] + [PosetEdge(e, a, b)] + to_base(b)
+        generators.append(Generator(names[e], False, True, tuple(loop)))
+    relators = []
+    for sides in poset.triangle_sides():
+        word = tuple(sign * letter[s] for s, sign in zip(sides, (1, 1, -1)) if s in letter)
+        if word:
+            relators.append(word)
+    return GroupPresentation(generators, relators)

@@ -136,6 +136,17 @@ class SimplicialPoset:
                 adj[b].add(a)
         return adj
 
+    def edges(self) -> tuple[int, ...]:
+        """The rank-2 elements, so parallel edges stay apart."""
+        return self.elements_of_rank(2)
+
+    def triangle_sides(self) -> list[tuple[int, int, int]]:
+        """The sides ``(ab, bc, ac)`` of each rank-3 element on atoms ``a < b < c``."""
+        self.require_valid()
+        # a side's lower covers are its two atoms; sorted by them, sides run ab, ac, bc
+        sides = (sorted(self._down[t], key=self._down.get) for t in self.elements_of_rank(3))
+        return [(ab, bc, ac) for ab, ac, bc in sides]
+
     def down_set(self, x: int) -> frozenset[int]:
         """All elements <= x (excluding the implicit bottom), memoized."""
         return self._closure("down", self._down, x)
@@ -238,28 +249,20 @@ class SimplicialPoset:
     def order_complex(self) -> SimplicialComplex:
         """Complex of chains of elements, colored by rank; vertex ids are element ids.
 
-        Memoized, so its homology and property caches are shared by every caller.
+        It is the barycentric subdivision of the poset's cells, so it has the
+        same H1 and edge-path group; the library computes both from the cells.
         """
         self.require_valid()
-        if "order_complex" in self._cache:
-            return self._cache["order_complex"]
-        chains: list[tuple[int, ...]] = []
-
-        def descend(x, suffix):
-            lower = self._down[x]
+        chains = [(m,) for m in self.maximal_elements()]  # extended downward
+        facets = set()
+        while chains:
+            chain = chains.pop()
+            lower = self._down[chain[-1]]
+            chains.extend(chain + (y,) for y in lower)
             if not lower:
-                chains.append(tuple(sorted((x,) + suffix)))
-                return
-            for y in lower:
-                descend(y, (x,) + suffix)
-
-        for top in self.maximal_elements():
-            descend(top, ())
+                facets.add(tuple(sorted(chain)))
         coloring = {x: self._rank[x] for x in self._rank}
-        self._cache["order_complex"] = SimplicialComplex(
-            sorted(set(chains)), coloring or None, self._labels
-        )
-        return self._cache["order_complex"]
+        return SimplicialComplex(sorted(facets), coloring or None, self._labels)
 
     def link(self, x: int | None) -> "SimplicialPoset":
         """The upper set of ``x`` re-ranked so that ``x`` becomes the implicit bottom."""

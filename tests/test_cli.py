@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topokit import SimplicialComplex, face_poset
+from topokit import SimplicialComplex, SimplicialPoset, face_poset
 from topokit.cli import main
 
 
@@ -359,6 +359,31 @@ def test_verify_rejects_unbalanced(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 1
 
+
+
+def test_verify_rejects_a_palette_not_of_size_d_for_both_kinds(tmp_path, capsys):
+    # a proper coloring of the 4-cycle with 3 colors; a balanced one exists,
+    # so the property checks pass, but the palette is not of size d = 2
+    square = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)], {0: 1, 1: 2, 2: 1, 3: 3})
+    for kind, obj in (("complex", square), ("poset", face_poset(square))):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(obj.to_json()))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (1, ""), kind
+        assert err.startswith("check failed: coloring uses 3 colors"), kind
+
+
+def test_poset_reports_do_not_build_the_order_complex(tmp_path, monkeypatch):
+    from test_golden import INSTANCES, load, run_cli, write_instance
+
+    def refuse(self):
+        raise AssertionError("order_complex() reached from a report")
+
+    monkeypatch.setattr(SimplicialPoset, "order_complex", refuse)
+    for name in ("double_circle", "face_poset_octahedron"):
+        path = write_instance(tmp_path, name, INSTANCES[name])
+        for command, argv in (("verify", ("verify",)), ("verify_ns", ("verify", "--ns")), ("pi1", ("pi1",))):
+            assert run_cli(argv + (path,)) == load(command)[name], (name, command)
 
 
 def test_verify_ns_on_a_poset_factors_no_more(tmp_path, capsys, monkeypatch):

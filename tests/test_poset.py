@@ -1,17 +1,27 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topokit import (
     FaceNotFoundError,
+    HomologySummary,
     MissingColoringError,
     PurityError,
     SimplicialComplex,
     SimplicialPoset,
     ValidationError,
+    build_nested_tree,
     face_poset,
+    full_presentation,
+    h1,
+    poset_edge_path_group,
+    restrict_presentation,
+    tietze_simplify,
 )
 from topokit import shapes
+from topokit.pi1 import check_edge_path
 from topokit.complex import _tops_connected
 
 
@@ -356,3 +366,131 @@ def test_poset_json_rejects_unknown_cover():
     }
     with pytest.raises(ValidationError):
         SimplicialPoset.from_json(data)
+
+
+# -- H1 and the edge-path group from the poset's cells, against the order complex ---------
+
+
+def relabelled(poset, new_id):
+    """The same poset with every element id x renamed to new_id[x]."""
+    ranks = {new_id[x]: poset.rank(x) for x in poset.ids}
+    covers = [(new_id[lo], new_id[hi]) for lo, hi in poset.covers]
+    coloring = poset.coloring and {new_id[v]: c for v, c in poset.coloring.items()}
+    return SimplicialPoset(ranks, covers, coloring)
+
+
+def two_tops_on_one_boundary():
+    """Rank-3 elements 6 and 7 over the same sides 3-5 on atoms 0-2: a 2-sphere
+    made of two parallel triangles."""
+    ranks = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3, 7: 3}
+    covers = [(0, 3), (1, 3), (0, 4), (2, 4), (1, 5), (2, 5)]
+    covers += [(s, t) for s in (3, 4, 5) for t in (6, 7)]
+    return SimplicialPoset(ranks, covers, {0: 1, 1: 2, 2: 3})
+
+
+@st.composite
+def connected_complex_posets(draw):
+    """Face posets of random ``from_faces`` complexes on vertices 0..6 that a
+    path through every vertex keeps connected; element ids permuted."""
+    faces = draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True), max_size=10))
+    poset = face_poset(SimplicialComplex.from_faces(faces + [(v, v + 1) for v in range(6)]))
+    return relabelled(poset, dict(zip(poset.ids, draw(st.permutations(poset.ids)))))
+
+
+GROWTH_SEEDS = {
+    "triangle": [(0, 1, 2)],
+    "annulus": [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)],
+    "moebius": [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)],
+    "octahedron": shapes.cross_polytope(3).facets,
+    "sd_torus": shapes.sd_torus().facets,
+    "sd_rp2": shapes.sd_projective_plane().facets,
+}
+
+
+@st.composite
+def grown_surface_posets(draw):
+    """Face posets of ``from_faces`` complexes grown from a seed surface by
+    random moves that keep them pure with connected links: subdividing a
+    triangle at a new vertex, or gluing a triangle along an edge whose new
+    corner is a fresh vertex or a neighbor of the edge.  Element ids are
+    permuted."""
+    triangles = set(GROWTH_SEEDS[draw(st.sampled_from(sorted(GROWTH_SEEDS)))])
+    for _ in range(draw(st.integers(0, 8))):
+        fresh = 1 + max(v for t in triangles for v in t)
+        if draw(st.booleans()):
+            a, b, c = draw(st.sampled_from(sorted(triangles)))
+            triangles -= {(a, b, c)}
+            triangles |= {(a, b, fresh), (a, c, fresh), (b, c, fresh)}
+            continue
+        a, b = draw(st.sampled_from(sorted({e for t in triangles for e in combinations(t, 2)})))
+        near = sorted({v for t in triangles if a in t or b in t for v in t} - {a, b})
+        triangles.add(tuple(sorted((a, b, draw(st.sampled_from(near + [fresh]))))))
+    poset = face_poset(SimplicialComplex.from_faces(triangles))
+    assert poset.is_pure and poset.links_connected()
+    return relabelled(poset, dict(zip(poset.ids, draw(st.permutations(poset.ids)))))
+
+
+def order_complex_restriction(poset):
+    """The order complex's presentation on ranks {1, 2} from the least atom, by the
+    complex pipeline, before and after Tietze simplification."""
+    oc = poset.order_complex()
+    tree = build_nested_tree(oc, {1, 2}, min(poset.atoms()))
+    restricted = restrict_presentation(full_presentation(oc, tree), oc, {1, 2}, tree)
+    return restricted, tietze_simplify(restricted)
+
+
+def check_h1_against_order_complex(poset):
+    summary = h1(poset)
+    assert summary == h1(poset.order_complex())
+    return summary
+
+
+def check_group_against_order_complex(poset):
+    summary = check_h1_against_order_complex(poset)
+    group = poset_edge_path_group(poset)
+    assert group.abelianization() == (summary.betti1, summary.torsion)
+    restricted, simplified = order_complex_restriction(poset)
+    assert [g.edge for g in group.generators] == [g.edge for g in restricted.generators]
+    assert len(tietze_simplify(group).generators) == len(simplified.generators)
+    base = min(poset.atoms())
+    for g in group.generators:
+        loop = check_edge_path(poset, g.realization)
+        assert loop[0].init == loop[-1].term == base
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(connected_complex_posets())
+def test_h1_of_random_face_posets_matches_order_complex(poset):
+    check_h1_against_order_complex(poset)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(grown_surface_posets())
+def test_group_of_random_face_posets_matches_order_complex(poset):
+    check_group_against_order_complex(poset)
+
+
+@pytest.mark.parametrize("name", ["octahedron", "cross4", "cycle6", "sd_torus", "sd_rp2", "sum2"])
+def test_group_of_corpus_face_posets_matches_order_complex(corpus, name):
+    check_group_against_order_complex(face_poset(corpus[name]))
+
+
+def test_group_of_double_circle_matches_order_complex(double_circle):
+    check_group_against_order_complex(double_circle)
+    check_group_against_order_complex(relabelled(double_circle, {0: 3, 1: 0, 2: 2, 3: 1}))
+
+
+def test_parallel_triangles_give_a_sphere():
+    poset = two_tops_on_one_boundary()
+    assert poset.validate().valid
+    assert poset.triangle_sides() == [(3, 5, 4), (3, 5, 4)]
+    check_group_against_order_complex(poset)
+    assert h1(poset).betti1 == 0
+
+
+def test_pinched_triangles_keep_their_parallel_sides_apart():
+    poset = pinched_triangles()
+    assert poset.edges() == tuple(range(10, 16))
+    # the 0-1 sides 10 and 11 are different cells, so the two discs meet in
+    # two points and enclose a loop; links are disconnected, so no group
+    assert check_h1_against_order_complex(poset) == HomologySummary(1, ())
