@@ -15,7 +15,7 @@ import time
 from itertools import combinations
 from math import comb
 
-from .complex import SimplicialComplex, h_additivity_table
+from .complex import SimplicialComplex, h_additivity_table, selected_h
 from .errors import (
     ContractViolationError,
     PropertyError,
@@ -99,9 +99,10 @@ def hvec_report(obj) -> dict:
 
 def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
     rounds = _tietze_rounds(tietze_rounds)
+    if isinstance(obj, SimplicialPoset) and colors is not None:
+        raise ValidationError("--colors applies to complexes only")
+    require_full_palette(obj)
     if isinstance(obj, SimplicialPoset):
-        if colors is not None:
-            raise ValidationError("--colors applies to complexes only")
         simplified = tietze_simplify(poset_edge_path_group(obj), rounds)
         return {
             "kind": "poset",
@@ -147,7 +148,6 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
     props = obj.check_properties()
     if not props.all_hold:
         raise PropertyError(f"input fails the property checks: {props.as_dict()}")
-    require_full_palette(obj)
     d = obj.d
     h = obj.h_vector()
     additivity = h_additivity_table(obj)
@@ -157,7 +157,7 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
         upper = len(tietze_simplify(poset_edge_path_group(obj), rounds).generators)
         # with all d colors on every facet, each pair selects a poset of rank 2
         per_table = [
-            {"colors": list(p), "h2_selected": obj.rank_select(p).h_vector()[2], "post_tietze": None}
+            {"colors": list(p), "h2_selected": selected_h(obj.flag_f_vector(), p), "post_tietze": None}
             for p in combinations(obj.colors, 2)
         ]
     else:

@@ -19,6 +19,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -27,6 +28,7 @@ from math import comb
 from .errors import (
     FaceNotFoundError,
     MissingColoringError,
+    PropertyError,
     PurityError,
     ValidationError,
 )
@@ -214,10 +216,15 @@ class SimplicialComplex:
         return as_face(face) in self.face_set()
 
     def faces(self, k: int) -> list[Face]:
-        """All faces of dimension ``k`` (size ``k + 1``), lexicographically sorted."""
+        """All faces of dimension ``k`` (size ``k + 1``), sorted; a copy of a cached list."""
         if k < -1 or k > self.dim:
             raise ValueError(f"face dimension {k} out of range [-1, {self.dim}]")
-        return sorted(f for f in self.face_set() if len(f) == k + 1)
+        if "by_size" not in self._cache:
+            by_size: list[list[Face]] = [[] for _ in range(self.dim + 2)]
+            for face in sorted(self.face_set()):
+                by_size[len(face)].append(face)
+            self._cache["by_size"] = by_size  # published whole, for concurrent readers
+        return list(self._cache["by_size"][k + 1])
 
     def edges(self) -> list[Face]:
         return self.faces(1) if self.dim >= 1 else []
@@ -255,18 +262,25 @@ class SimplicialComplex:
         return [self._facets[i] for i in sorted(set.intersection(*(star[v] for v in face)))]
 
     def selected_link_graph(self, vertex, colors) -> dict[int, tuple[int, ...]]:
-        """Adjacency of the link of ``vertex`` restricted to vertices colored in
-        ``colors``, neighbors ascending; cached per (vertex, colors)."""
+        """Adjacency of the link of ``vertex`` on its vertices colored in ``colors``,
+        neighbors ascending; cached, and read from the link's edges by color pair."""
         if self._coloring is None:
             raise MissingColoringError("color selection needs a coloring")
         graphs = self._cache.setdefault("link_graphs", {})
         colors = frozenset(colors)
         key = (vertex, colors)
         if key not in graphs:
+            by_pair = self._cache.setdefault("link_edges", {})
+            if vertex not in by_pair:  # one pass over the star sorts its link edges by pair
+                edges_by_pair: dict[frozenset[int], set[tuple[int, int]]] = {}
+                for facet in self.facets_containing((vertex,)):
+                    for a, b in combinations([w for w in facet if w != vertex], 2):
+                        pair = frozenset((self._coloring[a], self._coloring[b]))
+                        edges_by_pair.setdefault(pair, set()).add((a, b))
+                by_pair[vertex] = edges_by_pair
             adj: dict[int, set[int]] = {}
-            for facet in self.facets_containing((vertex,)):
-                sel = [w for w in facet if w != vertex and self._coloring[w] in colors]
-                for a, b in combinations(sel, 2):
+            for pair, edges in by_pair[vertex].items():
+                for a, b in edges if pair <= colors else ():
                     adj.setdefault(a, set()).add(b)
                     adj.setdefault(b, set()).add(a)
             graphs[key] = {w: tuple(sorted(ns)) for w, ns in adj.items()}
@@ -286,6 +300,14 @@ class SimplicialComplex:
         if not self.is_pure:
             raise PurityError("h-vector is only defined here for pure complexes")
         return h_from_f(self.f_vector())
+
+    def flag_f_vector(self) -> dict[frozenset[int], int]:
+        """Face counts by color set, the empty face under ``frozenset()``; cached."""
+        if (kappa := self._coloring) is None:
+            raise MissingColoringError("color-set counts need a coloring")
+        if "flag_f" not in self._cache:
+            self._cache["flag_f"] = Counter(frozenset(map(kappa.get, f)) for f in self.face_set())
+        return dict(self._cache["flag_f"])
 
     # -- local structure ------------------------------------------------------
 
@@ -327,7 +349,9 @@ class SimplicialComplex:
 
     def is_connected(self) -> bool:
         """Graph connectivity of the 1-skeleton (void and single point count as connected)."""
-        return _tops_connected(self._facets)
+        if "connected" not in self._cache:
+            self._cache["connected"] = _tops_connected(self._facets)
+        return self._cache["connected"]
 
     def is_strongly_connected(self) -> bool:
         """Facet chain connectivity: consecutive facets share a codimension-1 face."""
@@ -578,21 +602,38 @@ def connected_sum(
     return SimplicialComplex(facets, coloring, labels)
 
 
+def require_full_palette(space) -> tuple[int, ...]:
+    """The palette of a complex or poset, which must have exactly ``d`` colors."""
+    palette = space.colors  # raises MissingColoringError when uncolored
+    if len(palette) != space.d:
+        raise PropertyError(
+            f"coloring uses {len(palette)} colors on a complex with facet size {space.d}"
+        )
+    return palette
+
+
+def selected_h(flag: dict, colors) -> int:
+    """``h_|S|`` of the selection to the colors ``S`` of a space with a full palette,
+    from its color-set counts ``flag``: the sum of ``(-1)^(|S|-|T|) f_T`` over ``T`` in ``S``."""
+    return sum(
+        (-1) ** (len(colors) - k) * flag.get(frozenset(sub), 0)
+        for k in range(len(colors) + 1)
+        for sub in combinations(colors, k)
+    )
+
+
 def h_additivity_table(space) -> dict:
     """Compare each h_i with the sum of h_i over all size-i color selections.
 
-    ``space`` is a colored complex or simplicial poset.  Returns
+    ``space`` is a complex or simplicial poset colored with exactly ``d`` colors
+    (else :class:`PropertyError`), so each selection to ``S`` is pure of facet size
+    ``|S|``, and its ``h_|S|`` (each pair's selected h2 too) is :func:`selected_h` of
+    the counts of faces by color set, the flag f-vector; no selection is built.  Returns
     ``{"holds": bool, "by_index": [{"i", "h", "sum_over_selections"}]}``.
     """
+    palette = require_full_palette(space)
     h = space.h_vector()
-    palette = space.colors
-    rows = []
-    holds = True
-    for i in range(len(h)):
-        total = 0
-        for sel in combinations(palette, i):
-            hs = space.rank_select(sel).h_vector()
-            total += hs[i] if i < len(hs) else 0
-        rows.append({"i": i, "h": h[i], "sum_over_selections": total})
-        holds = holds and (total == h[i])
-    return {"holds": holds, "by_index": rows}
+    flag = space.flag_f_vector()
+    sums = [sum(selected_h(flag, sel) for sel in combinations(palette, i)) for i in range(len(h))]
+    rows = [{"i": i, "h": h[i], "sum_over_selections": total} for i, total in enumerate(sums)]
+    return {"holds": all(r["h"] == r["sum_over_selections"] for r in rows), "by_index": rows}

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .complex import SimplicialComplex, _as_int
+from .complex import SimplicialComplex, _as_int, require_full_palette, selected_h
 from .errors import (
     ContractViolationError,
     FaceNotFoundError,
@@ -343,16 +343,6 @@ class NestedSpanningTree:
         return tuple(zip(verts, verts[1:]))
 
 
-def require_full_palette(space) -> tuple[int, ...]:
-    """The palette of a complex or poset, which must have exactly ``d`` colors."""
-    palette = space.colors  # raises MissingColoringError when uncolored
-    if len(palette) != space.d:
-        raise PropertyError(
-            f"coloring uses {len(palette)} colors on a complex with facet size {space.d}"
-        )
-    return palette
-
-
 def _require_pi1_ready(complex: SimplicialComplex, colors=None) -> frozenset | None:
     palette = require_full_palette(complex)
     report = complex.check_properties()
@@ -565,23 +555,22 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
 
 
 def _bridge_vertex(complex, colors, kappa, mid, tail):
-    """Minimum-id selected vertex completing {mid, tail} to a face, avoiding
-    the color of tail; cached per (mid, tail, colors)."""
+    """Minimum-id selected vertex completing {mid, tail} to a face, avoiding the color
+    of tail, read from the least vertex of each color; cached per (mid, tail, colors)."""
     bridges = complex._cache.setdefault("bridges", {})
     key = (mid, tail, colors)
     if key not in bridges:
-        allowed = colors - {kappa[tail]}
-        best = None
         base = (mid,) if mid == tail else _canon(mid, tail)
-        for facet in complex.facets_containing(base):
-            for w in facet:
-                if kappa[w] in allowed and (best is None or w < best):
-                    best = w
-        if best is None:
+        least = complex._cache.setdefault("least_by_color", {})
+        if base not in least:  # one scan per base for every pair; descending ids keep the least
+            star = {w for facet in complex.facets_containing(base) for w in facet}
+            least[base] = {kappa[w]: w for w in sorted(star, reverse=True)}
+        found = [least[base][c] for c in colors - {kappa[tail]} if c in least[base]]
+        if not found:
             raise ContractViolationError(
                 f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
             )
-        bridges[key] = best
+        bridges[key] = min(found)
     return bridges[key]
 
 
@@ -833,6 +822,7 @@ def generator_bounds(complex, tietze_rounds: int = 50) -> dict:
     generator counts; ``best`` is the smallest certified upper bound."""
     _require_pi1_ready(complex)
     palette = complex.colors
+    flag = complex.flag_f_vector()
     per_pair: dict[tuple[int, int], dict] = {}
     for pair in combinations(palette, 2):
         sel = frozenset(pair)
@@ -840,9 +830,8 @@ def generator_bounds(complex, tietze_rounds: int = 50) -> dict:
         pres = full_presentation(complex, tree)
         restricted = restrict_presentation(pres, complex, sel, tree)
         simplified = tietze_simplify(restricted, tietze_rounds)
-        h2 = complex.rank_select(sel).h_vector()[2]
         per_pair[pair] = {
-            "h2_selected": h2,
+            "h2_selected": selected_h(flag, sel),
             "generators": len(restricted.generators),
             "post_tietze": len(simplified.generators),
             "presentation": simplified,

@@ -9,6 +9,7 @@ its relatives representable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -347,6 +348,15 @@ class SimplicialPoset:
         if not self.is_pure:
             raise PurityError("h-vectors are only defined for pure posets")
         return h_from_f(f)
+
+    def flag_f_vector(self) -> dict[frozenset[int], int]:
+        """Element counts by color set, the implicit bottom under ``frozenset()``; cached."""
+        self.require_valid()
+        if self._coloring is None:
+            raise MissingColoringError("color-set counts need a coloring")
+        if "flag_f" not in self._cache:
+            self._cache["flag_f"] = Counter([frozenset(), *map(self.color_set, self._rank)])
+        return dict(self._cache["flag_f"])
 
     def is_strongly_connected(self) -> bool:
         """Facet chain connectivity through shared covered faces (the bottom, at d = 1)."""

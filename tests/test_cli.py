@@ -373,6 +373,16 @@ def test_verify_rejects_a_palette_not_of_size_d_for_both_kinds(tmp_path, capsys)
         assert err.startswith("check failed: coloring uses 3 colors"), kind
 
 
+def test_pi1_rejects_a_palette_not_of_size_d_for_both_kinds(tmp_path, capsys):
+    square = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)], {0: 1, 1: 2, 2: 1, 3: 3})
+    for kind, obj in (("complex", square), ("poset", face_poset(square))):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(obj.to_json()))
+        code, out, err = run(capsys, "pi1", str(path))
+        assert (code, out) == (1, ""), kind
+        assert err.startswith("check failed: coloring uses 3 colors"), kind
+
+
 def test_poset_reports_do_not_build_the_order_complex(tmp_path, monkeypatch):
     from test_golden import INSTANCES, load, run_cli, write_instance
 

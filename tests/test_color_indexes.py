@@ -1,0 +1,226 @@
+"""Color-keyed indexes against the per-selection builds they replace.
+
+The additivity table, each pair's selected h2 and the poset ``per_colors``
+entries are read from one count of faces by color set (``flag_f_vector``).
+The rewriter's link graphs and bridge vertices are read from per-vertex and
+per-base indexes shared by every color pair.  The tests below keep the
+direct constructions as oracles: rank selection for the h-entries, and a
+fresh scan of the star for each (vertex, colors) link graph and each bridge.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import corpus_complexes
+from topokit import (
+    ContractViolationError,
+    PropertyError,
+    SimplicialComplex,
+    SimplicialPoset,
+    face_poset,
+    generator_bounds,
+    h_additivity_table,
+    shapes,
+)
+from topokit import pi1
+from topokit.cli import verification_report
+from topokit.complex import selected_h
+
+
+def complexes():
+    objs = dict(corpus_complexes())
+    for d in range(2, 7):
+        objs[f"cross{d}"] = shapes.cross_polytope(d)
+    for k in (1, 4):
+        objs[f"sum{k}"] = shapes.octahedron_sum(k)
+    for name in ("cross2", "octahedron", "cross4", "cycle6"):
+        objs[f"sd_{name}"] = objs[name].barycentric_subdivision()
+    return objs
+
+
+COMPLEXES = complexes()
+SPACES = {**COMPLEXES, **{f"fp_{k}": face_poset(c) for k, c in COMPLEXES.items()}}
+SPACES["double_circle"] = shapes.double_edge_circle()
+
+
+def relabel(space, seed):
+    """The same complex or poset with its ids sent to distinct random ids."""
+    rng = random.Random(seed)
+    if isinstance(space, SimplicialPoset):
+        ids = space.ids
+    else:
+        ids = space.vertices
+    new = dict(zip(ids, rng.sample(range(4 * len(ids) + 4), len(ids))))
+    coloring = {new[v]: c for v, c in (space.coloring or {}).items()} or None
+    if isinstance(space, SimplicialPoset):
+        ranks = {new[x]: space.rank(x) for x in ids}
+        return SimplicialPoset(ranks, [(new[a], new[b]) for a, b in space.covers], coloring)
+    return SimplicialComplex([[new[v] for v in f] for f in space.facets], coloring)
+
+
+def additivity_by_rank_selection(space):
+    """The additivity table built from every rank-selected subcomplex."""
+    h = space.h_vector()
+    rows = []
+    for i in range(len(h)):
+        total = 0
+        for sel in combinations(space.colors, i):
+            hs = space.rank_select(sel).h_vector()
+            total += hs[i] if i < len(hs) else 0
+        rows.append({"i": i, "h": h[i], "sum_over_selections": total})
+    return {"holds": all(r["h"] == r["sum_over_selections"] for r in rows), "by_index": rows}
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(seed=seeds)
+def test_color_set_counts_match_rank_selection(name, seed):
+    space = relabel(SPACES[name], seed)
+    flag = space.flag_f_vector()
+    assert h_additivity_table(space) == additivity_by_rank_selection(space)
+    for k in range(len(space.colors) + 1):
+        for sel in combinations(space.colors, k):
+            assert selected_h(flag, sel) == space.rank_select(sel).h_vector()[k], sel
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_selected_h2_of_every_pair_matches_rank_selection(name):
+    space = relabel(SPACES[name], 1)
+    expected = {p: space.rank_select(p).h_vector()[2] for p in combinations(space.colors, 2)}
+    if isinstance(space, SimplicialPoset):
+        table = verification_report(space)["per_colors"]
+        got = {tuple(row["colors"]): row["h2_selected"] for row in table}
+    else:
+        got = {p: e["h2_selected"] for p, e in generator_bounds(space)["per_pair"].items()}
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_flag_f_vector_counts_faces_by_color_set(name):
+    space = SPACES[name]
+    kappa = space.coloring
+    if isinstance(space, SimplicialPoset):
+        sets = [frozenset()] + [frozenset(kappa[a] for a in space.atoms_of(x)) for x in space.ids]
+    else:
+        faces = {f for facet in space.facets for k in range(len(facet) + 1) for f in combinations(facet, k)}
+        sets = [frozenset(kappa[v] for v in f) for f in faces]
+    expected = {s: sets.count(s) for s in set(sets)}
+    flag = space.flag_f_vector()
+    assert flag == expected
+    assert [sum(n for s, n in flag.items() if len(s) == k) for k in range(space.d + 1)] == list(
+        space.f_vector()
+    )
+    flag.clear()  # a copy: the cached counts stay
+    assert space.flag_f_vector() == expected
+
+
+def test_parallel_edges_count_separately(double_circle):
+    assert double_circle.flag_f_vector() == {
+        frozenset(): 1,
+        frozenset({1}): 1,
+        frozenset({2}): 1,
+        frozenset({1, 2}): 2,
+    }
+
+
+def test_additivity_table_needs_a_full_palette():
+    # a proper coloring of the 4-cycle with 3 colors, where d = 2
+    square = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)], {0: 1, 1: 2, 2: 1, 3: 3})
+    for space in (square, face_poset(square)):
+        with pytest.raises(PropertyError, match="coloring uses 3 colors"):
+            h_additivity_table(space)
+
+
+# -- link graphs and bridges shared across pairs ---------------------------------------
+
+
+def link_graph_by_star_scan(complex, vertex, colors):
+    """The selected link graph of one (vertex, colors), built alone."""
+    kappa = complex.coloring
+    adj = {}
+    for facet in complex.facets:
+        if vertex in facet:
+            sel = [w for w in facet if w != vertex and kappa[w] in colors]
+            for a, b in combinations(sel, 2):
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+    return {w: tuple(sorted(ns)) for w, ns in adj.items()}
+
+
+def bridge_by_facet_scan(complex, colors, kappa, mid, tail):
+    """The least vertex colored in ``colors`` less tail's color on a facet
+    through mid and tail, or None."""
+    allowed = colors - {kappa[tail]}
+    found = [w for f in complex.facets if mid in f and tail in f for w in f if kappa[w] in allowed]
+    return min(found, default=None)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_link_graphs_match_a_scan_per_selection(name):
+    complex = relabel(corpus_complexes()[name], 7)
+    palette = complex.colors
+    selections = [frozenset(s) for k in range(len(palette) + 1) for s in combinations(palette, k)]
+    for v in complex.vertices:
+        for colors in selections:
+            expected = link_graph_by_star_scan(complex, v, colors)
+            assert complex.selected_link_graph(v, colors) == expected, (v, colors)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_bridges_match_a_facet_scan_per_pair(name):
+    complex = relabel(corpus_complexes()[name], 7)
+    kappa = complex.coloring
+    bases = [(v, v) for v in complex.vertices]
+    bases += [e for u, v in complex.edges() for e in ((u, v), (v, u))]
+    for pair in combinations(complex.colors, 2):
+        colors = frozenset(pair)
+        for mid, tail in bases:
+            expected = bridge_by_facet_scan(complex, colors, kappa, mid, tail)
+            if expected is None:
+                with pytest.raises(ContractViolationError):
+                    pi1._bridge_vertex(complex, colors, kappa, mid, tail)
+            else:
+                assert pi1._bridge_vertex(complex, colors, kappa, mid, tail) == expected
+
+
+# -- reports read no rank selection --------------------------------------------------
+
+
+def test_reports_build_no_rank_selection(tmp_path, monkeypatch):
+    from test_golden import INSTANCES, load, run_cli, write_instance
+
+    def refuse(self, colors):
+        raise AssertionError("rank_select() reached from a report")
+
+    monkeypatch.setattr(SimplicialComplex, "rank_select", refuse)
+    monkeypatch.setattr(SimplicialPoset, "rank_select", refuse)
+    for name in ("octahedron", "cross4", "double_circle", "face_poset_octahedron"):
+        path = write_instance(tmp_path, name, INSTANCES[name])
+        for command, argv in (("verify", ("verify",)), ("verify_ns", ("verify", "--ns")), ("pi1", ("pi1",))):
+            assert run_cli(argv + (path,)) == load(command)[name], (name, command)
+
+
+def test_face_lists_are_fresh_copies():
+    octahedron = shapes.cross_polytope(3)
+    triangles = sorted(octahedron.facets)
+    octahedron.edges().clear()
+    octahedron.faces(2).append((9, 9, 9))
+    assert len(octahedron.edges()) == 12
+    assert octahedron.faces(2) == triangles
+    assert octahedron.triangle_sides() == [((a, b), (b, c), (a, c)) for a, b, c in triangles]
+
+
+def test_warm_indexes_do_not_change_reports():
+    warm = shapes.cross_polytope(4)
+    generator_bounds(warm)
+    reports = [verification_report(c, ns=True) for c in (warm, shapes.cross_polytope(4))]
+    for report in reports:
+        report.pop("timing_seconds")
+    assert reports[0] == reports[1]
