@@ -19,7 +19,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -360,13 +360,23 @@ class SimplicialComplex:
         return _tops_connected(combinations(f, len(f) - 1) for f in self._facets if f)
 
     def check_properties(self) -> PropertyReport:
-        """Exact tests for purity, balancedness, and connectivity of small-face links."""
+        """Exact tests for purity, balancedness, and connectivity of small-face links,
+        these decided by one union-find sweep per face size (:func:`_links_connected`)."""
         if "props" not in self._cache:
             balanced = _is_balanced(self)
-            small = (face for size in range(0, self.d - 1) for face in self.faces(size - 1))
-            links_ok = all(_tops_connected(self._link_tops(face)) for face in small)
+            links_ok = _links_connected(self._link_layer(k) for k in range(self.d - 1))
             self._cache["props"] = PropertyReport(self.is_pure, balanced, links_ok)
         return self._cache["props"]
+
+    def _link_layer(self, k: int):
+        """The link vertices ``(rest, v)`` of the faces of size k, one per face ``rest + v``,
+        and their link edges ``(rest, a, b)``, one per face ``rest + a + b``."""
+        pairs = list(combinations(range(k + 2), 2))[::-1]  # what each k-subset leaves out
+        ups, tops = self.faces(k), self.faces(k + 1)
+        return (
+            ((rest, v) for up in ups for v, rest in zip(reversed(up), combinations(up, k))),
+            ((rest, t[i], t[j]) for t in tops for (i, j), rest in zip(pairs, combinations(t, k))),
+        )
 
     # -- constructions --------------------------------------------------------
 
@@ -446,28 +456,33 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _reachable(start, adjacency) -> set:
-    """Every node reachable from ``start``; ``adjacency`` maps a node to its neighbors."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def _tops_connected(tops) -> bool:
     """Whether the elements of the tuples in ``tops`` are connected, two being
     joined when some tuple holds both: the 1-skeleton of the complex the tuples
     generate.  No element, or one, counts as connected."""
-    adjacency: dict = {}
-    for top in map(tuple, tops):
-        for v in top:
-            adjacency.setdefault(v, set()).update(top)
-    start = next(iter(adjacency), None)
-    return start is None or len(_reachable(start, adjacency)) == len(adjacency)
+    tops = [tuple(top) for top in tops]
+    vertices = ((None, v) for top in tops for v in top)
+    return _links_connected([(vertices, ((None, top[0], v) for top in tops for v in top[1:]))])
+
+
+def _links_connected(layers) -> bool:
+    """Whether each layer's cells have connected links, given as ``(cell, v)`` per link
+    vertex and ``(cell, a, b)`` per link edge: one union-find forest per cell, freed
+    with its layer, stopping at the first layer with a disconnected link."""
+    for vertices, edges in layers:
+        forests: dict = defaultdict(dict)
+        for cell, v in vertices:
+            forests[cell][v] = v
+        for cell, a, b in edges:
+            parent = forests[cell]
+            while (up := parent[a]) != a:  # path halving
+                parent[a] = a = parent[up]
+            while (up := parent[b]) != b:
+                parent[b] = b = parent[up]
+            parent[a] = b
+        if any(sum(v == up for v, up in parent.items()) > 1 for parent in forests.values()):
+            return False
+    return True
 
 
 def proper_coloring(vertices, adjacency, palette) -> dict[int, int] | None:

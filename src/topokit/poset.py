@@ -19,7 +19,7 @@ from .complex import (
     _as_int,
     _id_map_from_json,
     _is_balanced,
-    _reachable,
+    _links_connected,
     _tops_connected,
     h_from_f,
 )
@@ -159,7 +159,13 @@ class SimplicialPoset:
         memo = self._cache.setdefault(key, {})
         if x not in memo:
             self.rank(x)
-            memo[x] = frozenset(_reachable(x, adjacency))
+            seen, stack = {x}, [x]
+            while stack:
+                for w in adjacency[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            memo[x] = frozenset(seen)
         return memo[x]
 
     def atoms_of(self, x: int) -> frozenset[int]:
@@ -308,25 +314,24 @@ class SimplicialPoset:
         return _tops_connected((x,) + self._up[x] for x in self._rank)
 
     def links_connected(self) -> bool:
-        """Link connectivity for the bottom and every face of rank < d - 1."""
+        """Link connectivity for the bottom and every face of rank < d - 1, decided by
+        one union-find sweep per rank (:func:`~topokit.complex._links_connected`)."""
         if "links_ok" not in self._cache:
             self.require_valid()
-            d = self.d
-            # None is the implicit bottom, whose link is the whole poset
-            small = [None] + sorted(x for x in self._rank if self._rank[x] < d - 1)
-            self._cache["links_ok"] = d < 2 or all(
-                _tops_connected(self._link_tops(x)) for x in small
-            )
+            self._cache["links_ok"] = _links_connected(map(self._link_layer, range(self.d - 1)))
         return self._cache["links_ok"]
 
-    def _link_tops(self, x) -> list[tuple[int, ...]]:
-        """For each facet above ``x``, the elements covering ``x`` below it (the
-        atoms when ``x`` is the bottom ``None``).  Covers, not atoms: two rank-2
-        elements may share their atoms without being joined in the link."""
-        if x is None:
-            return [tuple(self.atoms_of(m)) for m in self.maximal_elements()]
-        facets = (m for m in self.up_set(x) if not self._up[m])
-        return [tuple(y for y in self._up[x] if y in self.down_set(m)) for m in facets]
+    def _link_layer(self, k: int):
+        """Rank k + 1 elements are link vertices of their lower covers (of the bottom
+        ``None`` at k = 0); two lower covers of a rank k + 2 element, a link edge of the one
+        element both cover (the interval below is Boolean).  Covers, not atoms: edges
+        may be parallel."""
+        down, ups, tops = self._down, self.elements_of_rank(k + 1), self.elements_of_rank(k + 2)
+        return (
+            ((x, y) for y in ups for x in down[y] or (None,)),
+            ((min(set(down[a]) & set(down[b]), default=None), a, b)
+             for z in tops for a, b in combinations(down[z], 2)),
+        )
 
     def check_properties(self) -> PropertyReport:
         """Purity, balancedness, and link connectivity for small-rank faces."""

@@ -1,0 +1,185 @@
+"""The small-face link sweep against the per-face link walk it replaces.
+
+``check_properties`` and ``links_connected`` decide the links of all faces of
+one size in a single union-find sweep (``_links_connected`` over each layer
+from ``_link_layer``).  The oracle is the per-face walk over the facets above
+a face: ``_tops_connected(complex._link_tops(face))`` for a complex and
+``_tops_connected(_link_tops(poset, x))`` for a poset.  The sweep's verdict
+for each face is read by running the production core on that face's share of
+its layer.
+"""
+
+import random
+from collections import defaultdict
+
+import pytest
+
+from test_golden import INSTANCES, load, run_cli, write_instance
+from test_poset import _link_tops, pinched_triangles
+from topokit import SimplicialComplex, SimplicialPoset, connected_sum, face_poset, shapes
+from topokit.complex import _links_connected, _tops_connected
+
+
+def small_cells(space):
+    """Each cell whose link the property check decides, with its size or rank."""
+    if isinstance(space, SimplicialPoset):
+        return [(None, 0)] + [(x, space.rank(x)) for x in space.ids if space.rank(x) < space.d - 1]
+    return [(f, len(f)) for f in space.face_set() if len(f) < space.d - 1]
+
+
+def walk(space, cell) -> bool:
+    """The per-face walk: the facets above ``cell``, joined through its covers."""
+    if isinstance(space, SimplicialPoset):
+        return _tops_connected(_link_tops(space, cell))
+    return _tops_connected(space._link_tops(cell))
+
+
+def sweep_verdicts(space, k) -> dict:
+    """The sweep's verdict for each cell of layer ``k`` that has a link vertex."""
+    vertices, edges = space._link_layer(k)
+    shares = defaultdict(lambda: ([], []))
+    for cell, v in vertices:
+        shares[cell][0].append((cell, v))
+    for cell, a, b in edges:
+        shares[cell][1].append((cell, a, b))
+    return {cell: _links_connected([share]) for cell, share in shares.items()}
+
+
+def links_ok(space) -> bool:
+    if isinstance(space, SimplicialPoset):
+        return space.links_connected()
+    return space.check_properties().links_connected
+
+
+def check_sweep_matches_walk(space):
+    """Every small face's verdict, and the whole check, against the walk;
+    returns the cells whose links are disconnected."""
+    verdicts = {k: sweep_verdicts(space, k) for k in range(space.d - 1)}
+    disconnected = set()
+    for cell, k in small_cells(space):
+        expected = walk(space, cell)
+        assert verdicts[k].get(cell, True) == expected, cell
+        if not expected:
+            disconnected.add(cell)
+    assert links_ok(space) == (not disconnected)
+    return disconnected
+
+
+# -- layer-targeted cases -------------------------------------------------------------
+
+
+def two_octahedra():
+    octahedron = shapes.cross_polytope(3)
+    facets = list(octahedron.facets) + [tuple(v + 6 for v in f) for f in octahedron.facets]
+    coloring = {v + s: c for v, c in octahedron.coloring.items() for s in (0, 6)}
+    return SimplicialComplex(facets, coloring)
+
+
+def cross4_glued(face):
+    """Two boundaries of the 4-cross-polytope glued along ``face`` (a wedge)."""
+    cross4 = shapes.cross_polytope(4)
+    return connected_sum(cross4, cross4, face, face, {v: v for v in face})
+
+
+# name -> (complex, the one face whose link is disconnected, or None)
+TARGETED = {
+    "two_octahedra": (two_octahedra(), ()),
+    "cross4_at_vertex": (cross4_glued((0,)), (0,)),
+    "cross4_along_edge": (cross4_glued((0, 2)), (0, 2)),
+    "cross4": (shapes.cross_polytope(4), None),
+}
+
+
+def shuffled(ids, seed):
+    """``ids`` sent to distinct random ids; the identity when ``seed`` is None."""
+    if seed is None:
+        return {x: x for x in ids}
+    return dict(zip(ids, random.Random(seed).sample(range(4 * len(ids) + 4), len(ids))))
+
+
+def check_only_layer_fails(space, k_bad):
+    """The sweep of each layer alone fails exactly at layer ``k_bad`` (None: none)."""
+    layers = [_links_connected([space._link_layer(k)]) for k in range(space.d - 1)]
+    assert layers == [k != k_bad for k in range(space.d - 1)]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(TARGETED))
+def test_only_the_glued_face_has_a_disconnected_link(name, seed):
+    complex, face = TARGETED[name]
+    new = shuffled(complex.vertices, seed)
+    moved = SimplicialComplex(
+        [[new[v] for v in f] for f in complex.facets],
+        {new[v]: c for v, c in complex.coloring.items()},
+    )
+    bad = None if face is None else tuple(sorted(new[v] for v in face))
+    assert check_sweep_matches_walk(moved) == ({bad} if bad is not None else set())
+    check_only_layer_fails(moved, None if face is None else len(face))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(TARGETED))
+def test_only_the_glued_element_has_a_disconnected_link(name, seed):
+    complex, face = TARGETED[name]
+    poset = face_poset(complex)
+    new = shuffled(poset.ids, seed)
+    moved = SimplicialPoset(
+        {new[x]: poset.rank(x) for x in poset.ids},
+        [(new[lo], new[hi]) for lo, hi in poset.covers],
+        {new[v]: c for v, c in poset.coloring.items()},
+    )
+    if face is None:
+        expected = set()
+    elif face == ():
+        expected = {None}
+    else:
+        label = "-".join(map(str, face))
+        expected = {new[x] for x, s in poset.labels.items() if s == label}
+    assert check_sweep_matches_walk(moved) == expected
+    check_only_layer_fails(moved, None if face is None else len(face))
+
+
+# -- bench-scale instances --------------------------------------------------------------
+
+
+def bench_complexes():
+    objs = {f"cross{d}": shapes.cross_polytope(d) for d in range(3, 7)}
+    objs.update({f"sum{k}": shapes.octahedron_sum(k) for k in range(2, 7)})
+    objs["sd_torus"] = shapes.sd_torus()
+    objs["sd_rp2"] = shapes.sd_projective_plane()
+    objs["sd2_torus"] = objs["sd_torus"].barycentric_subdivision()
+    return objs
+
+
+BENCH = bench_complexes()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH))
+def test_sweep_matches_walk_on_bench_complexes(name):
+    assert check_sweep_matches_walk(BENCH[name]) == set()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH))
+def test_sweep_matches_walk_on_bench_face_posets(name):
+    assert check_sweep_matches_walk(face_poset(BENCH[name])) == set()
+
+
+def test_sweep_matches_walk_on_double_circle_and_pinched_triangles(double_circle):
+    assert check_sweep_matches_walk(double_circle) == set()
+    assert check_sweep_matches_walk(pinched_triangles()) == {0, 1}
+
+
+# -- reports build no link -------------------------------------------------------------
+
+
+def test_reports_walk_no_link(tmp_path, monkeypatch):
+    def refuse(self, face):
+        raise AssertionError("a link was built or walked from a report")
+
+    monkeypatch.setattr(SimplicialComplex, "_link_tops", refuse)
+    monkeypatch.setattr(SimplicialComplex, "link", refuse)
+    monkeypatch.setattr(SimplicialPoset, "link", refuse)
+    for name, obj in INSTANCES.items():
+        path = write_instance(tmp_path, name, obj)
+        for command, argv in (("check", ("check",)), ("verify", ("verify",))):
+            assert run_cli(argv + (path,)) == load(command)[name], (name, command)

@@ -176,11 +176,23 @@ def hasse_connected(poset):
     return len(seen) == len(poset.ids)
 
 
+# The per-element link walk that ``links_connected`` ran before its sweep,
+# kept as the oracle for it: ``_tops_connected(_link_tops(poset, x))``.
+def _link_tops(self, x) -> list[tuple[int, ...]]:
+    """For each facet above ``x``, the elements covering ``x`` below it (the
+    atoms when ``x`` is the bottom ``None``).  Covers, not atoms: two rank-2
+    elements may share their atoms without being joined in the link."""
+    if x is None:
+        return [tuple(self.atoms_of(m)) for m in self.maximal_elements()]
+    facets = (m for m in self.up_set(x) if not self._up[m])
+    return [tuple(y for y in self._up[x] if y in self.down_set(m)) for m in facets]
+
+
 def check_link_walk(poset):
     small = []
     for x in [None, *poset.ids]:
         built = hasse_connected(poset.link(x))
-        assert _tops_connected(poset._link_tops(x)) == built, x
+        assert _tops_connected(_link_tops(poset, x)) == built, x
         if x is None or poset.rank(x) < poset.d - 1:
             small.append(built)
     assert poset.links_connected() == (poset.d < 2 or all(small))
