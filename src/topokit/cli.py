@@ -97,6 +97,11 @@ def hvec_report(obj) -> dict:
 # -- pi1 ------------------------------------------------------------------------
 
 
+def _convergence(simplified) -> dict:
+    """Rounds a Tietze run used and whether it reached a fixpoint."""
+    return {"tietze_rounds": simplified.rounds, "tietze_converged": simplified.converged}
+
+
 def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
     rounds = _tietze_rounds(tietze_rounds)
     if isinstance(obj, SimplicialPoset) and colors is not None:
@@ -126,6 +131,7 @@ def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
                 "h2_selected": val["h2_selected"],
                 "generators": val["generators"],
                 "post_tietze": val["post_tietze"],
+                **_convergence(val["presentation"]),
             }
             for key, val in bounds["per_pair"].items()
         },
@@ -169,6 +175,7 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
                 "colors": list(pair),
                 "h2_selected": entry["h2_selected"],
                 "post_tietze": entry["post_tietze"],
+                **_convergence(entry["presentation"]),
             }
             for pair, entry in bounds["per_pair"].items()
         ]

@@ -103,17 +103,18 @@ class SimplicialComplex:
                 raise ValidationError(f"duplicate facet: {list(cf)}")
             seen.add(cf)
         norm = sorted(seen, key=lambda f: (len(f), f)) or [()]
-        by_size: dict[int, list[frozenset[int]]] = {}
+        largest = len(norm[-1])
+        through: dict[int, list[frozenset[int]]] = {}  # vertex -> larger facets through it
         for f in norm:
-            by_size.setdefault(len(f), []).append(frozenset(f))
-        sizes = sorted(by_size)
-        for f in norm:
+            if len(f) > len(norm[0]):
+                for v in f:
+                    through.setdefault(v, []).append(frozenset(f))
+        for f in norm:  # a facet can only lie in larger facets through its first vertex
+            if len(f) == largest:
+                break
             fs = frozenset(f)
-            for size in sizes:
-                if size <= len(f):
-                    continue
-                if any(fs < g for g in by_size[size]):
-                    raise ValidationError(f"facet {list(f)} is contained in a larger facet")
+            if not f or any(fs < g for g in through.get(f[0], ())):
+                raise ValidationError(f"facet {list(f)} is contained in a larger facet")
         self._facets: tuple[Face, ...] = tuple(norm)
         self._vertices: tuple[int, ...] = tuple(sorted({v for f in norm for v in f}))
 

@@ -28,9 +28,10 @@ rank-2 element they traverse, which keeps parallel edges apart.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .complex import SimplicialComplex, _as_int, require_full_palette, selected_h
@@ -424,18 +425,21 @@ class Generator:
 class GroupPresentation:
     """Generators plus relator words (tuples of signed 1-based indices)."""
 
-    def __init__(self, generators, relators):
+    def __init__(self, generators, relators, rounds=None, converged=None):
         self.generators: tuple[Generator, ...] = tuple(generators)
         rels = []
         n = len(self.generators)
         for rel in relators:
-            word = tuple(int(x) for x in rel)
-            for x in word:
-                if x == 0 or abs(x) > n:
-                    raise ValidationError(f"relator letter {x} references no generator")
+            word = tuple(map(int, rel))
+            if word and (0 in word or max(map(abs, word)) > n):  # one pass; name the first bad letter
+                bad = next(x for x in word if x == 0 or abs(x) > n)
+                raise ValidationError(f"relator letter {bad} references no generator")
             rels.append(word)
         self.relators: tuple[tuple[int, ...], ...] = tuple(rels)
         self._index = {g.edge: i + 1 for i, g in enumerate(self.generators)}
+        # set by tietze_simplify: the rounds it ran and whether the last changed nothing
+        self.rounds = rounds
+        self.converged = converged
 
     def generator_index(self, edge) -> int:
         edge = tuple(edge)
@@ -481,10 +485,13 @@ def free_reduce(word) -> list[int]:
 
 
 def cyclic_reduce(word) -> list[int]:
+    """Strip letters cancelling across the ends, moving one index in from each end."""
     word = list(word)
-    while len(word) >= 2 and word[0] == -word[-1]:
-        word = word[1:-1]
-    return word
+    i, j = 0, len(word) - 1
+    while i < j and word[i] == -word[j]:
+        i += 1
+        j -= 1
+    return word[i : j + 1]
 
 
 def invert_word(word) -> list[int]:
@@ -556,49 +563,81 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
 
 def _bridge_vertex(complex, colors, kappa, mid, tail):
     """Minimum-id selected vertex completing {mid, tail} to a face, avoiding the color
-    of tail, read from the least vertex of each color; cached per (mid, tail, colors)."""
+    of tail, read from the least vertex of each color; cached per (mid, tail, colors),
+    with its witness face checked once."""
     bridges = complex._cache.setdefault("bridges", {})
     key = (mid, tail, colors)
     if key not in bridges:
-        base = (mid,) if mid == tail else _canon(mid, tail)
-        least = complex._cache.setdefault("least_by_color", {})
-        if base not in least:  # one scan per base for every pair; descending ids keep the least
-            star = {w for facet in complex.facets_containing(base) for w in facet}
-            least[base] = {kappa[w]: w for w in sorted(star, reverse=True)}
-        found = [least[base][c] for c in colors - {kappa[tail]} if c in least[base]]
+        least = _least_by_color(complex, kappa).get((mid,) if mid == tail else _canon(mid, tail), {})
+        found = [least[c] for c in colors - {kappa[tail]} if c in least]
         if not found:
             raise ContractViolationError(
                 f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
             )
-        bridges[key] = min(found)
+        bridge = min(found)
+        if tuple(sorted({mid, bridge, tail})) not in complex.face_set():
+            raise _not_a_face((mid, bridge, tail))
+        bridges[key] = bridge
     return bridges[key]
 
 
-def _link_detour(complex, colors, center, start, goal):
-    """Shortest path from start to goal through selected edges of the link of
-    center, BFS with ascending tie-breaks."""
-    if start == goal:
-        return [start]
-    adj = complex.selected_link_graph(center, colors)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        if u == goal:
-            break
-        for w in adj.get(u, ()):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if goal not in parent:
+def _least_by_color(complex, kappa) -> dict:
+    """Vertex or edge -> {color: least vertex of that color on a facet through it},
+    shared by every color pair and filled by one sweep over the facets; cached."""
+    least = complex._cache.get("least_by_color")
+    if least is None:
+        least = {}
+        for facet in complex.facets:
+            colored = [(kappa[w], w) for w in facet]
+            for base in chain(((v,) for v in facet), combinations(facet, 2)):
+                first = least.setdefault(base, {})
+                for c, w in colored:
+                    if first.get(c, w) >= w:
+                        first[c] = w
+        complex._cache["least_by_color"] = least
+    return least
+
+
+def _not_a_face(witness) -> ContractViolationError:
+    return ContractViolationError(f"witness {list(witness)} is not a face; hypotheses broken")
+
+
+def _detour_tree(complex, colors, center, start):
+    """Parent pointers of the BFS tree from ``start`` over the selected link of
+    ``center``, ascending tie-breaks; cached per (center, start, colors).  Each
+    tree edge's triangle with ``center`` is checked once, here."""
+    trees = complex._cache.setdefault("detour_trees", {})
+    key = (center, start, colors)
+    parent = trees.get(key)
+    if parent is None:
+        adj = complex.selected_link_graph(center, colors)
+        faces = complex.face_set()
+        parent = trees[key] = {start: None}
+        order = [start]
+        for u in order:  # the list grows while it is read: a FIFO queue
+            for w in adj.get(u, ()):
+                if w not in parent:
+                    if tuple(sorted((u, w, center))) not in faces:
+                        raise _not_a_face((u, w, center))
+                    parent[w] = u
+                    order.append(w)
+    return parent
+
+
+def _bypass(complex, colors, kappa, u, mid, tail):
+    """The selected vertices ``u, ..., bridge`` that replace the off-color ``mid``
+    between ``u`` and ``tail``: the shortest path to the bridge in mid's link."""
+    bridge = _bridge_vertex(complex, colors, kappa, mid, tail)
+    parent = _detour_tree(complex, colors, mid, u)
+    if bridge not in parent:
         raise ContractViolationError(
-            f"link of {center} has no selected path {start} -> {goal}; hypotheses broken"
+            f"link of {mid} has no selected path {u} -> {bridge}; hypotheses broken"
         )
-    out = [goal]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return out
+    hops = [bridge]
+    while parent[hops[-1]] is not None:
+        hops.append(parent[hops[-1]])
+    hops.reverse()
+    return hops
 
 
 def rewrite_path_to_colors(complex, colors, path):
@@ -615,44 +654,41 @@ def rewrite_path_to_colors(complex, colors, path):
     kappa = complex.coloring
     if kappa[path[0][0]] not in colors or kappa[path[-1][1]] not in colors:
         raise ValidationError("path endpoints must lie in the selected subcomplex")
-    work, moves = _rewrite(complex, colors, kappa, path)
+    moves: list[tuple] = []
+    work = _rewrite(complex, colors, kappa, path, moves)
     return work, Certificate("complex", tuple(moves))
 
 
-def _rewrite(complex, colors, kappa, path):
-    """The rewrite loop of :func:`rewrite_path_to_colors` on a checked path with
-    selected endpoints; returns the rewritten path and its moves.
+def _rewrite(complex, colors, kappa, path, moves=None):
+    """The rewrite of :func:`rewrite_path_to_colors` on a checked path with
+    selected endpoints, in one pass; appends its moves to ``moves`` if given.
 
-    Each bypass touches only the stretch between the selected vertex before
-    the off-color vertex and the next selected one, so the path changes only
-    between consecutive selected vertices.
+    Each bypass replaces ``u -> mid -> tail`` by the detour to the bridge and
+    then ``bridge -> tail``, so the path changes only between consecutive
+    selected vertices.
     """
-    work = path
-    moves: list[tuple] = []
-
-    def apply(move):
-        nonlocal work
-        work = _triangle_move_complex(complex, work, move)
-        moves.append(move)
-
-    idx = 0
-    while idx < len(work):
-        u, v = work[idx]
-        if kappa[v] in colors:
-            idx += 1
+    out: list[ComplexEdge] = []
+    u = path[0][0]  # selected: an endpoint, or the bridge of the last bypass
+    for i, (_, mid) in enumerate(path):
+        if kappa[mid] in colors:
+            out.append((u, mid))
+            u = mid
             continue
-        mid = v
-        tail = work[idx + 1][1]
-        bridge = _bridge_vertex(complex, colors, kappa, mid, tail)
-        apply(("expand", idx + 1, (mid, bridge, tail)))
-        hops = _link_detour(complex, colors, mid, u, bridge)
-        if len(hops) == 1:
-            apply(("contract", idx, (u, mid, u)))
-        else:
-            for j in range(len(hops) - 2):
-                apply(("expand", idx + j, (hops[j], hops[j + 1], mid)))
-            apply(("contract", idx + len(hops) - 2, (hops[-2], mid, bridge)))
-    return work, moves
+        tail = path[i + 1][1]
+        hops = _bypass(complex, colors, kappa, u, mid, tail)
+        bridge = hops[-1]
+        if moves is not None:
+            idx = len(out)
+            moves.append(("expand", idx + 1, (mid, bridge, tail)))
+            if len(hops) == 1:
+                moves.append(("contract", idx, (u, mid, u)))
+            else:
+                for j in range(len(hops) - 2):
+                    moves.append(("expand", idx + j, (hops[j], hops[j + 1], mid)))
+                moves.append(("contract", idx + len(hops) - 2, (hops[-2], mid, bridge)))
+        out.extend(zip(hops, hops[1:]) if len(hops) > 1 else [(u, u)])
+        u = bridge
+    return tuple(out)
 
 
 # -- presentation restriction and simplification -----------------------------------
@@ -684,7 +720,12 @@ def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentat
             raise ValidationError(f"generator edge {g.edge} disagrees with the tree")
         if not g.tree and kappa[g.edge[0]] in colors and kappa[g.edge[1]] in colors:
             kept.append(i)
-    new_letter = {old + 1: new + 1 for new, old in enumerate(kept)}
+    signed: dict[ComplexEdge, int] = {}  # oriented edge -> its kept letter, 0 on the tree
+    for u, v in tree.edges:
+        signed[u, v] = signed[v, u] = 0
+    for new, old in enumerate(kept, 1):
+        u, v = presentation.generators[old].edge
+        signed[u, v], signed[v, u] = new, -new
 
     def to_selected(v):
         """Tree vertices from v up to its nearest selected ancestor."""
@@ -695,46 +736,39 @@ def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentat
 
     def selected_word(loop):
         word = []
-        for u, v in loop:
-            if u == v:
-                continue
-            e = _canon(u, v)
-            if e in tree.edges:
-                continue
-            old = presentation.generator_index(e)
-            if old not in new_letter:
+        for e in loop:
+            x = signed.get(e)
+            if x is None and e[0] != e[1]:
+                presentation.generator_index(_canon(*e))  # an edge of no generator is invalid input
                 raise ContractViolationError("rewritten loop left the selected subcomplex")
-            word.append(new_letter[old] if (u, v) == e else -new_letter[old])
-        return word
+            if x:
+                word.append(x)
+        return tuple(word)
 
-    images: dict[int, tuple[int, ...]] = {}
-    for i, g in enumerate(presentation.generators):
-        letter = i + 1
+    images: dict[int, tuple[int, ...]] = {}  # signed letter -> its word on the kept letters
+    for i, g in enumerate(presentation.generators, 1):
         if g.tree:
-            images[letter] = ()
-        elif letter in new_letter:
-            images[letter] = (new_letter[letter],)
+            image = ()
+        elif g.edge in signed:
+            image = (signed[g.edge],)
         else:
             a, b = g.edge
             verts = to_selected(a)[::-1] + to_selected(b)
-            segment = tuple(zip(verts, verts[1:]))
-            rewritten, _ = _rewrite(complex, colors, kappa, segment)
-            images[letter] = tuple(selected_word(rewritten))
+            image = selected_word(_rewrite(complex, colors, kappa, tuple(zip(verts, verts[1:]))))
+        images[i] = image
+        images[-i] = tuple(invert_word(image))
 
     relators = []
     for rel in presentation.relators:
-        word: list[int] = []
-        for x in rel:
-            img = images[abs(x)]
-            word.extend(img if x > 0 else invert_word(img))
-        word = free_reduce(word)
+        word = free_reduce([y for x in rel for y in images[x]])
         if word:
             relators.append(tuple(word))
 
-    generators = [
-        Generator(edge=presentation.generators[i].edge, tree=False, selected=True)
-        for i in kept
-    ]
+    generators = []
+    for i in kept:  # a kept generator of a full presentation is already in its final form
+        g = presentation.generators[i]
+        final = g.selected is True and g.realization is None
+        generators.append(g if final else Generator(edge=g.edge, tree=False, selected=True))
     return GroupPresentation(generators, relators)
 
 
@@ -748,73 +782,124 @@ def tietze_simplify(presentation, max_rounds: int = 50) -> GroupPresentation:
 
     Each round free- and cyclically reduces relators, drops empty ones,
     eliminates generators that occur exactly once in some relator (shortest
-    relator first, and only when the substitution does not grow the total
-    relator length), and drops duplicate relators up to rotation and
-    inversion.  Stops at a fixpoint or after ``max_rounds``.
+    relator first, ties by position, and only when the substitution does not
+    grow the total relator length), and drops duplicate relators up to
+    rotation and inversion.  Stops at a fixpoint or after ``max_rounds``; the
+    result records the rounds run and whether the last one changed nothing.
+
+    An index from each generator to the relators holding it confines a
+    substitution to those relators.  Whether a candidate relator's
+    substitution shrinks the total depends only on it and on the relators
+    holding its generator, so a failed candidate is tried again only after
+    one of those changes.
     """
-    gens = list(presentation.generators)
-    alive = [True] * len(gens)
-    rels = [list(r) for r in presentation.relators]
+    words: list[list[int] | None] = [list(r) for r in presentation.relators]  # None once dropped
+    alive = [True] * len(presentation.generators)
+    holding: dict[int, set[int]] = {}  # generator -> ids of the relators holding it
+    for k, word in enumerate(words):
+        for x in word:
+            holding.setdefault(abs(x), set()).add(k)
+    heap = [(len(word), k) for k, word in enumerate(words)]  # candidates, in (length, id) order
+    heapq.heapify(heap)
+    failed: dict[int, int | None] = {}  # candidate -> the generator it would eliminate
+    waiting: dict[int, set[int]] = {}  # generator -> failed candidates that would eliminate it
+    keys: dict[int, tuple[int, ...]] = {}  # id -> cyclic canonical form of its word
 
-    for _ in range(max_rounds):
-        snapshot = (alive[:], [tuple(r) for r in rels])
-        rels = [cyclic_reduce(free_reduce(r)) for r in rels]
-        rels = [r for r in rels if r]
+    def put(k, word):
+        """Replace relator k (drop it if ``word`` is empty) and re-open the failed
+        candidates whose generator it held or holds."""
+        touched = [abs(x) for x in words[k]]
+        for g in touched:
+            holding[g].discard(k)
+        for x in word:  # a substitution brings in only generators some relator held
+            holding[abs(x)].add(k)
+        if waiting:
+            for g in chain(touched, map(abs, word)):
+                for c in waiting.pop(g, ()):
+                    if failed.get(c) == g:
+                        del failed[c]
+                        heapq.heappush(heap, (len(words[c]), c))
+        words[k] = word or None
+        keys.pop(k, None)
+        failed.pop(k, None)
+        if word:
+            heapq.heappush(heap, (len(word), k))
 
-        progress = True
-        while progress:
-            progress = False
-            order = sorted(range(len(rels)), key=lambda k: (len(rels[k]), k))
-            for ri in order:
-                rel = rels[ri]
-                counts = Counter(map(abs, rel))
-                pos = next((p for p, x in enumerate(rel) if counts[abs(x)] == 1), None)
-                if pos is None:
-                    continue
-                x = rel[pos]
-                g = abs(x)
-                tau = rel[pos + 1 :] + rel[:pos]
-                replacement = invert_word(tau) if x > 0 else list(tau)
-                trial = []
-                for rj, other in enumerate(rels):
-                    if rj == ri:
-                        continue
-                    word: list[int] = []
-                    for y in other:
-                        if abs(y) == g:
-                            word.extend(replacement if y > 0 else invert_word(replacement))
-                        else:
-                            word.append(y)
-                    word = cyclic_reduce(free_reduce(word))
-                    if word:
-                        trial.append(word)
-                if sum(len(r) for r in trial) <= sum(len(r) for r in rels):
-                    rels = trial
-                    alive[g - 1] = False
-                    progress = True
-                    break
+    def eliminate(k) -> bool:
+        """Try candidate k; on success substitute it away and drop it."""
+        rel = words[k]
+        counts = Counter(map(abs, rel))
+        pos = next((p for p, x in enumerate(rel) if counts[abs(x)] == 1), None)
+        if pos is None:
+            failed[k] = None
+            return False
+        x = rel[pos]
+        g = abs(x)
+        tau = rel[pos + 1 :] + rel[:pos]
+        replacement = invert_word(tau) if x > 0 else tau
+        inverse = invert_word(replacement)
+        trial = {}
+        growth = -len(rel)
+        for j in holding[g] - {k}:
+            word: list[int] = []
+            for y in words[j]:
+                if y == g:
+                    word.extend(replacement)
+                elif y == -g:
+                    word.extend(inverse)
+                else:
+                    word.append(y)
+            trial[j] = cyclic_reduce(free_reduce(word))
+            growth += len(trial[j]) - len(words[j])
+        if growth > 0:
+            failed[k] = g
+            waiting.setdefault(g, set()).add(k)
+            return False
+        alive[g - 1] = False
+        for j, word in trial.items():
+            put(j, word)
+        put(k, [])
+        return True
 
+    rounds, converged = 0, False
+    for rounds in range(1, max_rounds + 1):
+        changed = False
+        for k, word in enumerate(words):
+            if word is None:
+                continue
+            reduced = cyclic_reduce(free_reduce(word))
+            if not reduced or reduced != word:
+                put(k, reduced)
+                changed = True
+        while heap:
+            length, k = heapq.heappop(heap)
+            if words[k] is not None and k not in failed and len(words[k]) == length:
+                changed |= eliminate(k)
         seen = set()
-        deduped = []
-        for r in rels:
-            key = _cyclic_canonical(r)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(r)
-        rels = deduped
-        if (alive, [tuple(r) for r in rels]) == snapshot:
+        for k, word in enumerate(words):
+            if word is None:
+                continue
+            if k not in keys:
+                keys[k] = _cyclic_canonical(word)
+            if keys[k] in seen:
+                put(k, [])
+                changed = True
+            else:
+                seen.add(keys[k])
+        if not changed:
+            converged = True
             break
 
     mapping: dict[int, int] = {}
     new_gens = []
-    for i, g in enumerate(gens):
+    for i, g in enumerate(presentation.generators):
         if alive[i]:
             mapping[i + 1] = len(new_gens) + 1
             new_gens.append(g)
     new_rels = [
-        tuple(mapping[x] if x > 0 else -mapping[-x] for x in r) for r in rels
+        tuple(mapping[x] if x > 0 else -mapping[-x] for x in r) for r in words if r is not None
     ]
-    return GroupPresentation(new_gens, new_rels)
+    return GroupPresentation(new_gens, new_rels, rounds, converged)
 
 
 def generator_bounds(complex, tietze_rounds: int = 50) -> dict:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_complexes
+
 from topokit import SimplicialComplex, SimplicialPoset, face_poset
 from topokit.cli import main
 
@@ -278,6 +280,26 @@ def test_pi1_tietze_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "pi1", str(path))
     assert code == 0
     assert json.loads(out)["min_generators_upper_bound"] == 1
+
+
+def pair_entries(report):
+    """The per-pair entries of a pi1 (a dict by pair) or verify (a list) report."""
+    table = report["per_pair"] if "per_pair" in report else report["per_colors"]
+    return list(table.values()) if isinstance(table, dict) else table
+
+
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_tietze_convergence_is_reported_per_pair(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(corpus_complexes()[name].to_json()))
+    for command in ("pi1", "verify"):
+        _, out, _ = run(capsys, command, str(path))
+        entries = pair_entries(json.loads(out))
+        assert entries and all(e["tietze_converged"] is True for e in entries)
+        assert all(1 <= e["tietze_rounds"] <= 50 for e in entries)
+        _, out, _ = run(capsys, command, str(path), "--tietze-rounds", "0")
+        for entry in pair_entries(json.loads(out)):
+            assert (entry["tietze_rounds"], entry["tietze_converged"]) == (0, False)
 
 
 @pytest.mark.parametrize(

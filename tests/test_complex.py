@@ -1,3 +1,4 @@
+import re
 import sys
 import traceback
 from itertools import combinations
@@ -359,6 +360,37 @@ def test_duplicate_facets_rejected():
 def test_contained_facets_rejected():
     with pytest.raises(ValidationError):
         SimplicialComplex([(0, 1, 2), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "facets,named",
+    [
+        ([(0, 1, 2), (1, 2)], [1, 2]),
+        ([(3, 4), (0, 1, 2), (2,), (1, 2, 5, 6)], [2]),  # (2,) comes first in size order
+        ([(), (0, 1)], []),  # an empty facet beside a non-empty one
+        ([(0,), ()], []),
+    ],
+)
+def test_contained_facet_message_names_the_first_in_size_order(facets, named):
+    with pytest.raises(ValidationError, match=rf"^facet {re.escape(str(named))} is contained in a larger facet$"):
+        SimplicialComplex(facets)
+
+
+def containment_by_pairs(facets):
+    """The first facet, in (size, ids) order, inside a larger one: every pair compared."""
+    unique = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
+    return next((list(f) for f in unique if any(set(f) < set(g) for g in unique)), None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=4, unique=True), min_size=1, max_size=10, unique_by=lambda f: tuple(sorted(f))))
+def test_containment_check_matches_pairwise_scan(facets):
+    expected = containment_by_pairs(facets)
+    if expected is None:
+        SimplicialComplex(facets)
+    else:
+        with pytest.raises(ValidationError, match=rf"^facet {re.escape(str(expected))} is contained"):
+            SimplicialComplex(facets)
 
 
 def test_from_faces_maximalizes():

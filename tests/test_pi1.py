@@ -517,6 +517,74 @@ def test_bridge_memo_matches_a_fresh_scan(monkeypatch):
         assert bridge(fresh, colors, fresh.coloring, mid, tail) == scan
 
 
+def _link_detour(complex, colors, center, start, goal):
+    """Oracle: one BFS per move from start, stopped at goal, ascending tie-breaks."""
+    if start == goal:
+        return [start]
+    adj = complex.selected_link_graph(center, colors)
+    parent = {start: None}
+    queue = [start]
+    while queue:
+        u = queue.pop(0)
+        if u == goal:
+            break
+        for w in adj.get(u, ()):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    out = [goal]
+    while parent[out[-1]] is not None:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+def _bfs_tree(adj, start):
+    parent = {start: None}
+    queue = [start]
+    while queue:
+        u = queue.pop(0)
+        for w in sorted(adj.get(u, ())):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+@pytest.mark.parametrize("build", [shapes.sd_projective_plane, lambda: shapes.cross_polytope(5)])
+def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
+    space = build()
+    seen, bypasses = [], []
+    tree, bypass = pi1._detour_tree, pi1._bypass
+
+    def recording_tree(complex, colors, center, start):
+        seen.append((center, start, colors))
+        return tree(complex, colors, center, start)
+
+    def recording_bypass(complex, colors, kappa, u, mid, tail):
+        hops = bypass(complex, colors, kappa, u, mid, tail)
+        bypasses.append((colors, u, mid, tail, hops))
+        return hops
+
+    monkeypatch.setattr(pi1, "_detour_tree", recording_tree)
+    monkeypatch.setattr(pi1, "_bypass", recording_bypass)
+    generator_bounds(space)
+    trees = space._cache["detour_trees"]
+    assert trees and set(trees) == set(seen) and len(seen) > len(trees)
+    fresh = build()
+    for (center, start, colors), parent in trees.items():
+        assert parent == _bfs_tree(fresh.selected_link_graph(center, colors), start)
+        assert tree(fresh, colors, center, start) == parent
+        for goal in parent:
+            path = [goal]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            assert path[::-1] == _link_detour(fresh, colors, center, start, goal)
+    kappa = fresh.coloring
+    for colors, u, mid, tail, hops in bypasses:
+        goal = pi1._bridge_vertex(fresh, colors, kappa, mid, tail)
+        assert hops == _link_detour(fresh, colors, mid, u, goal)
+
+
 # -- Tietze simplification -----------------------------------------------------------------------
 
 
