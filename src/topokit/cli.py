@@ -53,8 +53,11 @@ def _tietze_rounds(value=None) -> int:
 
 def load_input(path: str):
     """Parse a JSON file into a complex or a poset, keyed on its "type"."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise ValidationError(f"cannot decode {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("input JSON must be an object")
     kind = data.get("type")

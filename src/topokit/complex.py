@@ -323,13 +323,6 @@ class SimplicialComplex:
         """``F - face`` for each facet ``F`` containing ``face``: the link's generators."""
         return [tuple(v for v in g if v not in face) for g in self.facets_containing(face)]
 
-    def closed_star(self, face) -> "SimplicialComplex":
-        """Subcomplex generated by the facets containing ``face``."""
-        face = as_face(face)
-        if not self.has_face(face):
-            raise FaceNotFoundError(f"{list(face)} is not a face")
-        return self._subcomplex(self.facets_containing(face))
-
     def rank_select(self, colors) -> "SimplicialComplex":
         """Subcomplex of faces all of whose vertex colors lie in ``colors``."""
         if self._coloring is None:
@@ -537,7 +530,7 @@ def _is_balanced(space) -> bool:
     """Pure, with the attached coloring or a searched one using exactly ``d`` colors."""
     if not space.is_pure:
         return False
-    if space.coloring is not None and len(space.colors) == space.d:
+    if space._coloring is not None and len(space.colors) == space.d:
         return True
     return find_balanced_coloring(space) is not None
 

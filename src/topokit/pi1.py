@@ -14,10 +14,11 @@ Two further ingredients make the presentation shrink:
   subcomplex by detouring around each off-color vertex through its link,
   emitting a replayable certificate of elementary moves.
 
-The rewriter changes a path only between consecutive selected vertices, so
-restricting the presentation rewrites only a short stretch of each
-off-color generator's tree loop.  A simplicial poset's group is read from
-its own rank-2 and rank-3 elements, with no tree nesting or rewriting.
+Restricting to a color pair needs no full presentation: each edge maps to a
+word on the pair's selected non-tree edges (rewriting only the stretch of an
+off-color edge's tree loop between selected vertices), and the triangle
+relators, built once per complex, map through those images.  A simplicial
+poset's group is read from its rank-2 and rank-3 elements, with no rewriting.
 
 Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
@@ -359,7 +360,7 @@ def _require_pi1_ready(complex: SimplicialComplex, colors=None) -> frozenset | N
 
 def default_basepoint(complex: SimplicialComplex, colors) -> int:
     """Minimum-id vertex of the color-selected subcomplex."""
-    kappa = complex.coloring
+    kappa = complex._coloring
     allowed = set(colors)
     sel = [v for v in complex.vertices if kappa[v] in allowed]
     if not sel:
@@ -373,7 +374,7 @@ def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
     Vertices are explored in ascending id order, so the tree is deterministic.
     """
     colors = _require_pi1_ready(complex, colors)
-    kappa = complex.coloring
+    kappa = complex._coloring
     if root is None:
         root = default_basepoint(complex, colors)
     if kappa.get(root) not in colors:
@@ -502,9 +503,8 @@ def full_presentation(complex, tree: NestedSpanningTree) -> GroupPresentation:
     """One generator per edge; tree edges die, triangles impose substitution."""
     if not complex.is_connected():
         raise ValidationError("presentations need a connected complex")
-    kappa = complex.coloring
-    edges = complex.edges()
-    index = {e: i + 1 for i, e in enumerate(edges)}
+    kappa = complex._coloring
+    edges, triangles = _skeleton(complex)
     generators = [
         Generator(
             edge=e,
@@ -515,12 +515,20 @@ def full_presentation(complex, tree: NestedSpanningTree) -> GroupPresentation:
         )
         for e in edges
     ]
-    relators: list[tuple[int, ...]] = [
-        (index[e],) for e in edges if e in tree.edges
-    ]
-    for ab, bc, ac in complex.triangle_sides():
-        relators.append((index[ab], index[bc], -index[ac]))
-    return GroupPresentation(generators, relators)
+    relators = [(i,) for i, e in enumerate(edges, 1) if e in tree.edges]
+    return GroupPresentation(generators, relators + triangles)
+
+
+def _skeleton(complex) -> tuple:
+    """The edges (letters 1, 2, ...) and triangle relators ``ab bc ac^-1``
+    shared by every color pair; cached."""
+    skeleton = complex._cache.get("skeleton")
+    if skeleton is None:
+        edges = complex.edges()
+        index = {e: i for i, e in enumerate(edges, 1)}
+        triangles = [(index[ab], index[bc], -index[ac]) for ab, bc, ac in complex.triangle_sides()]
+        skeleton = complex._cache["skeleton"] = (edges, triangles)
+    return skeleton
 
 
 def loop_to_word(presentation, tree, path) -> tuple[int, ...]:
@@ -561,15 +569,13 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
 # -- rewriting into the selected subcomplex ---------------------------------------
 
 
-def _bridge_vertex(complex, colors, kappa, mid, tail):
+def _bridge_vertex(complex, colors, kappa, mid, tail, least, bridges):
     """Minimum-id selected vertex completing {mid, tail} to a face, avoiding the color
-    of tail, read from the least vertex of each color; cached per (mid, tail, colors),
-    with its witness face checked once."""
-    bridges = complex._cache.setdefault("bridges", {})
-    key = (mid, tail, colors)
+    of tail, read from ``least``; memoized by (mid, tail), its witness checked once."""
+    key = (mid, tail)
     if key not in bridges:
-        least = _least_by_color(complex, kappa).get((mid,) if mid == tail else _canon(mid, tail), {})
-        found = [least[c] for c in colors - {kappa[tail]} if c in least]
+        near = least.get((mid,) if mid == tail else _canon(mid, tail), {})
+        found = [near[c] for c in colors - {kappa[tail]} if c in near]
         if not found:
             raise ContractViolationError(
                 f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
@@ -602,18 +608,16 @@ def _not_a_face(witness) -> ContractViolationError:
     return ContractViolationError(f"witness {list(witness)} is not a face; hypotheses broken")
 
 
-def _detour_tree(complex, colors, center, start):
+def _detour_tree(complex, colors, center, start, trees):
     """Parent pointers of the BFS tree from ``start`` over the selected link of
-    ``center``, ascending tie-breaks; cached per (center, start, colors).  Each
-    tree edge's triangle with ``center`` is checked once, here."""
-    trees = complex._cache.setdefault("detour_trees", {})
-    key = (center, start, colors)
+    ``center``, ascending tie-breaks; memoized by (center, start).  Each tree
+    edge's triangle with ``center`` is checked once, here."""
+    key = (center, start)
     parent = trees.get(key)
     if parent is None:
         adj = complex.selected_link_graph(center, colors)
         faces = complex.face_set()
-        parent = trees[key] = {start: None}
-        order = [start]
+        parent, order = {start: None}, [start]
         for u in order:  # the list grows while it is read: a FIFO queue
             for w in adj.get(u, ()):
                 if w not in parent:
@@ -621,14 +625,16 @@ def _detour_tree(complex, colors, center, start):
                         raise _not_a_face((u, w, center))
                     parent[w] = u
                     order.append(w)
+        trees[key] = parent  # published whole, once every witness has checked
     return parent
 
 
-def _bypass(complex, colors, kappa, u, mid, tail):
+def _bypass(complex, colors, kappa, u, mid, tail, memos):
     """The selected vertices ``u, ..., bridge`` that replace the off-color ``mid``
     between ``u`` and ``tail``: the shortest path to the bridge in mid's link."""
-    bridge = _bridge_vertex(complex, colors, kappa, mid, tail)
-    parent = _detour_tree(complex, colors, mid, u)
+    least, bridges, trees = memos
+    bridge = _bridge_vertex(complex, colors, kappa, mid, tail, least, bridges)
+    parent = _detour_tree(complex, colors, mid, u, trees)
     if bridge not in parent:
         raise ContractViolationError(
             f"link of {mid} has no selected path {u} -> {bridge}; hypotheses broken"
@@ -651,15 +657,17 @@ def rewrite_path_to_colors(complex, colors, path):
     """
     colors = _require_pi1_ready(complex, colors)
     path = check_edge_path(complex, path)
-    kappa = complex.coloring
+    kappa = complex._coloring
     if kappa[path[0][0]] not in colors or kappa[path[-1][1]] not in colors:
         raise ValidationError("path endpoints must lie in the selected subcomplex")
+    by_pair = complex._cache.setdefault("rewrite_memos", {})  # reused across calls
+    memos = by_pair.setdefault(colors, (_least_by_color(complex, kappa), {}, {}))
     moves: list[tuple] = []
-    work = _rewrite(complex, colors, kappa, path, moves)
+    work = _rewrite(complex, colors, kappa, path, memos, moves)
     return work, Certificate("complex", tuple(moves))
 
 
-def _rewrite(complex, colors, kappa, path, moves=None):
+def _rewrite(complex, colors, kappa, path, memos, moves=None):
     """The rewrite of :func:`rewrite_path_to_colors` on a checked path with
     selected endpoints, in one pass; appends its moves to ``moves`` if given.
 
@@ -675,7 +683,7 @@ def _rewrite(complex, colors, kappa, path, moves=None):
             u = mid
             continue
         tail = path[i + 1][1]
-        hops = _bypass(complex, colors, kappa, u, mid, tail)
+        hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
         bridge = hops[-1]
         if moves is not None:
             idx = len(out)
@@ -694,38 +702,21 @@ def _rewrite(complex, colors, kappa, path, moves=None):
 # -- presentation restriction and simplification -----------------------------------
 
 
-def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentation:
-    """Eliminate every generator outside the selected subcomplex.
-
-    An off-color generator (a, b) stands for its tree loop, but only the
-    stretch from a's nearest selected tree ancestor through (a, b) to b's is
-    rewritten: the rest of the loop runs through the inner tree and reads as
-    no letters.  The inputs are validated once, here, not per generator.  The
-    result is presented on exactly the selected non-tree edges, whose count
-    equals the second h-entry of the selected subcomplex.
-    """
-    colors = _require_pi1_ready(complex, colors)
-    if tree.complex is not complex:
-        raise ValidationError("tree was built on a different complex")
-    if tree.colors != colors:
-        raise ValidationError("tree was built for a different color pair")
-    faces = complex.face_set()
-    kappa = complex.coloring
-    parent = tree.parent
-    kept: list[int] = []
-    for i, g in enumerate(presentation.generators):
-        if len(g.edge) != 2 or g.edge not in faces:
-            raise FaceNotFoundError(f"generator edge {g.edge} is not an edge of the complex")
-        if g.tree != (g.edge in tree.edges):
-            raise ValidationError(f"generator edge {g.edge} disagrees with the tree")
-        if not g.tree and kappa[g.edge[0]] in colors and kappa[g.edge[1]] in colors:
-            kept.append(i)
+def _restrict(complex, tree, edges, relators) -> GroupPresentation:
+    """Restrict generators ``edges`` (letters 1, 2, ...) and ``relators`` to the
+    pair ``tree.colors``.  A tree edge maps to (), a kept (selected non-tree)
+    edge to its new letter, and an off-color edge (a, b) to the rewrite of its
+    tree loop between a's and b's nearest selected ancestors."""
+    colors, parent, kappa = tree.colors, tree.parent, complex._coloring
+    memos = (_least_by_color(complex, kappa), {}, {})  # bridges, detour trees: this pair only
     signed: dict[ComplexEdge, int] = {}  # oriented edge -> its kept letter, 0 on the tree
     for u, v in tree.edges:
         signed[u, v] = signed[v, u] = 0
-    for new, old in enumerate(kept, 1):
-        u, v = presentation.generators[old].edge
-        signed[u, v], signed[v, u] = new, -new
+    generators = []
+    for u, v in edges:
+        if (u, v) not in tree.edges and kappa[u] in colors and kappa[v] in colors:
+            generators.append(Generator(edge=(u, v), tree=False, selected=True))
+            signed[u, v], signed[v, u] = len(generators), -len(generators)
 
     def to_selected(v):
         """Tree vertices from v up to its nearest selected ancestor."""
@@ -734,42 +725,50 @@ def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentat
             out.append(parent[out[-1]])
         return out
 
-    def selected_word(loop):
-        word = []
-        for e in loop:
-            x = signed.get(e)
-            if x is None and e[0] != e[1]:
-                presentation.generator_index(_canon(*e))  # an edge of no generator is invalid input
-                raise ContractViolationError("rewritten loop left the selected subcomplex")
-            if x:
-                word.append(x)
-        return tuple(word)
-
-    images: dict[int, tuple[int, ...]] = {}  # signed letter -> its word on the kept letters
-    for i, g in enumerate(presentation.generators, 1):
-        if g.tree:
-            image = ()
-        elif g.edge in signed:
-            image = (signed[g.edge],)
-        else:
-            a, b = g.edge
+    images = [()] * (2 * len(edges) + 1)  # images[i] and images[-i]: letter i and its inverse
+    for i, (a, b) in enumerate(edges, 1):
+        x = signed.get((a, b))
+        if x:
+            images[i], images[-i] = (x,), (-x,)
+        elif x is None:
             verts = to_selected(a)[::-1] + to_selected(b)
-            image = selected_word(_rewrite(complex, colors, kappa, tuple(zip(verts, verts[1:]))))
-        images[i] = image
-        images[-i] = tuple(invert_word(image))
-
-    relators = []
-    for rel in presentation.relators:
+            word = []
+            for e in _rewrite(complex, colors, kappa, tuple(zip(verts, verts[1:])), memos):
+                x = signed.get(e)
+                if x is None and e[0] != e[1]:
+                    if kappa[e[0]] in colors and kappa[e[1]] in colors:
+                        raise ValidationError(f"no generator for edge {_canon(*e)}")
+                    raise ContractViolationError("rewritten loop left the selected subcomplex")
+                if x:
+                    word.append(x)
+            images[i], images[-i] = tuple(word), tuple(invert_word(word))
+    mapped = []
+    for rel in relators:
         word = free_reduce([y for x in rel for y in images[x]])
         if word:
-            relators.append(tuple(word))
+            mapped.append(tuple(word))
+    return GroupPresentation(generators, mapped)
 
-    generators = []
-    for i in kept:  # a kept generator of a full presentation is already in its final form
-        g = presentation.generators[i]
-        final = g.selected is True and g.realization is None
-        generators.append(g if final else Generator(edge=g.edge, tree=False, selected=True))
-    return GroupPresentation(generators, relators)
+
+def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentation:
+    """Eliminate every generator outside the selected subcomplex.
+
+    The inputs are validated once, here; :func:`generator_bounds` runs the
+    same restriction.  The result is presented on exactly the selected
+    non-tree edges, as many as the selection's second h-entry.
+    """
+    colors = _require_pi1_ready(complex, colors)
+    if tree.complex is not complex:
+        raise ValidationError("tree was built on a different complex")
+    if tree.colors != colors:
+        raise ValidationError("tree was built for a different color pair")
+    faces = complex.face_set()
+    for g in presentation.generators:
+        if len(g.edge) != 2 or g.edge not in faces:
+            raise FaceNotFoundError(f"generator edge {g.edge} is not an edge of the complex")
+        if g.tree != (g.edge in tree.edges):
+            raise ValidationError(f"generator edge {g.edge} disagrees with the tree")
+    return _restrict(complex, tree, [g.edge for g in presentation.generators], presentation.relators)
 
 
 def _cyclic_canonical(word) -> tuple[int, ...]:
@@ -906,14 +905,13 @@ def generator_bounds(complex, tietze_rounds: int = 50) -> dict:
     """Per color pair: selected h2, restricted and post-simplification
     generator counts; ``best`` is the smallest certified upper bound."""
     _require_pi1_ready(complex)
-    palette = complex.colors
     flag = complex.flag_f_vector()
+    edges, triangles = _skeleton(complex)
     per_pair: dict[tuple[int, int], dict] = {}
-    for pair in combinations(palette, 2):
+    for pair in combinations(complex.colors, 2):
         sel = frozenset(pair)
         tree = build_nested_tree(complex, sel)
-        pres = full_presentation(complex, tree)
-        restricted = restrict_presentation(pres, complex, sel, tree)
+        restricted = _restrict(complex, tree, edges, triangles)
         simplified = tietze_simplify(restricted, tietze_rounds)
         per_pair[pair] = {
             "h2_selected": selected_h(flag, sel),

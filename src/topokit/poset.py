@@ -455,7 +455,7 @@ def face_poset(complex: SimplicialComplex) -> SimplicialPoset:
             for sub in combinations(f, len(f) - 1):
                 covers.append((index[sub], index[f]))
     coloring = None
-    if complex.coloring is not None:
-        coloring = {index[(v,)]: complex.coloring[v] for v in complex.vertices}
+    if (kappa := complex._coloring) is not None:
+        coloring = {index[(v,)]: kappa[v] for v in complex.vertices}
     labels = {i: "-".join(map(str, f)) for f, i in index.items()}
     return SimplicialPoset(ranks, covers, coloring, labels)

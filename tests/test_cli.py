@@ -82,6 +82,28 @@ def test_check_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+# a file json.load cannot decode: not UTF-8, or nested past the recursion limit
+UNREADABLE_FILES = {
+    "not-utf8": b'{"type": "complex", "facets": [[0, 1]], "labels": {"0": "\xe9"}}',
+    "nested-lists": b"[" * 100000 + b"]" * 100000,
+    "nested-objects": b'{"a":' * 100000 + b"1" + b"}" * 100000,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check",), ("hvec",), ("pi1",), ("verify",), ("rewrite", "--path", "0,1", "--colors", "1,2")],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+def test_undecodable_input_exits_2(tmp_path, capsys, argv, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE_FILES[name])
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_check_duplicate_facets(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps({"type": "complex", "facets": [[0, 1], [0, 1]]}))

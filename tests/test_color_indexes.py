@@ -179,15 +179,16 @@ def test_bridges_match_a_facet_scan_per_pair(name):
     kappa = complex.coloring
     bases = [(v, v) for v in complex.vertices]
     bases += [e for u, v in complex.edges() for e in ((u, v), (v, u))]
+    least = pi1._least_by_color(complex, kappa)
     for pair in combinations(complex.colors, 2):
-        colors = frozenset(pair)
+        colors, bridges = frozenset(pair), {}
         for mid, tail in bases:
             expected = bridge_by_facet_scan(complex, colors, kappa, mid, tail)
             if expected is None:
                 with pytest.raises(ContractViolationError):
-                    pi1._bridge_vertex(complex, colors, kappa, mid, tail)
+                    pi1._bridge_vertex(complex, colors, kappa, mid, tail, least, bridges)
             else:
-                assert pi1._bridge_vertex(complex, colors, kappa, mid, tail) == expected
+                assert pi1._bridge_vertex(complex, colors, kappa, mid, tail, least, bridges) == expected
 
 
 # -- reports read no rank selection --------------------------------------------------

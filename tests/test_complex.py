@@ -114,15 +114,6 @@ def test_link_requires_existing_face(octahedron):
         octahedron.link((0, 1))  # antipodal pair, not an edge
 
 
-def test_closed_star(octahedron):
-    assert octahedron.closed_star(()) == octahedron
-    star = octahedron.closed_star((0,))
-    assert len(star.facets) == 4
-    assert all(0 in f for f in star.facets)
-    facet = octahedron.facets[0]
-    assert octahedron.closed_star(facet).facets == (facet,)
-
-
 def test_link_coloring_is_restricted(octahedron):
     link = octahedron.link((0,))
     kappa = octahedron.coloring

@@ -435,13 +435,17 @@ def _whole_loop_restriction(presentation, complex, colors, tree):
 
 
 def _assert_restrictions_agree(complex, pairs=None, root=None):
+    """The production restriction of generator_bounds, the public oracle pair
+    and the whole-loop oracle give the same generators and relators."""
     for pair in pairs or combinations(complex.colors, 2):
         tree = build_nested_tree(complex, pair, root)
         pres = full_presentation(complex, tree)
         local = restrict_presentation(pres, complex, pair, tree)
         oracle = _whole_loop_restriction(pres, complex, pair, tree)
-        assert local.generators == oracle.generators
-        assert local.relators == oracle.relators
+        production = pi1._restrict(complex, tree, *pi1._skeleton(complex))
+        for other in (local, oracle):
+            assert production.generators == other.generators
+            assert production.relators == other.relators
 
 
 ORACLE_COMPLEXES = {
@@ -491,30 +495,54 @@ def test_restriction_validates_once_per_call(monkeypatch):
     assert len(calls) <= 1 + 2 * pairs < off_color
 
 
+def _record_memo_calls(monkeypatch, name):
+    """Wrap ``pi1.<name>``, whose last argument is a memo dict; returns the
+    list of the arguments of each call, filled as calls are made."""
+    calls = []
+    wrapped = getattr(pi1, name)
+
+    def recording(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(pi1, name, recording)
+    return calls
+
+
+def _memos_by_pair(calls, key):
+    """The memo dicts the calls were given, one per color pair; checks that each
+    holds exactly the keys it was asked for, and no memo serves two pairs."""
+    memos = {}
+    for args in calls:
+        colors, memo = args[1], args[-1]
+        assert memos.setdefault(colors, memo) is memo
+    for colors, memo in memos.items():
+        assert set(memo) == {key(args) for args in calls if args[1] == colors}
+    return memos
+
+
 def test_bridge_memo_matches_a_fresh_scan(monkeypatch):
     rp2 = shapes.sd_projective_plane()
-    seen = []
-    bridge = pi1._bridge_vertex
-
-    def recording(complex, colors, kappa, mid, tail):
-        seen.append((colors, mid, tail))
-        return bridge(complex, colors, kappa, mid, tail)
-
-    monkeypatch.setattr(pi1, "_bridge_vertex", recording)
+    calls = _record_memo_calls(monkeypatch, "_bridge_vertex")
     generator_bounds(rp2)
-    assert seen and set(rp2._cache["bridges"]) == {(m, t, c) for c, m, t in seen}
+    memos = _memos_by_pair(calls, lambda args: (args[3], args[4]))
+    assert set(memos) == {frozenset(p) for p in combinations(rp2.colors, 2)}
+    assert "bridges" not in rp2._cache
     kappa = rp2.coloring
-    for colors, mid, tail in seen:
-        fresh = shapes.sd_projective_plane()
-        scan = min(
-            w
-            for facet in fresh.facets
-            if mid in facet and tail in facet
-            for w in facet
-            if kappa[w] in colors - {kappa[tail]}
-        )
-        assert bridge(rp2, colors, kappa, mid, tail) == scan
-        assert bridge(fresh, colors, fresh.coloring, mid, tail) == scan
+    for colors, bridges in memos.items():
+        assert bridges
+        for (mid, tail), bridge in bridges.items():
+            fresh = shapes.sd_projective_plane()
+            scan = min(
+                w
+                for facet in fresh.facets
+                if mid in facet and tail in facet
+                for w in facet
+                if kappa[w] in colors - {kappa[tail]}
+            )
+            assert bridge == scan
+            least = pi1._least_by_color(fresh, kappa)
+            assert pi1._bridge_vertex(fresh, colors, kappa, mid, tail, least, {}) == scan
 
 
 def _link_detour(complex, colors, center, start, goal):
@@ -553,36 +581,80 @@ def _bfs_tree(adj, start):
 @pytest.mark.parametrize("build", [shapes.sd_projective_plane, lambda: shapes.cross_polytope(5)])
 def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
     space = build()
-    seen, bypasses = [], []
-    tree, bypass = pi1._detour_tree, pi1._bypass
+    calls = _record_memo_calls(monkeypatch, "_detour_tree")
+    bypasses, bypass = [], pi1._bypass
 
-    def recording_tree(complex, colors, center, start):
-        seen.append((center, start, colors))
-        return tree(complex, colors, center, start)
-
-    def recording_bypass(complex, colors, kappa, u, mid, tail):
-        hops = bypass(complex, colors, kappa, u, mid, tail)
+    def recording_bypass(complex, colors, kappa, u, mid, tail, memos):
+        hops = bypass(complex, colors, kappa, u, mid, tail, memos)
         bypasses.append((colors, u, mid, tail, hops))
         return hops
 
-    monkeypatch.setattr(pi1, "_detour_tree", recording_tree)
     monkeypatch.setattr(pi1, "_bypass", recording_bypass)
     generator_bounds(space)
-    trees = space._cache["detour_trees"]
-    assert trees and set(trees) == set(seen) and len(seen) > len(trees)
+    memos = _memos_by_pair(calls, lambda args: (args[2], args[3]))
+    assert set(memos) == {frozenset(p) for p in combinations(space.colors, 2)}
+    assert len(calls) > sum(map(len, memos.values()))  # a pair reads its trees again
+    assert "detour_trees" not in space._cache
     fresh = build()
-    for (center, start, colors), parent in trees.items():
-        assert parent == _bfs_tree(fresh.selected_link_graph(center, colors), start)
-        assert tree(fresh, colors, center, start) == parent
-        for goal in parent:
-            path = [goal]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            assert path[::-1] == _link_detour(fresh, colors, center, start, goal)
+    for colors, trees in memos.items():
+        for (center, start), parent in trees.items():
+            assert parent == _bfs_tree(fresh.selected_link_graph(center, colors), start)
+            assert pi1._detour_tree(fresh, colors, center, start, {}) == parent
+            for goal in parent:
+                path = [goal]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                assert path[::-1] == _link_detour(fresh, colors, center, start, goal)
     kappa = fresh.coloring
+    least = pi1._least_by_color(fresh, kappa)
     for colors, u, mid, tail, hops in bypasses:
-        goal = pi1._bridge_vertex(fresh, colors, kappa, mid, tail)
+        goal = pi1._bridge_vertex(fresh, colors, kappa, mid, tail, least, {})
         assert hops == _link_detour(fresh, colors, mid, u, goal)
+
+
+def test_detour_tree_memo_keeps_no_tree_that_failed_its_witness_check(monkeypatch):
+    octahedron = shapes.cross_polytope(3)
+    # 0 and 1 are antipodal, so the triangle {0, 1, 2} is not a face
+    monkeypatch.setattr(octahedron, "selected_link_graph", lambda center, colors: {2: (1,), 1: (2,)})
+    trees = {}
+    for _ in range(2):
+        with pytest.raises(pi1.ContractViolationError, match=r"\[2, 1, 0\] is not a face"):
+            pi1._detour_tree(octahedron, frozenset({1, 2}), 0, 2, trees)
+    assert trees == {}
+
+
+def test_verify_leaves_no_per_pair_memos_on_the_complex():
+    from topokit.cli import verification_report
+
+    for space in (shapes.sd_projective_plane(), shapes.cross_polytope(5)):
+        verification_report(space)
+        assert not {"detour_trees", "bridges", "rewrite_memos"} & set(space._cache)
+        assert "skeleton" in space._cache
+
+
+@pytest.mark.parametrize("name", ORACLE_COMPLEXES)
+def test_restricted_generator_count_is_selected_h2(name):
+    complex = ORACLE_COMPLEXES[name]()
+    for pair, entry in generator_bounds(complex)["per_pair"].items():
+        h2 = complex.rank_select(pair).h_vector()[2]
+        assert entry["generators"] == entry["h2_selected"] == h2, pair
+
+
+def test_coloring_is_read_at_most_once_per_call(monkeypatch):
+    reads = []
+    getter = SimplicialComplex.coloring.fget
+
+    def counting(self):
+        reads.append(self)
+        return getter(self)
+
+    monkeypatch.setattr(SimplicialComplex, "coloring", property(counting))
+    for build in (shapes.sd_torus, lambda: shapes.cross_polytope(4)):
+        for call in (face_poset, generator_bounds):
+            space = build()
+            reads.clear()
+            call(space)
+            assert len(reads) <= 1, call.__name__
 
 
 # -- Tietze simplification -----------------------------------------------------------------------
