@@ -262,31 +262,6 @@ class SimplicialComplex:
             return []
         return [self._facets[i] for i in sorted(set.intersection(*(star[v] for v in face)))]
 
-    def selected_link_graph(self, vertex, colors) -> dict[int, tuple[int, ...]]:
-        """Adjacency of the link of ``vertex`` on its vertices colored in ``colors``,
-        neighbors ascending; cached, and read from the link's edges by color pair."""
-        if self._coloring is None:
-            raise MissingColoringError("color selection needs a coloring")
-        graphs = self._cache.setdefault("link_graphs", {})
-        colors = frozenset(colors)
-        key = (vertex, colors)
-        if key not in graphs:
-            by_pair = self._cache.setdefault("link_edges", {})
-            if vertex not in by_pair:  # one pass over the star sorts its link edges by pair
-                edges_by_pair: dict[frozenset[int], set[tuple[int, int]]] = {}
-                for facet in self.facets_containing((vertex,)):
-                    for a, b in combinations([w for w in facet if w != vertex], 2):
-                        pair = frozenset((self._coloring[a], self._coloring[b]))
-                        edges_by_pair.setdefault(pair, set()).add((a, b))
-                by_pair[vertex] = edges_by_pair
-            adj: dict[int, set[int]] = {}
-            for pair, edges in by_pair[vertex].items():
-                for a, b in edges if pair <= colors else ():
-                    adj.setdefault(a, set()).add(b)
-                    adj.setdefault(b, set()).add(a)
-            graphs[key] = {w: tuple(sorted(ns)) for w, ns in adj.items()}
-        return graphs[key]
-
     # -- f- and h-vectors -----------------------------------------------------
 
     def f_vector(self) -> tuple[int, ...]:
@@ -416,7 +391,7 @@ class SimplicialComplex:
             as_face(f)  # vertex types first: ids of mixed types do not compare
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
                 raise ValidationError(f"facet {f} is not strictly ascending")
-        labels = _id_map_from_json(data, "labels", str)
+        labels = _id_map_from_json(data, "labels", _as_str)
         coloring = _id_map_from_json(data, "coloring", _as_int)
         return cls([tuple(f) for f in facets], coloring, labels)
 
@@ -425,6 +400,13 @@ def _as_int(value) -> int:
     """``value`` if it is a JSON integer; bools, floats, strings and null are refused."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _as_str(value) -> str:
+    """``value`` if it is a JSON string; numbers, arrays and null are refused, not converted."""
+    if not isinstance(value, str):
+        raise ValidationError(f"expected a string label, got {value!r}")
     return value
 
 

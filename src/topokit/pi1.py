@@ -17,8 +17,11 @@ Two further ingredients make the presentation shrink:
 Restricting to a color pair needs no full presentation: each edge maps to a
 word on the pair's selected non-tree edges (rewriting only the stretch of an
 off-color edge's tree loop between selected vertices), and the triangle
-relators, built once per complex, map through those images.  A simplicial
-poset's group is read from its rank-2 and rank-3 elements, with no rewriting.
+relators, built once per complex, map through those images.  Each bypass of
+an off-color vertex reads its bridge and its detour from one index shared by
+all pairs: the vertices completing each vertex and edge to a face, by color.
+A simplicial poset's group is read from its rank-2 and rank-3 elements, with
+no rewriting.
 
 Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
@@ -569,13 +572,14 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
 # -- rewriting into the selected subcomplex ---------------------------------------
 
 
-def _bridge_vertex(complex, colors, kappa, mid, tail, least, bridges):
+def _bridge_vertex(complex, colors, kappa, mid, tail, near, bridges):
     """Minimum-id selected vertex completing {mid, tail} to a face, avoiding the color
-    of tail, read from ``least``; memoized by (mid, tail), its witness checked once."""
+    of tail: the least ``near[base][color][0]`` (:func:`_completions`) over those
+    colors; memoized by (mid, tail), its witness checked once."""
     key = (mid, tail)
     if key not in bridges:
-        near = least.get((mid,) if mid == tail else _canon(mid, tail), {})
-        found = [near[c] for c in colors - {kappa[tail]} if c in near]
+        by_color = near.get((mid,) if mid == tail else _canon(mid, tail), {})
+        found = [by_color[c][0] for c in colors - {kappa[tail]} if c in by_color]
         if not found:
             raise ContractViolationError(
                 f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
@@ -587,39 +591,49 @@ def _bridge_vertex(complex, colors, kappa, mid, tail, least, bridges):
     return bridges[key]
 
 
-def _least_by_color(complex, kappa) -> dict:
-    """Vertex or edge -> {color: least vertex of that color on a facet through it},
-    shared by every color pair and filled by one sweep over the facets; cached."""
-    least = complex._cache.get("least_by_color")
-    if least is None:
-        least = {}
-        for facet in complex.facets:
-            colored = [(kappa[w], w) for w in facet]
-            for base in chain(((v,) for v in facet), combinations(facet, 2)):
-                first = least.setdefault(base, {})
-                for c, w in colored:
-                    if first.get(c, w) >= w:
-                        first[c] = w
-        complex._cache["least_by_color"] = least
-    return least
+def _completions(complex) -> dict:
+    """Vertex ``(v,)`` or edge ``(a, b)``, a < b -> {color: ascending tuple of the
+    vertices w for which base + w is a face}, the base's own vertices included;
+    shared by every color pair, filled in one pass over the edges and triangles
+    (sorted, so each tuple ascends), and cached."""
+    near = complex._cache.get("completions")
+    if near is None:
+        kappa = complex._coloring
+        near = {(v,): {kappa[v]: [v]} for v in complex.vertices}
+        for a, b in complex.edges():
+            near[a,].setdefault(kappa[b], []).append(b)
+            near[b,].setdefault(kappa[a], []).append(a)
+            near[a, b] = {kappa[a]: [a], kappa[b]: [b]}
+        for a, b, c in complex.faces(2) if complex.dim >= 2 else ():
+            near[a, b].setdefault(kappa[c], []).append(c)
+            near[a, c].setdefault(kappa[b], []).append(b)
+            near[b, c].setdefault(kappa[a], []).append(a)
+        for by_color in near.values():
+            for c, ws in by_color.items():
+                by_color[c] = tuple(ws)
+        complex._cache["completions"] = near
+    return near
 
 
 def _not_a_face(witness) -> ContractViolationError:
     return ContractViolationError(f"witness {list(witness)} is not a face; hypotheses broken")
 
 
-def _detour_tree(complex, colors, center, start, trees):
-    """Parent pointers of the BFS tree from ``start`` over the selected link of
-    ``center``, ascending tie-breaks; memoized by (center, start).  Each tree
+def _detour_tree(complex, colors, kappa, center, start, near, trees):
+    """Parent pointers of the BFS tree from ``start`` over the selected link of the
+    off-color ``center``, ascending tie-breaks; memoized by (center, start).  The
+    link neighbors of u are the vertices of the pair's other color completing
+    {center, u} to a face, read from ``near`` (:func:`_completions`).  Each tree
     edge's triangle with ``center`` is checked once, here."""
     key = (center, start)
     parent = trees.get(key)
     if parent is None:
-        adj = complex.selected_link_graph(center, colors)
         faces = complex.face_set()
+        first, second = colors
         parent, order = {start: None}, [start]
         for u in order:  # the list grows while it is read: a FIFO queue
-            for w in adj.get(u, ()):
+            other = second if kappa[u] == first else first
+            for w in near[(center, u) if center < u else (u, center)].get(other, ()):
                 if w not in parent:
                     if tuple(sorted((u, w, center))) not in faces:
                         raise _not_a_face((u, w, center))
@@ -632,9 +646,9 @@ def _detour_tree(complex, colors, center, start, trees):
 def _bypass(complex, colors, kappa, u, mid, tail, memos):
     """The selected vertices ``u, ..., bridge`` that replace the off-color ``mid``
     between ``u`` and ``tail``: the shortest path to the bridge in mid's link."""
-    least, bridges, trees = memos
-    bridge = _bridge_vertex(complex, colors, kappa, mid, tail, least, bridges)
-    parent = _detour_tree(complex, colors, mid, u, trees)
+    near, bridges, trees = memos
+    bridge = _bridge_vertex(complex, colors, kappa, mid, tail, near, bridges)
+    parent = _detour_tree(complex, colors, kappa, mid, u, near, trees)
     if bridge not in parent:
         raise ContractViolationError(
             f"link of {mid} has no selected path {u} -> {bridge}; hypotheses broken"
@@ -661,7 +675,7 @@ def rewrite_path_to_colors(complex, colors, path):
     if kappa[path[0][0]] not in colors or kappa[path[-1][1]] not in colors:
         raise ValidationError("path endpoints must lie in the selected subcomplex")
     by_pair = complex._cache.setdefault("rewrite_memos", {})  # reused across calls
-    memos = by_pair.setdefault(colors, (_least_by_color(complex, kappa), {}, {}))
+    memos = by_pair.setdefault(colors, (_completions(complex), {}, {}))
     moves: list[tuple] = []
     work = _rewrite(complex, colors, kappa, path, memos, moves)
     return work, Certificate("complex", tuple(moves))
@@ -708,7 +722,7 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
     edge to its new letter, and an off-color edge (a, b) to the rewrite of its
     tree loop between a's and b's nearest selected ancestors."""
     colors, parent, kappa = tree.colors, tree.parent, complex._coloring
-    memos = (_least_by_color(complex, kappa), {}, {})  # bridges, detour trees: this pair only
+    memos = (_completions(complex), {}, {})  # bridges, detour trees: this pair only
     signed: dict[ComplexEdge, int] = {}  # oriented edge -> its kept letter, 0 on the tree
     for u, v in tree.edges:
         signed[u, v] = signed[v, u] = 0

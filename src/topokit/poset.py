@@ -17,6 +17,7 @@ from .complex import (
     PropertyReport,
     SimplicialComplex,
     _as_int,
+    _as_str,
     _id_map_from_json,
     _is_balanced,
     _links_connected,
@@ -407,7 +408,7 @@ class SimplicialPoset:
                 raise ValidationError(f"duplicate element id {x}")
             ranks[x] = _as_int(entry["rank"])
             if "label" in entry:
-                labels[x] = str(entry["label"])
+                labels[x] = _as_str(entry["label"])
         poset = cls(
             ranks,
             [(_as_int(lo), _as_int(hi)) for lo, hi in covers],

@@ -49,6 +49,20 @@ def brute_force_face_counts(complex):
     return tuple(counts)
 
 
+def link_graph_by_star_scan(complex, vertex, colors):
+    """The link graph of ``vertex`` on its vertices colored in ``colors``, neighbors
+    ascending, built alone from a scan of the facets through the vertex."""
+    kappa = complex.coloring
+    adj = {}
+    for facet in complex.facets:
+        if vertex in facet:
+            sel = [w for w in facet if w != vertex and kappa[w] in colors]
+            for a, b in combinations(sel, 2):
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+    return {w: tuple(sorted(ns)) for w, ns in adj.items()}
+
+
 def det_oracle(matrix):
     """Fraction-free determinant, written independently of the library SNF."""
     n = len(matrix)

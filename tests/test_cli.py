@@ -131,6 +131,10 @@ MALFORMED_INPUTS = {
     "facet-mixed-types": {"type": "complex", "facets": [[0, "a"]]},
     "facet-null-vertex": {"type": "complex", "facets": [[0, None]]},
     "labels-list": {"type": "complex", "facets": [[0, 1]], "labels": ["x", "y"]},
+    "labels-array-value": {"type": "complex", "facets": [[0, 1]], "labels": {"0": [1, 2]}},
+    "labels-number-value": {"type": "complex", "facets": [[0, 1]], "labels": {"0": "a", "1": 5}},
+    "poset-label-array": {"type": "poset", "elements": [{"id": 0, "rank": 1, "label": [1, 2]}], "covers": []},
+    "poset-label-null": {"type": "poset", "elements": [{"id": 0, "rank": 1, "label": None}], "covers": []},
     "coloring-zero": {"type": "complex", "facets": [[0, 1]], "coloring": 0},
     "coloring-float": {"type": "complex", "facets": [[0, 1]], "coloring": {"0": 1.5, "1": 2}},
     "coloring-bool": {"type": "complex", "facets": [[0, 1]], "coloring": {"0": True, "1": 2}},

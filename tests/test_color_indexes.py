@@ -2,10 +2,12 @@
 
 The additivity table, each pair's selected h2 and the poset ``per_colors``
 entries are read from one count of faces by color set (``flag_f_vector``).
-The rewriter's link graphs and bridge vertices are read from per-vertex and
-per-base indexes shared by every color pair.  The tests below keep the
-direct constructions as oracles: rank selection for the h-entries, and a
-fresh scan of the star for each (vertex, colors) link graph and each bridge.
+The rewriter's link graphs and bridge vertices are read from one index, shared
+by every color pair, of the vertices that complete each vertex and edge to a
+face, by color.  The tests below keep the direct constructions as oracles:
+rank selection for the h-entries, a scan of the face set for each entry of the
+index, and a fresh scan of the star for each (vertex, colors) link graph and
+each bridge.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_complexes
+from conftest import corpus_complexes, link_graph_by_star_scan
 from topokit import (
     ContractViolationError,
     PropertyError,
@@ -141,19 +143,6 @@ def test_additivity_table_needs_a_full_palette():
 # -- link graphs and bridges shared across pairs ---------------------------------------
 
 
-def link_graph_by_star_scan(complex, vertex, colors):
-    """The selected link graph of one (vertex, colors), built alone."""
-    kappa = complex.coloring
-    adj = {}
-    for facet in complex.facets:
-        if vertex in facet:
-            sel = [w for w in facet if w != vertex and kappa[w] in colors]
-            for a, b in combinations(sel, 2):
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-    return {w: tuple(sorted(ns)) for w, ns in adj.items()}
-
-
 def bridge_by_facet_scan(complex, colors, kappa, mid, tail):
     """The least vertex colored in ``colors`` less tail's color on a facet
     through mid and tail, or None."""
@@ -162,15 +151,48 @@ def bridge_by_facet_scan(complex, colors, kappa, mid, tail):
     return min(found, default=None)
 
 
+def completions_by_face_scan(complex, base):
+    """{color: ascending tuple of the vertices w for which base + w is a face},
+    by testing every vertex against the face set."""
+    kappa, faces = complex.coloring, complex.face_set()
+    out = {}
+    for w in complex.vertices:
+        if tuple(sorted({*base, w})) in faces:
+            out.setdefault(kappa[w], []).append(w)
+    return {c: tuple(ws) for c, ws in out.items()}
+
+
+INDEX_COMPLEXES = {f"{name}-relabelled": relabel(c, 7) for name, c in corpus_complexes().items()}
+INDEX_COMPLEXES.update((f"cross{d}", shapes.cross_polytope(d)) for d in (5, 6, 7))
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_COMPLEXES))
+def test_completions_match_a_face_scan(name):
+    complex = INDEX_COMPLEXES[name]
+    near = pi1._completions(complex)
+    bases = [(v,) for v in complex.vertices] + complex.edges()
+    assert set(near) == set(bases)
+    for base in bases:
+        assert near[base] == completions_by_face_scan(complex, base), base
+
+
 @pytest.mark.parametrize("name", sorted(corpus_complexes()))
 def test_link_graphs_match_a_scan_per_selection(name):
+    """The link graph of each (vertex, colors), as read from the completions of
+    the vertex's edges, against a scan of its star."""
     complex = relabel(corpus_complexes()[name], 7)
+    kappa, near = complex.coloring, pi1._completions(complex)
     palette = complex.colors
     selections = [frozenset(s) for k in range(len(palette) + 1) for s in combinations(palette, k)]
     for v in complex.vertices:
         for colors in selections:
-            expected = link_graph_by_star_scan(complex, v, colors)
-            assert complex.selected_link_graph(v, colors) == expected, (v, colors)
+            graph = {}
+            for u in complex.adjacency()[v]:
+                by_color = near[pi1._canon(v, u)]
+                ns = [w for c in colors - {kappa[u]} for w in by_color.get(c, ()) if w != v]
+                if kappa[u] in colors and ns:
+                    graph[u] = tuple(sorted(ns))
+            assert graph == link_graph_by_star_scan(complex, v, colors), (v, colors)
 
 
 @pytest.mark.parametrize("name", sorted(corpus_complexes()))
@@ -179,16 +201,16 @@ def test_bridges_match_a_facet_scan_per_pair(name):
     kappa = complex.coloring
     bases = [(v, v) for v in complex.vertices]
     bases += [e for u, v in complex.edges() for e in ((u, v), (v, u))]
-    least = pi1._least_by_color(complex, kappa)
+    near = pi1._completions(complex)
     for pair in combinations(complex.colors, 2):
         colors, bridges = frozenset(pair), {}
         for mid, tail in bases:
             expected = bridge_by_facet_scan(complex, colors, kappa, mid, tail)
             if expected is None:
                 with pytest.raises(ContractViolationError):
-                    pi1._bridge_vertex(complex, colors, kappa, mid, tail, least, bridges)
+                    pi1._bridge_vertex(complex, colors, kappa, mid, tail, near, bridges)
             else:
-                assert pi1._bridge_vertex(complex, colors, kappa, mid, tail, least, bridges) == expected
+                assert pi1._bridge_vertex(complex, colors, kappa, mid, tail, near, bridges) == expected
 
 
 # -- reports read no rank selection --------------------------------------------------

@@ -486,20 +486,6 @@ def test_connectivity_of_degenerate_complexes(facets, strongly, links, connected
     assert complex.is_connected() == connected
 
 
-def test_selected_link_graph_is_selected_link_skeleton(corpus):
-    for complex in corpus.values():
-        for v in complex.vertices:
-            for pair in combinations(complex.colors, 2):
-                skeleton = complex.link((v,)).rank_select(pair).adjacency()
-                expected = {w: ns for w, ns in skeleton.items() if ns}
-                assert complex.selected_link_graph(v, pair) == expected
-
-
-def test_selected_link_graph_needs_coloring():
-    with pytest.raises(MissingColoringError):
-        SimplicialComplex([(0, 1, 2)]).selected_link_graph(0, (1, 2))
-
-
 def test_json_roundtrip(octahedron):
     data = octahedron.to_json()
     again = SimplicialComplex.from_json(data)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_complexes, random_closed_path
+from conftest import corpus_complexes, link_graph_by_star_scan, random_closed_path
 
 from topokit import (
     Certificate,
     FaceNotFoundError,
     GroupPresentation,
+    MissingColoringError,
     PosetEdge,
     SimplicialComplex,
     SimplicialPoset,
@@ -228,6 +229,11 @@ def test_rewrite_rejects_bad_endpoints(octahedron):
         rewrite_path_to_colors(octahedron, {1, 2}, [(4, 0), (0, 2)])
 
 
+def test_rewriting_needs_coloring():
+    with pytest.raises(MissingColoringError):
+        rewrite_path_to_colors(SimplicialComplex([(0, 1, 2)]), (1, 2), [(0, 1)])
+
+
 def test_rewrite_handles_degenerate_edges(octahedron):
     path = [(0, 0), (0, 4), (4, 4), (4, 2)]
     rewritten, cert = rewrite_path_to_colors(octahedron, {1, 2}, path)
@@ -249,7 +255,7 @@ def test_rewrite_on_warm_caches_matches_fresh_complex():
 
     warm = shapes.sd_torus()
     rewrite_seeded_loops(warm)
-    assert "star" in warm._cache and warm._cache["link_graphs"]
+    assert warm._cache["completions"] and warm._cache["rewrite_memos"]
     assert rewrite_seeded_loops(warm) == rewrite_seeded_loops(shapes.sd_torus())
 
 
@@ -541,15 +547,15 @@ def test_bridge_memo_matches_a_fresh_scan(monkeypatch):
                 if kappa[w] in colors - {kappa[tail]}
             )
             assert bridge == scan
-            least = pi1._least_by_color(fresh, kappa)
-            assert pi1._bridge_vertex(fresh, colors, kappa, mid, tail, least, {}) == scan
+            near = pi1._completions(fresh)
+            assert pi1._bridge_vertex(fresh, colors, kappa, mid, tail, near, {}) == scan
 
 
 def _link_detour(complex, colors, center, start, goal):
     """Oracle: one BFS per move from start, stopped at goal, ascending tie-breaks."""
     if start == goal:
         return [start]
-    adj = complex.selected_link_graph(center, colors)
+    adj = link_graph_by_star_scan(complex, center, colors)
     parent = {start: None}
     queue = [start]
     while queue:
@@ -591,35 +597,34 @@ def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
 
     monkeypatch.setattr(pi1, "_bypass", recording_bypass)
     generator_bounds(space)
-    memos = _memos_by_pair(calls, lambda args: (args[2], args[3]))
+    memos = _memos_by_pair(calls, lambda args: (args[3], args[4]))
     assert set(memos) == {frozenset(p) for p in combinations(space.colors, 2)}
     assert len(calls) > sum(map(len, memos.values()))  # a pair reads its trees again
     assert "detour_trees" not in space._cache
     fresh = build()
+    kappa, near = fresh.coloring, pi1._completions(fresh)
     for colors, trees in memos.items():
         for (center, start), parent in trees.items():
-            assert parent == _bfs_tree(fresh.selected_link_graph(center, colors), start)
-            assert pi1._detour_tree(fresh, colors, center, start, {}) == parent
+            assert parent == _bfs_tree(link_graph_by_star_scan(fresh, center, colors), start)
+            assert pi1._detour_tree(fresh, colors, kappa, center, start, near, {}) == parent
             for goal in parent:
                 path = [goal]
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])
                 assert path[::-1] == _link_detour(fresh, colors, center, start, goal)
-    kappa = fresh.coloring
-    least = pi1._least_by_color(fresh, kappa)
     for colors, u, mid, tail, hops in bypasses:
-        goal = pi1._bridge_vertex(fresh, colors, kappa, mid, tail, least, {})
+        goal = pi1._bridge_vertex(fresh, colors, kappa, mid, tail, near, {})
         assert hops == _link_detour(fresh, colors, mid, u, goal)
 
 
-def test_detour_tree_memo_keeps_no_tree_that_failed_its_witness_check(monkeypatch):
+def test_detour_tree_memo_keeps_no_tree_that_failed_its_witness_check():
     octahedron = shapes.cross_polytope(3)
     # 0 and 1 are antipodal, so the triangle {0, 1, 2} is not a face
-    monkeypatch.setattr(octahedron, "selected_link_graph", lambda center, colors: {2: (1,), 1: (2,)})
+    near = {**pi1._completions(octahedron), (0, 2): {1: (1,)}}
     trees = {}
     for _ in range(2):
         with pytest.raises(pi1.ContractViolationError, match=r"\[2, 1, 0\] is not a face"):
-            pi1._detour_tree(octahedron, frozenset({1, 2}), 0, 2, trees)
+            pi1._detour_tree(octahedron, frozenset({1, 2}), octahedron.coloring, 0, 2, near, trees)
     assert trees == {}
 
 
@@ -629,7 +634,8 @@ def test_verify_leaves_no_per_pair_memos_on_the_complex():
     for space in (shapes.sd_projective_plane(), shapes.cross_polytope(5)):
         verification_report(space)
         assert not {"detour_trees", "bridges", "rewrite_memos"} & set(space._cache)
-        assert "skeleton" in space._cache
+        assert not {"star", "link_edges", "link_graphs"} & set(space._cache)
+        assert "skeleton" in space._cache and "completions" in space._cache
 
 
 @pytest.mark.parametrize("name", ORACLE_COMPLEXES)
