@@ -44,7 +44,6 @@ from .pi1 import (
     default_basepoint,
     full_presentation,
     generator_bounds,
-    loop_to_word,
     poset_edge_path_group,
     restrict_presentation,
     rewrite_path_to_colors,
@@ -87,7 +86,6 @@ __all__ = [
     "h_additivity_table",
     "h_from_f",
     "invariant_factors",
-    "loop_to_word",
     "poset_edge_path_group",
     "restrict_presentation",
     "rewrite_path_to_colors",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from itertools import combinations
@@ -38,10 +37,10 @@ DEFAULT_TIETZE_ROUNDS = 50
 
 
 def _tietze_rounds(value=None) -> int:
-    """``--tietze-rounds``, else ``TOPO_TIETZE_ROUNDS``, else the default; a
-    non-integer or negative value is invalid input."""
+    """``--tietze-rounds``, else the default; a non-integer or negative value is
+    invalid input."""
     if value is None:
-        value = os.environ.get("TOPO_TIETZE_ROUNDS", DEFAULT_TIETZE_ROUNDS)
+        return DEFAULT_TIETZE_ROUNDS
     try:
         rounds = int(value)
     except ValueError:
@@ -293,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pi1 = sub.add_parser("pi1", help="presentation and generator bounds")
     p_pi1.add_argument("file")
     p_pi1.add_argument("--colors", metavar="A,B")
-    p_pi1.add_argument("--tietze-rounds", type=int, dest="tietze_rounds")
+    p_pi1.add_argument("--tietze-rounds", dest="tietze_rounds")
     p_pi1.add_argument("-o", metavar="FILE", dest="out")
 
     p_verify = sub.add_parser("verify", help="verify the h-vector bound inequalities")
     p_verify.add_argument("file")
     p_verify.add_argument("--ns", action="store_true")
-    p_verify.add_argument("--tietze-rounds", type=int, dest="tietze_rounds")
+    p_verify.add_argument("--tietze-rounds", dest="tietze_rounds")
     p_verify.add_argument("-o", metavar="FILE", dest="out")
 
     p_gen = sub.add_parser("gen", help="emit a canonical instance as JSON")

@@ -86,7 +86,95 @@ class PropertyReport:
         }
 
 
-class SimplicialComplex:
+class _Space:
+    """What a simplicial complex and a simplicial poset share.
+
+    A subclass calls :meth:`_attach` and sets ``_cache``; it supplies ``d``,
+    ``is_pure``, ``require_valid()``, ``f_vector()``, ``edges()`` and
+    ``triangle_sides()``, and three sweeps: ``_link_layer(k)`` (see
+    :func:`_links_connected`), ``_ridges()``, each facet's codimension-1 cells, and
+    ``_color_sets()``, the color set of each face (of each element, and of the
+    implicit bottom).
+    """
+
+    def _attach(self, coloring, labels, vertices) -> None:
+        """Store ``coloring`` on ``vertices`` and ``labels``, keyed by integer ids.  Every
+        vertex needs a color, a positive integer; a label is a string.  Values of
+        other types are refused, not converted; colors off ``vertices`` are dropped."""
+        if coloring is not None:
+            coloring = {int(v): _as_int(c) for v, c in coloring.items()}
+            for v in vertices:
+                if v not in coloring:
+                    raise ValidationError(f"vertex {v} has no color")
+            for c in coloring.values():
+                if c < 1:
+                    raise ValidationError(f"colors must be positive integers, got {c}")
+            coloring = {v: coloring[v] for v in vertices}
+        self._coloring: dict[int, int] | None = coloring
+        self._labels: dict[int, str] | None = (
+            {int(v): _as_str(s) for v, s in labels.items()} if labels else None
+        )
+
+    @property
+    def coloring(self) -> dict[int, int] | None:
+        return dict(self._coloring) if self._coloring is not None else None
+
+    @property
+    def labels(self) -> dict[int, str] | None:
+        return dict(self._labels) if self._labels is not None else None
+
+    @cached_property
+    def colors(self) -> tuple[int, ...]:
+        """Sorted distinct color values of the attached coloring."""
+        if self._coloring is None:
+            raise MissingColoringError("no coloring attached")
+        return tuple(sorted(set(self._coloring.values())))
+
+    def h_vector(self) -> tuple[int, ...]:
+        """The alternating-sum transform of the f-vector; pure spaces only."""
+        f = self.f_vector()
+        if not self.is_pure:
+            raise PurityError("h-vectors are only defined for pure complexes and posets")
+        return h_from_f(f)
+
+    def flag_f_vector(self) -> dict[frozenset[int], int]:
+        """Face counts by color set, the empty face under ``frozenset()``; cached."""
+        self.require_valid()
+        if self._coloring is None:
+            raise MissingColoringError("color-set counts need a coloring")
+        if "flag_f" not in self._cache:
+            self._cache["flag_f"] = Counter(self._color_sets())
+        return dict(self._cache["flag_f"])
+
+    def links_connected(self) -> bool:
+        """Whether the link of the empty face and of every face of size < d - 1 is
+        connected, decided by one union-find sweep per face size; cached."""
+        if "links_ok" not in self._cache:
+            self.require_valid()
+            self._cache["links_ok"] = _links_connected(map(self._link_layer, range(self.d - 1)))
+        return self._cache["links_ok"]
+
+    def is_strongly_connected(self) -> bool:
+        """Facet chain connectivity: consecutive facets share a codimension-1 face."""
+        if not self.is_pure:
+            raise PurityError("strong connectivity is only defined for pure complexes and posets")
+        return _tops_connected(self._ridges())
+
+    def _skeleton(self) -> tuple:
+        """The edges, their letters ``{edge: 1, ...}`` in order, and each triangle's
+        relator ``ab bc ac^-1`` on them, ``(ab, bc, -ac)``; read by H1 and by every
+        presentation of the group, and cached."""
+        if "skeleton" not in self._cache:
+            edges = self.edges()
+            letters = {e: i for i, e in enumerate(edges, 1)}
+            relators = [
+                (letters[ab], letters[bc], -letters[ac]) for ab, bc, ac in self.triangle_sides()
+            ]
+            self._cache["skeleton"] = (edges, letters, relators)
+        return self._cache["skeleton"]
+
+
+class SimplicialComplex(_Space):
     """An abstract simplicial complex given by its facets.
 
     Instances are immutable; every operation returns a new complex.  The
@@ -118,27 +206,16 @@ class SimplicialComplex:
         self._facets: tuple[Face, ...] = tuple(norm)
         self._vertices: tuple[int, ...] = tuple(sorted({v for f in norm for v in f}))
 
-        if coloring is not None:
-            coloring = {int(v): int(c) for v, c in coloring.items()}
-            for v in self._vertices:
-                if v not in coloring:
-                    raise ValidationError(f"vertex {v} has no color")
-            for c in coloring.values():
-                if c < 1:
-                    raise ValidationError(f"colors must be positive integers, got {c}")
+        self._attach(coloring, labels, self._vertices)
+        if self._coloring is not None:
             for f in self._facets:
-                cols = [coloring[v] for v in f]
+                cols = [self._coloring[v] for v in f]
                 if len(set(cols)) != len(cols):
                     raise ValidationError(
                         f"facet {list(f)} has repeated colors {cols}; coloring is not proper"
                     )
-            coloring = {v: coloring[v] for v in self._vertices}
-        self._coloring: dict[int, int] | None = coloring
-        self._labels: dict[int, str] | None = (
-            {int(v): str(s) for v, s in labels.items()} if labels else None
-        )
         self._hash = hash(
-            (self._facets, tuple(sorted(coloring.items())) if coloring else None)
+            (self._facets, tuple(sorted(self._coloring.items())) if self._coloring else None)
         )
         self._cache: dict = {}
 
@@ -167,21 +244,6 @@ class SimplicialComplex:
     def d(self) -> int:
         """Number of vertices in a top-dimensional facet (``dim + 1``)."""
         return self.dim + 1
-
-    @property
-    def coloring(self) -> dict[int, int] | None:
-        return dict(self._coloring) if self._coloring is not None else None
-
-    @property
-    def labels(self) -> dict[int, str] | None:
-        return dict(self._labels) if self._labels is not None else None
-
-    @cached_property
-    def colors(self) -> tuple[int, ...]:
-        """Sorted distinct color values of the attached coloring."""
-        if self._coloring is None:
-            raise MissingColoringError("complex has no coloring attached")
-        return tuple(sorted(set(self._coloring.values())))
 
     @property
     def is_pure(self) -> bool:
@@ -271,20 +333,6 @@ class SimplicialComplex:
             counts[len(face)] += 1
         return tuple(counts)
 
-    def h_vector(self) -> tuple[int, ...]:
-        """The alternating-sum transform of the f-vector; pure complexes only."""
-        if not self.is_pure:
-            raise PurityError("h-vector is only defined here for pure complexes")
-        return h_from_f(self.f_vector())
-
-    def flag_f_vector(self) -> dict[frozenset[int], int]:
-        """Face counts by color set, the empty face under ``frozenset()``; cached."""
-        if (kappa := self._coloring) is None:
-            raise MissingColoringError("color-set counts need a coloring")
-        if "flag_f" not in self._cache:
-            self._cache["flag_f"] = Counter(frozenset(map(kappa.get, f)) for f in self.face_set())
-        return dict(self._cache["flag_f"])
-
     # -- local structure ------------------------------------------------------
 
     def link(self, face) -> "SimplicialComplex":
@@ -322,19 +370,21 @@ class SimplicialComplex:
             self._cache["connected"] = _tops_connected(self._facets)
         return self._cache["connected"]
 
-    def is_strongly_connected(self) -> bool:
-        """Facet chain connectivity: consecutive facets share a codimension-1 face."""
-        if not self.is_pure:
-            raise PurityError("strong connectivity is only defined for pure complexes")
-        return _tops_connected(combinations(f, len(f) - 1) for f in self._facets if f)
+    def require_valid(self) -> None:
+        """A complex is checked when it is built, so nothing is left to check."""
+
+    def _ridges(self):
+        return (combinations(f, len(f) - 1) for f in self._facets if f)
+
+    def _color_sets(self):
+        kappa = self._coloring
+        return (frozenset(map(kappa.get, f)) for f in self.face_set())
 
     def check_properties(self) -> PropertyReport:
-        """Exact tests for purity, balancedness, and connectivity of small-face links,
-        these decided by one union-find sweep per face size (:func:`_links_connected`)."""
+        """Exact tests for purity, balancedness, and connectivity of small-face links."""
         if "props" not in self._cache:
             balanced = _is_balanced(self)
-            links_ok = _links_connected(self._link_layer(k) for k in range(self.d - 1))
-            self._cache["props"] = PropertyReport(self.is_pure, balanced, links_ok)
+            self._cache["props"] = PropertyReport(self.is_pure, balanced, self.links_connected())
         return self._cache["props"]
 
     def _link_layer(self, k: int):
@@ -391,9 +441,8 @@ class SimplicialComplex:
             as_face(f)  # vertex types first: ids of mixed types do not compare
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
                 raise ValidationError(f"facet {f} is not strictly ascending")
-        labels = _id_map_from_json(data, "labels", _as_str)
-        coloring = _id_map_from_json(data, "coloring", _as_int)
-        return cls([tuple(f) for f in facets], coloring, labels)
+        labels = _id_map_from_json(data, "labels")
+        return cls([tuple(f) for f in facets], _id_map_from_json(data, "coloring"), labels)
 
 
 def _as_int(value) -> int:
@@ -410,17 +459,18 @@ def _as_str(value) -> str:
     return value
 
 
-def _id_map_from_json(data: dict, key: str, convert) -> dict | None:
-    """The optional object ``data[key]`` (``"coloring"`` or ``"labels"``) keyed by integer ids."""
+def _id_map_from_json(data: dict, key: str) -> dict | None:
+    """The optional object ``data[key]`` (``"coloring"`` or ``"labels"``) keyed by integer
+    ids; the constructors check its values."""
     raw = data.get(key)
     if not isinstance(raw, (dict, type(None))):
         raise ValidationError(f'"{key}" must be an object keyed by ids')
     if not raw:
         return None
     try:
-        return {int(v): convert(c) for v, c in raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f'"{key}" ids and values do not parse: {exc}') from None
+        return {int(v): c for v, c in raw.items()}
+    except ValueError as exc:
+        raise ValidationError(f'"{key}" ids do not parse: {exc}') from None
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,14 +1,15 @@
 """Exact integer chain complexes in degrees <= 2 and Smith normal form.
 
 Matrices are lists of lists of Python ints or sparse ``{row: value}`` column
-dicts, so all arithmetic is exact.  First homology builds the boundary map
-``d2`` as sparse columns straight from the triangles of a complex, or the
-rank-3 elements of a simplicial poset (a regular CW complex whose cells are
-simplices, with the homology of its order complex), and factors it with
-:func:`unit_pivot_factor`: each +-1 pivot adds an invariant factor 1, and the
-dense :func:`smith_normal_form` (``U @ A @ V == D``) runs only on the block
-the pivots leave over.  Dense SNF and :func:`boundary_matrices` stay public
-as the tested oracle.
+dicts, so all arithmetic is exact.  First homology reads the boundary map
+``d2`` as sparse columns from the edge skeleton that the fundamental group
+reads too (``_skeleton()``): the edges, and one relator per triangle of a
+complex or rank-3 element of a simplicial poset (a regular CW complex whose
+cells are simplices, with the homology of its order complex).  It factors
+``d2`` with :func:`unit_pivot_factor`: each +-1 pivot adds an invariant
+factor 1, and the dense :func:`smith_normal_form` (``U @ A @ V == D``) runs
+only on the block the pivots leave over.  Dense SNF and
+:func:`boundary_matrices` stay public as the tested oracle.
 """
 
 from __future__ import annotations
@@ -373,19 +374,14 @@ class HomologySummary:
 
 
 def chain_data(space) -> dict:
-    """The edges, their index and the factored ``d2``, cached on the complex or poset."""
+    """The edges and the factored ``d2``, cached on the complex or poset.  Both come
+    from the presentation skeleton: ``d2``'s column j is triangle j's relator, the
+    edge of letter i being row ``i - 1``."""
     cache = space._cache
     if "chain" not in cache:
-        edges = space.edges()
-        index = {e: i for i, e in enumerate(edges)}
-        cache["chain"] = {
-            "edges": edges,
-            "edge_index": index,
-            "d2": unit_pivot_factor(
-                {index[bc]: 1, index[ac]: -1, index[ab]: 1}
-                for ab, bc, ac in space.triangle_sides()
-            ),
-        }
+        edges, _, relators = space._skeleton()
+        columns = ({abs(x) - 1: 1 if x > 0 else -1 for x in rel} for rel in relators)
+        cache["chain"] = {"edges": edges, "d2": unit_pivot_factor(columns)}
     return cache["chain"]
 
 
@@ -405,12 +401,11 @@ def h1(space) -> HomologySummary:
 
 def edge_path_cycle_vector(complex: SimplicialComplex, path) -> list[int]:
     """Signed edge-incidence vector of an edge path (degenerate edges count 0)."""
-    data = chain_data(complex)
-    index = data["edge_index"]
-    z = [0] * len(data["edges"])
+    letters = complex._skeleton()[1]
+    z = [0] * len(letters)
     for u, v in path:
         if u != v:
-            z[index[(min(u, v), max(u, v))]] += 1 if u < v else -1
+            z[letters[(min(u, v), max(u, v))] - 1] += 1 if u < v else -1
     return z
 
 

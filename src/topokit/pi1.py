@@ -17,11 +17,13 @@ Two further ingredients make the presentation shrink:
 Restricting to a color pair needs no full presentation: each edge maps to a
 word on the pair's selected non-tree edges (rewriting only the stretch of an
 off-color edge's tree loop between selected vertices), and the triangle
-relators, built once per complex, map through those images.  Each bypass of
+relators map through those images.  The edges, their letters and the triangle
+relators come from the space's edge skeleton (``_skeleton()``), built once per
+complex or poset and read by first homology as well.  Each bypass of
 an off-color vertex reads its bridge and its detour from one index shared by
 all pairs: the vertices completing each vertex and edge to a face, by color.
-A simplicial poset's group is read from its rank-2 and rank-3 elements, with
-no rewriting.
+A simplicial poset's group is read from the same skeleton of its rank-2 and
+rank-3 elements, with no rewriting.
 
 Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
@@ -507,7 +509,7 @@ def full_presentation(complex, tree: NestedSpanningTree) -> GroupPresentation:
     if not complex.is_connected():
         raise ValidationError("presentations need a connected complex")
     kappa = complex._coloring
-    edges, triangles = _skeleton(complex)
+    edges, _, triangles = complex._skeleton()
     generators = [
         Generator(
             edge=e,
@@ -520,35 +522,6 @@ def full_presentation(complex, tree: NestedSpanningTree) -> GroupPresentation:
     ]
     relators = [(i,) for i, e in enumerate(edges, 1) if e in tree.edges]
     return GroupPresentation(generators, relators + triangles)
-
-
-def _skeleton(complex) -> tuple:
-    """The edges (letters 1, 2, ...) and triangle relators ``ab bc ac^-1``
-    shared by every color pair; cached."""
-    skeleton = complex._cache.get("skeleton")
-    if skeleton is None:
-        edges = complex.edges()
-        index = {e: i for i, e in enumerate(edges, 1)}
-        triangles = [(index[ab], index[bc], -index[ac]) for ab, bc, ac in complex.triangle_sides()]
-        skeleton = complex._cache["skeleton"] = (edges, triangles)
-    return skeleton
-
-
-def loop_to_word(presentation, tree, path) -> tuple[int, ...]:
-    """Read the word of a loop at the tree root: tree and stationary letters drop."""
-    path = check_edge_path(tree.complex, path)
-    if path[0][0] != tree.root or path[-1][1] != tree.root:
-        raise ValidationError("loop must start and end at the tree root")
-    word = []
-    for u, v in path:
-        if u == v:
-            continue
-        e = _canon(u, v)
-        if e in tree.edges:
-            continue
-        idx = presentation.generator_index(e)
-        word.append(idx if (u, v) == e else -idx)
-    return tuple(word)
 
 
 def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
@@ -920,7 +893,7 @@ def generator_bounds(complex, tietze_rounds: int = 50) -> dict:
     generator counts; ``best`` is the smallest certified upper bound."""
     _require_pi1_ready(complex)
     flag = complex.flag_f_vector()
-    edges, triangles = _skeleton(complex)
+    edges, _, triangles = complex._skeleton()
     per_pair: dict[tuple[int, int], dict] = {}
     for pair in combinations(complex.colors, 2):
         sel = frozenset(pair)
@@ -947,8 +920,8 @@ def poset_edge_path_group(poset, base=None) -> GroupPresentation:
     elements at each atom in ascending order, spans the atoms.  Every other
     rank-2 element is a generator, oriented from its lower atom up and named
     by its edge in the rank-colored order complex: the sorted pair (its end
-    reached last, itself).  A rank-3 element on atoms a < b < c gives the
-    relator ``ab bc ac^-1`` less its tree sides.  ``Generator.realization``
+    reached last, itself).  Each rank-3 element gives its relator in the
+    skeleton shared with H1, less its tree sides.  ``Generator.realization``
     is the tree path from the base, the element, and the tree path back.
     """
     poset.require_valid()
@@ -964,7 +937,8 @@ def poset_edge_path_group(poset, base=None) -> GroupPresentation:
     if poset.rank(base) != 1:
         raise FaceNotFoundError(f"basepoint {base} must be an atom")
 
-    ends = {e: tuple(sorted(poset.atoms_of(e))) for e in poset.edges()}
+    edges, _, triangles = poset._skeleton()
+    ends = {e: tuple(sorted(poset.atoms_of(e))) for e in edges}
     incident: dict[int, list[int]] = {a: [] for a in atoms}
     for e, (a, b) in ends.items():  # e ascends, so every list does
         incident[a].append(e)
@@ -996,9 +970,10 @@ def poset_edge_path_group(poset, base=None) -> GroupPresentation:
         a, b = ends[e]
         loop = [t.reverse() for t in reversed(to_base(a))] + [PosetEdge(e, a, b)] + to_base(b)
         generators.append(Generator(names[e], False, True, tuple(loop)))
+    renamed = [0] + [letter.get(e, 0) for e in edges]  # skeleton letter -> generator, 0 on the tree
     relators = []
-    for sides in poset.triangle_sides():
-        word = tuple(sign * letter[s] for s, sign in zip(sides, (1, 1, -1)) if s in letter)
+    for rel in triangles:
+        word = tuple(renamed[x] if x > 0 else -renamed[-x] for x in rel if renamed[abs(x)])
         if word:
             relators.append(word)
     return GroupPresentation(generators, relators)

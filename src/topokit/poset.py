@@ -9,27 +9,19 @@ its relatives representable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .complex import (
     PropertyReport,
     SimplicialComplex,
+    _Space,
     _as_int,
-    _as_str,
     _id_map_from_json,
     _is_balanced,
-    _links_connected,
     _tops_connected,
-    h_from_f,
 )
-from .errors import (
-    FaceNotFoundError,
-    MissingColoringError,
-    PurityError,
-    ValidationError,
-)
+from .errors import FaceNotFoundError, MissingColoringError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,7 @@ class PosetValidation:
         return {"valid": self.valid, "reason": self.reason, "element": self.element}
 
 
-class SimplicialPoset:
+class SimplicialPoset(_Space):
     """A ranked element table plus cover relations with an implicit bottom."""
 
     def __init__(self, ranks: dict[int, int], covers, coloring=None, labels=None):
@@ -71,20 +63,10 @@ class SimplicialPoset:
         self._up: dict[int, tuple[int, ...]] = {x: tuple(sorted(ns)) for x, ns in up.items()}
         self._down: dict[int, tuple[int, ...]] = {x: tuple(sorted(ns)) for x, ns in down.items()}
 
-        if coloring is not None:
-            coloring = {int(v): int(c) for v, c in coloring.items()}
-            for v, c in coloring.items():
-                if self._rank.get(v) != 1:
-                    raise ValidationError(f"colored element {v} is not an atom")
-                if c < 1:
-                    raise ValidationError(f"colors must be positive integers, got {c}")
-            for v in self.atoms():
-                if v not in coloring:
-                    raise ValidationError(f"atom {v} has no color")
-        self._coloring: dict[int, int] | None = coloring
-        self._labels: dict[int, str] | None = (
-            {int(v): str(s) for v, s in labels.items()} if labels else None
-        )
+        for v in map(int, coloring or ()):
+            if self._rank.get(v) != 1:
+                raise ValidationError(f"colored element {v} is not an atom")
+        self._attach(coloring, labels, self.atoms())
         self._cache: dict = {}
 
     # -- accessors -------------------------------------------------------------
@@ -96,14 +78,6 @@ class SimplicialPoset:
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         return self._covers
-
-    @property
-    def coloring(self) -> dict[int, int] | None:
-        return dict(self._coloring) if self._coloring is not None else None
-
-    @property
-    def labels(self) -> dict[int, str] | None:
-        return dict(self._labels) if self._labels is not None else None
 
     @property
     def d(self) -> int:
@@ -176,13 +150,6 @@ class SimplicialPoset:
         if self._coloring is None:
             raise MissingColoringError("poset has no coloring attached")
         return frozenset(self._coloring[a] for a in self.atoms_of(x))
-
-    @property
-    def colors(self) -> tuple[int, ...]:
-        """Sorted distinct color values of the attached atom coloring."""
-        if self._coloring is None:
-            raise MissingColoringError("poset has no coloring attached")
-        return tuple(sorted(set(self._coloring.values())))
 
     def __repr__(self):
         return (
@@ -314,14 +281,6 @@ class SimplicialPoset:
         """Connectivity of the Hasse diagram (agrees with the order complex)."""
         return _tops_connected((x,) + self._up[x] for x in self._rank)
 
-    def links_connected(self) -> bool:
-        """Link connectivity for the bottom and every face of rank < d - 1, decided by
-        one union-find sweep per rank (:func:`~topokit.complex._links_connected`)."""
-        if "links_ok" not in self._cache:
-            self.require_valid()
-            self._cache["links_ok"] = _links_connected(map(self._link_layer, range(self.d - 1)))
-        return self._cache["links_ok"]
-
     def _link_layer(self, k: int):
         """Rank k + 1 elements are link vertices of their lower covers (of the bottom
         ``None`` at k = 0); two lower covers of a rank k + 2 element, a link edge of the one
@@ -348,27 +307,11 @@ class SimplicialPoset:
         self.require_valid()
         return tuple([1] + [len(self.elements_of_rank(r)) for r in range(1, self.d + 1)])
 
-    def h_vector(self) -> tuple[int, ...]:
-        """The alternating-sum transform of the f-vector; pure posets only."""
-        f = self.f_vector()
-        if not self.is_pure:
-            raise PurityError("h-vectors are only defined for pure posets")
-        return h_from_f(f)
+    def _ridges(self):
+        return (self._down[m] for m in self.maximal_elements())
 
-    def flag_f_vector(self) -> dict[frozenset[int], int]:
-        """Element counts by color set, the implicit bottom under ``frozenset()``; cached."""
-        self.require_valid()
-        if self._coloring is None:
-            raise MissingColoringError("color-set counts need a coloring")
-        if "flag_f" not in self._cache:
-            self._cache["flag_f"] = Counter([frozenset(), *map(self.color_set, self._rank)])
-        return dict(self._cache["flag_f"])
-
-    def is_strongly_connected(self) -> bool:
-        """Facet chain connectivity through shared covered faces (the bottom, at d = 1)."""
-        if not self.is_pure:
-            raise PurityError("strong connectivity is only defined for pure posets")
-        return _tops_connected(self._down[m] for m in self.maximal_elements())
+    def _color_sets(self):
+        return [frozenset(), *map(self.color_set, self._rank)]
 
     # -- serialization -------------------------------------------------------
 
@@ -399,7 +342,7 @@ class SimplicialPoset:
         if not all(isinstance(c, list) and len(c) == 2 for c in covers):
             raise ValidationError("each cover must be a [lower, upper] pair")
         ranks: dict[int, int] = {}
-        labels: dict[int, str] = {}
+        labels: dict = {}
         for entry in elements:
             if not isinstance(entry, dict) or "id" not in entry or "rank" not in entry:
                 raise ValidationError("each element needs an id and a rank")
@@ -408,11 +351,11 @@ class SimplicialPoset:
                 raise ValidationError(f"duplicate element id {x}")
             ranks[x] = _as_int(entry["rank"])
             if "label" in entry:
-                labels[x] = _as_str(entry["label"])
+                labels[x] = entry["label"]
         poset = cls(
             ranks,
             [(_as_int(lo), _as_int(hi)) for lo, hi in covers],
-            _id_map_from_json(data, "coloring", _as_int),
+            _id_map_from_json(data, "coloring"),
             labels or None,
         )
         recomputed = poset._heights()

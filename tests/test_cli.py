@@ -300,14 +300,6 @@ def test_pi1_tietze_rounds_flag(tmp_path, capsys):
     assert json.loads(out)["min_generators_upper_bound"] == 1  # no simplification
 
 
-def test_pi1_tietze_env_override(tmp_path, capsys, monkeypatch):
-    path = gen_file(tmp_path, capsys, "cross-polytope", "--dim", "3")
-    monkeypatch.setenv("TOPO_TIETZE_ROUNDS", "0")
-    code, out, _ = run(capsys, "pi1", str(path))
-    assert code == 0
-    assert json.loads(out)["min_generators_upper_bound"] == 1
-
-
 def pair_entries(report):
     """The per-pair entries of a pi1 (a dict by pair) or verify (a list) report."""
     table = report["per_pair"] if "per_pair" in report else report["per_colors"]
@@ -329,15 +321,17 @@ def test_tietze_convergence_is_reported_per_pair(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize(
-    "env,flag",
+    "first,last",
     [("abc", None), ("-3", None), ("1.5", None), (None, "-1"), ("2", "-1")],
 )
 @pytest.mark.parametrize("command", ["pi1", "verify"])
-def test_bad_tietze_rounds_exit_2(tmp_path, capsys, monkeypatch, command, env, flag):
+def test_bad_tietze_rounds_exit_2(tmp_path, capsys, command, first, last):
+    """A bad ``--tietze-rounds`` is invalid input, also after a good one (the last counts)."""
     path = gen_file(tmp_path, capsys, "cross-polytope", "--dim", "3")
-    if env is not None:
-        monkeypatch.setenv("TOPO_TIETZE_ROUNDS", env)
-    argv = (command, str(path)) + (("--tietze-rounds", flag) if flag else ())
+    argv = [command, str(path)]
+    for value in (first, last):
+        if value is not None:
+            argv += ["--tietze-rounds", value]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -235,6 +235,13 @@ def test_cycle_properties():
 def test_improper_attached_coloring_rejected():
     with pytest.raises(ValidationError):
         SimplicialComplex([(0, 1)], coloring={0: 1, 1: 1})
+    # colors and labels are checked, not converted: 1.9 and 1.2 are not both color 1
+    with pytest.raises(ValidationError, match="1.9"):
+        SimplicialComplex([(0, 1), (1, 2)], coloring={0: 1.9, 1: 2, 2: 1.2})
+    with pytest.raises(ValidationError, match="True"):
+        SimplicialComplex([(0, 1)], coloring={0: True, 1: 2})
+    with pytest.raises(ValidationError, match=r"\[1, 2\]"):
+        SimplicialComplex([(0, 1)], labels={0: [1, 2]})
 
 
 # -- strong connectivity ------------------------------------------------------------------

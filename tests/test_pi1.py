@@ -25,7 +25,6 @@ from topokit import (
     full_presentation,
     generator_bounds,
     h1,
-    loop_to_word,
     poset_edge_path_group,
     restrict_presentation,
     rewrite_path_to_colors,
@@ -131,29 +130,6 @@ def test_presentation_render_format():
 # -- words and loops --------------------------------------------------------------------
 
 
-def test_tree_loop_reads_as_empty_word(hexagon):
-    tree = build_nested_tree(hexagon, {1, 2})
-    pres = full_presentation(hexagon, tree)
-    loop = [(0, 1), (1, 2), (2, 1), (1, 0)]
-    assert loop_to_word(pres, tree, loop) == ()
-
-
-def test_square_loop_reads_as_single_letter():
-    square = colored_square()
-    tree = build_nested_tree(square, {1, 2})
-    pres = full_presentation(square, tree)
-    word = loop_to_word(pres, tree, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert len(word) == 1
-
-
-def test_path_times_reverse_reduces_to_nothing(octahedron):
-    tree = build_nested_tree(octahedron, {1, 2})
-    pres = full_presentation(octahedron, tree)
-    path = [(0, 2), (2, 4), (4, 0)]
-    loop = path + [(v, u) for u, v in reversed(path)]
-    assert free_reduce(loop_to_word(pres, tree, loop)) == []
-
-
 def test_empty_word_gives_stationary_loop(hexagon):
     tree = build_nested_tree(hexagon, {1, 2})
     pres = full_presentation(hexagon, tree)
@@ -185,14 +161,14 @@ def test_word_loop_round_trip(octahedron):
             rng.choice([1, -1]) * rng.choice(letters) for _ in range(rng.randint(0, 4))
         )
         loop = word_to_loop(pres, tree, word)
-        assert free_reduce(loop_to_word(pres, tree, loop)) == free_reduce(word)
-
-
-def test_loop_must_close_at_root(hexagon):
-    tree = build_nested_tree(hexagon, {1, 2})
-    pres = full_presentation(hexagon, tree)
-    with pytest.raises(ValidationError):
-        loop_to_word(pres, tree, [(0, 1)])
+        assert loop[0][0] == tree.root == loop[-1][1]
+        # read the loop back: stationary and tree edges drop, the rest give signed letters
+        read = [
+            pres.generator_index((u, v)) if u < v else -pres.generator_index((v, u))
+            for u, v in loop
+            if u != v and (min(u, v), max(u, v)) not in tree.edges
+        ]
+        assert free_reduce(read) == free_reduce(word)
 
 
 # -- rewriting --------------------------------------------------------------------------
@@ -448,7 +424,8 @@ def _assert_restrictions_agree(complex, pairs=None, root=None):
         pres = full_presentation(complex, tree)
         local = restrict_presentation(pres, complex, pair, tree)
         oracle = _whole_loop_restriction(pres, complex, pair, tree)
-        production = pi1._restrict(complex, tree, *pi1._skeleton(complex))
+        edges, _, triangles = complex._skeleton()
+        production = pi1._restrict(complex, tree, edges, triangles)
         for other in (local, oracle):
             assert production.generators == other.generators
             assert production.relators == other.relators

@@ -60,6 +60,17 @@ def test_rank_jump_invalid():
     assert not report.valid
 
 
+def test_colors_and_labels_are_checked_not_converted():
+    with pytest.raises(ValidationError, match="True"):
+        SimplicialPoset({0: 1, 1: 1}, [], coloring={0: True, 1: 2})
+    with pytest.raises(ValidationError, match="'2'"):
+        SimplicialPoset({0: 1, 1: 1}, [], coloring={0: 1, 1: "2"})
+    with pytest.raises(ValidationError, match="None"):
+        SimplicialPoset({0: 1}, [], labels={0: None})
+    with pytest.raises(ValidationError, match="not an atom"):
+        SimplicialPoset({0: 1, 1: 2}, [(0, 1)], coloring={0: 1, 1: 2})
+
+
 def test_shared_atom_sets_invalid():
     # two rank-2 elements below one rank-3 element, both on the same atom pair
     poset = SimplicialPoset(
@@ -301,12 +312,19 @@ def test_double_circle_f_h(double_circle):
 
 
 def test_face_poset_f_h_matches_complex(corpus):
-    for name in ("cycle6", "octahedron"):
-        complex = corpus[name]
+    bowtie = SimplicialComplex([(0, 1, 2), (0, 3, 4)], coloring={0: 1, 1: 2, 2: 3, 3: 2, 4: 3})
+    for complex in [*corpus.values(), bowtie]:
         poset = face_poset(complex)
         f, h = poset.f_vector(), poset.h_vector()
         assert f == complex.f_vector()
         assert h == complex.h_vector()
+        # the rank-2 and rank-3 ids ascend in the complex's edge and triangle order,
+        # so the shared skeleton gives the same relators, letter for letter
+        assert poset._skeleton()[2] == complex._skeleton()[2]
+        assert poset.flag_f_vector() == complex.flag_f_vector()
+        assert poset.links_connected() == complex.links_connected()
+        assert poset.colors == complex.colors
+    assert not face_poset(bowtie).links_connected()
 
 
 def test_single_edge_face_poset_h():

@@ -1,0 +1,45 @@
+"""The names that outside code reaches by name stay where it looks for them.
+
+``perfbench/tracer.py`` wraps its ``TARGETS`` on their owners: a function on
+its module, a ``Class.method`` in that class's own ``__dict__`` (an inherited
+method is not patched there).  A name moved to a base class or another module
+would otherwise only show in the benchmark's traced runs.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import topokit
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_targets() -> list[tuple[str, str]]:
+    """``(layer, qualified name)`` for each entry of the tracer's ``TARGETS``."""
+    spec = importlib.util.spec_from_file_location("_tracer_targets", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the file runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return [(layer, qual) for layer, quals in module.TARGETS.items() for qual in quals]
+
+
+@pytest.mark.parametrize("layer,qual", tracer_targets())
+def test_tracer_target_is_bound_on_its_owner(layer, qual):
+    module = importlib.import_module(f"topokit.{layer}")
+    if "." in qual:
+        cls_name, attr = qual.split(".")
+        assert attr in vars(getattr(module, cls_name)), f"{qual} is not in the class's own __dict__"
+    else:
+        assert callable(getattr(module, qual, None)), f"topokit.{layer} has no {qual}"
+
+
+@pytest.mark.parametrize("name", topokit.__all__)
+def test_public_name_resolves(name):
+    assert getattr(topokit, name, None) is not None
