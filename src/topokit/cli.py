@@ -8,6 +8,7 @@ input could not be parsed or the parameters are invalid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -327,9 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process; build_parser() stays fresh
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "check":
             report = check_report(load_input(args.file))

@@ -19,7 +19,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -99,10 +99,10 @@ class _Space:
 
     def _attach(self, coloring, labels, vertices) -> None:
         """Store ``coloring`` on ``vertices`` and ``labels``, keyed by integer ids.  Every
-        vertex needs a color, a positive integer; a label is a string.  Values of
-        other types are refused, not converted; colors off ``vertices`` are dropped."""
+        vertex needs a color, a positive integer; a label is a string.  Ids and values
+        of other types are refused, not converted; colors off ``vertices`` are dropped."""
         if coloring is not None:
-            coloring = {int(v): _as_int(c) for v, c in coloring.items()}
+            coloring = {_as_int(v): _as_int(c) for v, c in coloring.items()}
             for v in vertices:
                 if v not in coloring:
                     raise ValidationError(f"vertex {v} has no color")
@@ -112,7 +112,7 @@ class _Space:
             coloring = {v: coloring[v] for v in vertices}
         self._coloring: dict[int, int] | None = coloring
         self._labels: dict[int, str] | None = (
-            {int(v): _as_str(s) for v, s in labels.items()} if labels else None
+            {_as_int(v): _as_str(s) for v, s in labels.items()} if labels else None
         )
 
     @property
@@ -388,14 +388,20 @@ class SimplicialComplex(_Space):
         return self._cache["props"]
 
     def _link_layer(self, k: int):
-        """The link vertices ``(rest, v)`` of the faces of size k, one per face ``rest + v``,
-        and their link edges ``(rest, a, b)``, one per face ``rest + a + b``."""
-        pairs = list(combinations(range(k + 2), 2))[::-1]  # what each k-subset leaves out
-        ups, tops = self.faces(k), self.faces(k + 1)
-        return (
-            ((rest, v) for up in ups for v, rest in zip(reversed(up), combinations(up, k))),
-            ((rest, t[i], t[j]) for t in tops for (i, j), rest in zip(pairs, combinations(t, k))),
+        """The links of the faces of size k on integer ids: the vertex at position p of
+        the i-th face of size k + 1 is the link vertex ``i * (k + 1) + p`` of that face
+        less it.  A face t of size k + 2 joins t[i] (at i in t less t[j]) and t[j] (at
+        j - 1 in t less t[i]), i < j.  Every face of size k but a facet has a link."""
+        index = {up: i * (k + 1) for i, up in enumerate(self.faces(k))}
+        pairs = list(combinations(range(k + 2), 2))
+        edges = (
+            (less[j] + i, less[i] + j - 1)
+            for t in self.faces(k + 1)
+            for less in ([index[s] for s in combinations(t, k + 1)][::-1],)  # t less t[j]
+            for i, j in pairs
         )
+        cells = len(self.faces(k - 1)) - sum(len(f) == k for f in self._facets)
+        return len(index) * (k + 1), cells, edges
 
     # -- constructions --------------------------------------------------------
 
@@ -487,26 +493,25 @@ def _tops_connected(tops) -> bool:
     joined when some tuple holds both: the 1-skeleton of the complex the tuples
     generate.  No element, or one, counts as connected."""
     tops = [tuple(top) for top in tops]
-    vertices = ((None, v) for top in tops for v in top)
-    return _links_connected([(vertices, ((None, top[0], v) for top in tops for v in top[1:]))])
+    index = {v: i for i, v in enumerate({v for top in tops for v in top})}
+    edges = ((index[top[0]], index[v]) for top in tops for v in top[1:])
+    return _links_connected([(len(index), min(len(index), 1), edges)])
 
 
 def _links_connected(layers) -> bool:
-    """Whether each layer's cells have connected links, given as ``(cell, v)`` per link
-    vertex and ``(cell, a, b)`` per link edge: one union-find forest per cell, freed
-    with its layer, stopping at the first layer with a disconnected link."""
-    for vertices, edges in layers:
-        forests: dict = defaultdict(dict)
-        for cell, v in vertices:
-            forests[cell][v] = v
-        for cell, a, b in edges:
-            parent = forests[cell]
+    """Whether each layer's cells have connected links.  A layer is ``(size, cells, edges)``:
+    link vertices ``0 .. size - 1``, the number of cells that have one, and link edges
+    ``(x, y)`` within one cell's link.  The links are connected when one flat union-find
+    forest has as many trees as cells; stops at the first layer that fails."""
+    for size, cells, edges in layers:
+        parent = list(range(size))
+        for a, b in edges:
             while (up := parent[a]) != a:  # path halving
                 parent[a] = a = parent[up]
             while (up := parent[b]) != b:
                 parent[b] = b = parent[up]
             parent[a] = b
-        if any(sum(v == up for v, up in parent.items()) > 1 for parent in forests.values()):
+        if sum(v == up for v, up in enumerate(parent)) != cells:
             return False
     return True
 

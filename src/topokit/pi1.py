@@ -15,13 +15,15 @@ Two further ingredients make the presentation shrink:
   emitting a replayable certificate of elementary moves.
 
 Restricting to a color pair needs no full presentation: each edge maps to a
-word on the pair's selected non-tree edges (rewriting only the stretch of an
-off-color edge's tree loop between selected vertices), and the triangle
-relators map through those images.  The edges, their letters and the triangle
+word on the pair's selected non-tree edges (an off-color edge, the rewrite of
+its tree loop between selected vertices, put together from memos of each
+vertex's descent and climb), and the triangle relators map through those
+images.  The edges, their letters and the triangle
 relators come from the space's edge skeleton (``_skeleton()``), built once per
-complex or poset and read by first homology as well.  Each bypass of
-an off-color vertex reads its bridge and its detour from one index shared by
-all pairs: the vertices completing each vertex and edge to a face, by color.
+complex or poset and read by first homology as well.  Each bypass of an
+off-color vertex reads its bridge and its detour from one index shared by all
+pairs: the vertices completing each vertex and edge to a face, by color.  A
+detour search stops at its bridge and is resumed for the next one.
 A simplicial poset's group is read from the same skeleton of its rank-2 and
 rank-3 elements, with no rewriting.
 
@@ -592,40 +594,46 @@ def _not_a_face(witness) -> ContractViolationError:
     return ContractViolationError(f"witness {list(witness)} is not a face; hypotheses broken")
 
 
-def _detour_tree(complex, colors, kappa, center, start, near, trees):
-    """Parent pointers of the BFS tree from ``start`` over the selected link of the
-    off-color ``center``, ascending tie-breaks; memoized by (center, start).  The
-    link neighbors of u are the vertices of the pair's other color completing
-    {center, u} to a face, read from ``near`` (:func:`_completions`).  Each tree
-    edge's triangle with ``center`` is checked once, here."""
+def _detour_search(complex, colors, kappa, center, start, goal, near, searches):
+    """Parent pointers of the ascending BFS from ``start`` over the selected link of the
+    off-color ``center`` (u's neighbors: the pair's other color completing {center, u} to a
+    face, read from ``near``), expanded only until ``goal`` is found, so each pointer is the
+    full tree's.  Memoized by (center, start) as (pointers, BFS order, vertices expanded) and
+    resumed on a copy, stored whole once each new edge's triangle with center has checked:
+    a memo shared by threads is never seen half extended, and a failed search is dropped."""
     key = (center, start)
-    parent = trees.get(key)
-    if parent is None:
-        faces = complex.face_set()
-        first, second = colors
-        parent, order = {start: None}, [start]
-        for u in order:  # the list grows while it is read: a FIFO queue
-            other = second if kappa[u] == first else first
-            for w in near[(center, u) if center < u else (u, center)].get(other, ()):
-                if w not in parent:
-                    if tuple(sorted((u, w, center))) not in faces:
-                        raise _not_a_face((u, w, center))
-                    parent[w] = u
-                    order.append(w)
-        trees[key] = parent  # published whole, once every witness has checked
+    parent, order, expanded = searches.get(key) or ({start: None}, [start], 0)
+    if goal in parent:
+        return parent
+    parent, order = dict(parent), list(order)
+    first, second = colors
+    while goal not in parent:
+        if expanded == len(order):
+            raise ContractViolationError(
+                f"link of {center} has no selected path {start} -> {goal}; hypotheses broken"
+            )
+        u = order[expanded]
+        expanded += 1
+        other = second if kappa[u] == first else first
+        for w in near[(center, u) if center < u else (u, center)].get(other, ()):
+            if w not in parent:
+                if tuple(sorted((u, w, center))) not in complex.face_set():
+                    searches.pop(key, None)
+                    raise _not_a_face((u, w, center))
+                parent[w] = u
+                order.append(w)
+    searches[key] = (parent, order, expanded)
     return parent
 
 
 def _bypass(complex, colors, kappa, u, mid, tail, memos):
-    """The selected vertices ``u, ..., bridge`` that replace the off-color ``mid``
-    between ``u`` and ``tail``: the shortest path to the bridge in mid's link."""
-    near, bridges, trees = memos
+    """The selected vertices ``u, ..., bridge`` that replace the off-color ``mid`` between ``u``
+    and ``tail``: ``[u]`` if the bridge is u, else the path from mid's :func:`_detour_search`."""
+    near, bridges, searches = memos
     bridge = _bridge_vertex(complex, colors, kappa, mid, tail, near, bridges)
-    parent = _detour_tree(complex, colors, kappa, mid, u, near, trees)
-    if bridge not in parent:
-        raise ContractViolationError(
-            f"link of {mid} has no selected path {u} -> {bridge}; hypotheses broken"
-        )
+    if bridge == u:
+        return [u]
+    parent = _detour_search(complex, colors, kappa, mid, u, bridge, near, searches)
     hops = [bridge]
     while parent[hops[-1]] is not None:
         hops.append(parent[hops[-1]])
@@ -650,18 +658,6 @@ def rewrite_path_to_colors(complex, colors, path):
     by_pair = complex._cache.setdefault("rewrite_memos", {})  # reused across calls
     memos = by_pair.setdefault(colors, (_completions(complex), {}, {}))
     moves: list[tuple] = []
-    work = _rewrite(complex, colors, kappa, path, memos, moves)
-    return work, Certificate("complex", tuple(moves))
-
-
-def _rewrite(complex, colors, kappa, path, memos, moves=None):
-    """The rewrite of :func:`rewrite_path_to_colors` on a checked path with
-    selected endpoints, in one pass; appends its moves to ``moves`` if given.
-
-    Each bypass replaces ``u -> mid -> tail`` by the detour to the bridge and
-    then ``bridge -> tail``, so the path changes only between consecutive
-    selected vertices.
-    """
     out: list[ComplexEdge] = []
     u = path[0][0]  # selected: an endpoint, or the bridge of the last bypass
     for i, (_, mid) in enumerate(path):
@@ -672,30 +668,87 @@ def _rewrite(complex, colors, kappa, path, memos, moves=None):
         tail = path[i + 1][1]
         hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
         bridge = hops[-1]
-        if moves is not None:
-            idx = len(out)
-            moves.append(("expand", idx + 1, (mid, bridge, tail)))
-            if len(hops) == 1:
-                moves.append(("contract", idx, (u, mid, u)))
-            else:
-                for j in range(len(hops) - 2):
-                    moves.append(("expand", idx + j, (hops[j], hops[j + 1], mid)))
-                moves.append(("contract", idx + len(hops) - 2, (hops[-2], mid, bridge)))
+        idx = len(out)
+        moves.append(("expand", idx + 1, (mid, bridge, tail)))
+        if len(hops) == 1:
+            moves.append(("contract", idx, (u, mid, u)))
+        else:
+            for j in range(len(hops) - 2):
+                moves.append(("expand", idx + j, (hops[j], hops[j + 1], mid)))
+            moves.append(("contract", idx + len(hops) - 2, (hops[-2], mid, bridge)))
         out.extend(zip(hops, hops[1:]) if len(hops) > 1 else [(u, u)])
         u = bridge
-    return tuple(out)
+    return tuple(out), Certificate("complex", tuple(moves))
 
 
 # -- presentation restriction and simplification -----------------------------------
+
+
+def _letters(signed, steps) -> tuple[int, ...]:
+    """The kept letters of a walk ``steps`` between selected vertices; tree edges add none."""
+    word = []
+    for e in steps:
+        if e not in signed:
+            raise ValidationError(f"no generator for edge {_canon(*e)}")
+        if signed[e]:
+            word.append(signed[e])
+    return tuple(word)
+
+
+def _bypass_word(complex, colors, kappa, u, mid, tail, memos, signed):
+    """The letters of :func:`_bypass` and its bridge."""
+    hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
+    return _letters(signed, zip(hops, hops[1:])), hops[-1]
+
+
+def _chain(parent, kappa, colors, v, memo) -> list:
+    """``v`` and its tree ancestors up to the first below a selected one, none in ``memo``."""
+    path = []
+    while v not in memo:
+        path.append(v)
+        if kappa[parent[v]] in colors:
+            break
+        v = parent[v]
+    return path
+
+
+def _descent(complex, colors, kappa, parent, v, memos, signed, down):
+    """``(word, u)`` on meeting the off-color ``v``: the letters of the rewritten tree path
+    from v's nearest selected ancestor, and the selected vertex it stands at; memoized."""
+    for w in reversed(_chain(parent, kappa, colors, v, down)):  # top down
+        p = parent[w]
+        if kappa[p] in colors:
+            down[w] = ((), p)
+        else:
+            word, u = down[p]
+            letters, bridge = _bypass_word(complex, colors, kappa, u, p, w, memos, signed)
+            down[w] = (word + letters, bridge)
+    return down[v]
+
+
+def _climb(complex, colors, kappa, parent, u, v, memos, signed, climbs):
+    """The letters of the rewritten tree path from the selected ``u`` on meeting ``v`` up to
+    v's nearest selected ancestor; memoized per off-color w as the climb from its bridge."""
+    if kappa[v] in colors:
+        return _letters(signed, [(u, v)])
+    near, bridges, _ = memos
+    for w in reversed(_chain(parent, kappa, colors, v, climbs)):  # top down
+        p = parent[w]
+        x = _bridge_vertex(complex, colors, kappa, w, p, near, bridges)
+        climbs[w] = _climb(complex, colors, kappa, parent, x, p, memos, signed, climbs)
+    letters, _ = _bypass_word(complex, colors, kappa, u, v, parent[v], memos, signed)
+    return letters + climbs[v]
 
 
 def _restrict(complex, tree, edges, relators) -> GroupPresentation:
     """Restrict generators ``edges`` (letters 1, 2, ...) and ``relators`` to the
     pair ``tree.colors``.  A tree edge maps to (), a kept (selected non-tree)
     edge to its new letter, and an off-color edge (a, b) to the rewrite of its
-    tree loop between a's and b's nearest selected ancestors."""
+    tree loop between a's and b's nearest selected ancestors: a's descent, the
+    bypass of a, and b's climb, from memos of this pair only."""
     colors, parent, kappa = tree.colors, tree.parent, complex._coloring
-    memos = (_completions(complex), {}, {})  # bridges, detour trees: this pair only
+    memos = (_completions(complex), {}, {})  # bridges, detour searches: this pair only
+    down, climbs = {}, {}
     signed: dict[ComplexEdge, int] = {}  # oriented edge -> its kept letter, 0 on the tree
     for u, v in tree.edges:
         signed[u, v] = signed[v, u] = 0
@@ -704,34 +757,27 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
         if (u, v) not in tree.edges and kappa[u] in colors and kappa[v] in colors:
             generators.append(Generator(edge=(u, v), tree=False, selected=True))
             signed[u, v], signed[v, u] = len(generators), -len(generators)
-
-    def to_selected(v):
-        """Tree vertices from v up to its nearest selected ancestor."""
-        out = [v]
-        while kappa[out[-1]] not in colors:
-            out.append(parent[out[-1]])
-        return out
-
     images = [()] * (2 * len(edges) + 1)  # images[i] and images[-i]: letter i and its inverse
     for i, (a, b) in enumerate(edges, 1):
         x = signed.get((a, b))
         if x:
             images[i], images[-i] = (x,), (-x,)
         elif x is None:
-            verts = to_selected(a)[::-1] + to_selected(b)
-            word = []
-            for e in _rewrite(complex, colors, kappa, tuple(zip(verts, verts[1:])), memos):
-                x = signed.get(e)
-                if x is None and e[0] != e[1]:
-                    if kappa[e[0]] in colors and kappa[e[1]] in colors:
-                        raise ValidationError(f"no generator for edge {_canon(*e)}")
-                    raise ContractViolationError("rewritten loop left the selected subcomplex")
-                if x:
-                    word.append(x)
-            images[i], images[-i] = tuple(word), tuple(invert_word(word))
+            if kappa[a] in colors:
+                word, u = (), a
+            else:
+                word, u = _descent(complex, colors, kappa, parent, a, memos, signed, down)
+                letters, u = _bypass_word(complex, colors, kappa, u, a, b, memos, signed)
+                word += letters
+            word += _climb(complex, colors, kappa, parent, u, b, memos, signed, climbs)
+            images[i], images[-i] = word, tuple(invert_word(word))
     mapped = []
     for rel in relators:
-        word = free_reduce([y for x in rel for y in images[x]])
+        word = ()
+        for x in rel:
+            word += images[x]
+        if len(word) > 1:
+            word = free_reduce(word)
         if word:
             mapped.append(tuple(word))
     return GroupPresentation(generators, mapped)

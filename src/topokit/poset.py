@@ -42,13 +42,13 @@ class SimplicialPoset(_Space):
     def __init__(self, ranks: dict[int, int], covers, coloring=None, labels=None):
         self._rank: dict[int, int] = {}
         for x, r in ranks.items():
-            x, r = int(x), int(r)
+            x, r = _as_int(x), _as_int(r)
             if r < 1:
                 raise ValidationError(f"element {x} has rank {r}; ranks start at 1")
             self._rank[x] = r
         cover_set = set()
         for lo, hi in covers:
-            lo, hi = int(lo), int(hi)
+            lo, hi = _as_int(lo), _as_int(hi)
             if lo not in self._rank or hi not in self._rank:
                 raise ValidationError(f"cover ({lo}, {hi}) references unknown elements")
             if lo == hi:
@@ -63,7 +63,7 @@ class SimplicialPoset(_Space):
         self._up: dict[int, tuple[int, ...]] = {x: tuple(sorted(ns)) for x, ns in up.items()}
         self._down: dict[int, tuple[int, ...]] = {x: tuple(sorted(ns)) for x, ns in down.items()}
 
-        for v in map(int, coloring or ()):
+        for v in map(_as_int, coloring or ()):
             if self._rank.get(v) != 1:
                 raise ValidationError(f"colored element {v} is not an atom")
         self._attach(coloring, labels, self.atoms())
@@ -282,16 +282,20 @@ class SimplicialPoset(_Space):
         return _tops_connected((x,) + self._up[x] for x in self._rank)
 
     def _link_layer(self, k: int):
-        """Rank k + 1 elements are link vertices of their lower covers (of the bottom
-        ``None`` at k = 0); two lower covers of a rank k + 2 element, a link edge of the one
-        element both cover (the interval below is Boolean).  Covers, not atoms: edges
-        may be parallel."""
-        down, ups, tops = self._down, self.elements_of_rank(k + 1), self.elements_of_rank(k + 2)
-        return (
-            ((x, y) for y in ups for x in down[y] or (None,)),
-            ((min(set(down[a]) & set(down[b]), default=None), a, b)
-             for z in tops for a, b in combinations(down[z], 2)),
+        """The links of the rank-k elements (the bottom's at k = 0) on integer ids, covers
+        not atoms, as edges may be parallel: the i-th y of rank k + 1 is ``i * (k + 1) + p``
+        in the link of its p-th lower cover, and two lower covers of a rank k + 2 element
+        join in the link of the one element both cover (the interval below is Boolean)."""
+        down, ups = self._down, self.elements_of_rank(k + 1)
+        # (cell, link vertex) -> id: each element of rank k + 1 has k + 1 lower covers
+        at = {xy: n for n, xy in enumerate((x, y) for y in ups for x in down[y] or (None,))}
+        edges = (
+            (at[x, a], at[x, b])
+            for z in self.elements_of_rank(k + 2)
+            for a, b in combinations(down[z], 2)
+            for x in (min(set(down[a]) & set(down[b]), default=None),)
         )
+        return len(at), len({x for x, _ in at}), edges
 
     def check_properties(self) -> PropertyReport:
         """Purity, balancedness, and link connectivity for small-rank faces."""

@@ -514,3 +514,21 @@ def test_generated_instances_check_and_verify(tmp_path, capsys, shape, extra):
     assert code == 0
     code, _, _ = run(capsys, "verify", str(path))
     assert code == 0
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    from topokit import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    # options parsed by one call do not leak into the next
+    path = gen_file(tmp_path, capsys, "cross-polytope", "--dim", "3")
+
+    def verify(*options):
+        report = json.loads(run(capsys, "verify", *options, str(path))[1])
+        report.pop("timing_seconds")
+        return report
+
+    plain = verify()
+    assert verify("--ns") != plain
+    assert verify() == plain

@@ -244,6 +244,17 @@ def test_improper_attached_coloring_rejected():
         SimplicialComplex([(0, 1)], labels={0: [1, 2]})
 
 
+def test_ids_of_colors_and_labels_are_checked_not_converted():
+    with pytest.raises(ValidationError, match="'x'"):
+        SimplicialComplex([(0, 1)], coloring={"x": 1, 0: 1, 1: 2})
+    with pytest.raises(ValidationError, match="'a'"):
+        SimplicialComplex([(0, 1)], labels={"a": "x"})
+    with pytest.raises(ValidationError, match="0.5"):  # not dropped as a color off the vertices
+        SimplicialComplex([(0, 1)], coloring={0.5: 1, 0: 1, 1: 2})
+    with pytest.raises(ValidationError, match="True"):
+        SimplicialComplex([(0, 1)], labels={True: "x"})
+
+
 # -- strong connectivity ------------------------------------------------------------------
 
 

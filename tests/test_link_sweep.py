@@ -2,11 +2,12 @@
 
 ``check_properties`` and ``links_connected`` decide the links of all faces of
 one size in a single union-find sweep (``_links_connected`` over each layer
-from ``_link_layer``).  The oracle is the per-face walk over the facets above
-a face: ``_tops_connected(complex._link_tops(face))`` for a complex and
+from ``_link_layer``, whose link vertices are integer ids).  The oracle is the
+per-face walk over the facets above a face:
+``_tops_connected(complex._link_tops(face))`` for a complex and
 ``_tops_connected(_link_tops(poset, x))`` for a poset.  The sweep's verdict
 for each face is read by running the production core on that face's share of
-its layer.
+its layer, each id mapped back to its cell.
 """
 
 import random
@@ -34,15 +35,29 @@ def walk(space, cell) -> bool:
     return _tops_connected(space._link_tops(cell))
 
 
+def id_cells(space, k) -> list:
+    """The cell of each link vertex id of layer ``k``: id ``i * (k + 1) + p`` is the
+    p-th vertex of the i-th face of size k + 1, in the link of that face less it
+    (for a poset, the i-th element of rank k + 1, in the link of its p-th lower cover)."""
+    if isinstance(space, SimplicialPoset):
+        ups = space.elements_of_rank(k + 1)
+        return [space._down[y][p] if k else None for y in ups for p in range(k + 1)]
+    return [up[:p] + up[p + 1 :] for up in space.faces(k) for p in range(k + 1)]
+
+
 def sweep_verdicts(space, k) -> dict:
     """The sweep's verdict for each cell of layer ``k`` that has a link vertex."""
-    vertices, edges = space._link_layer(k)
-    shares = defaultdict(lambda: ([], []))
-    for cell, v in vertices:
-        shares[cell][0].append((cell, v))
-    for cell, a, b in edges:
-        shares[cell][1].append((cell, a, b))
-    return {cell: _links_connected([share]) for cell, share in shares.items()}
+    size, cells, edges = space._link_layer(k)
+    owner = id_cells(space, k)
+    assert len(owner) == size and len(set(owner)) == cells
+    ids = defaultdict(dict)  # cell -> {layer id: id within the cell's share}
+    for x, cell in enumerate(owner):
+        ids[cell][x] = len(ids[cell])
+    shares = defaultdict(list)
+    for a, b in edges:
+        assert owner[a] == owner[b], (a, b)
+        shares[owner[a]].append((ids[owner[a]][a], ids[owner[a]][b]))
+    return {cell: _links_connected([(len(local), 1, shares[cell])]) for cell, local in ids.items()}
 
 
 def links_ok(space) -> bool:
@@ -81,8 +96,15 @@ def cross4_glued(face):
     return connected_sum(cross4, cross4, face, face, {v: v for v in face})
 
 
+def tetrahedron_edge_and_point():
+    """Not pure: a tetrahedron, an edge and an isolated vertex, so the vertex and the
+    edge are facets of sizes below d - 1 and have no link vertex in their layers."""
+    return SimplicialComplex([(0, 1, 2, 3), (7, 8), (9,)], {0: 1, 1: 2, 2: 3, 3: 4, 7: 1, 8: 2, 9: 1})
+
+
 # name -> (complex, the one face whose link is disconnected, or None)
 TARGETED = {
+    "tetrahedron_edge_and_point": (tetrahedron_edge_and_point(), ()),
     "two_octahedra": (two_octahedra(), ()),
     "cross4_at_vertex": (cross4_glued((0,)), (0,)),
     "cross4_along_edge": (cross4_glued((0, 2)), (0, 2)),

@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import pytest
@@ -33,7 +37,7 @@ from topokit import (
     word_to_loop,
 )
 from topokit import pi1, shapes
-from topokit.pi1 import Generator, free_reduce, invert_word
+from topokit.pi1 import Generator, NestedSpanningTree, free_reduce, invert_word
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +238,39 @@ def test_rewrite_on_warm_caches_matches_fresh_complex():
     assert warm._cache["completions"] and warm._cache["rewrite_memos"]
     assert rewrite_seeded_loops(warm) == rewrite_seeded_loops(shapes.sd_torus())
 
+
+
+def test_rewrite_from_threads_on_one_complex_matches_fresh_complexes():
+    """Threads rewriting on one complex share its bridge and detour memos; a detour
+    search is stored only whole, so every thread gets a fresh complex's rewrites."""
+
+    def rewrite_all(space, job):
+        out = []
+        for pair, path in job:
+            fixed, cert = rewrite_path_to_colors(space, pair, path)
+            out.append((fixed, cert.moves))
+        return out
+
+    rng = random.Random(0)
+    space = shapes.cross_polytope(5)
+    roots = {p: default_basepoint(space, p) for p in combinations(space.colors, 2)}
+    job = [(p, random_closed_path(space, root, rng, 30)) for p, root in roots.items()] * 2
+    expected = rewrite_all(space, job)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for _ in range(20):  # each round races four threads on one complex's empty memos
+            shared = shapes.cross_polytope(5)
+            start = threading.Barrier(4)
+
+            def run(_, shared=shared, start=start):
+                start.wait()
+                return rewrite_all(shared, job)
+
+            with ThreadPoolExecutor(4) as pool:
+                assert list(pool.map(run, range(4))) == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 # -- certificates --------------------------------------------------------------------------
 
@@ -456,6 +493,47 @@ def test_local_restriction_matches_oracle_at_random_roots(name, data):
     _assert_restrictions_agree(complex, [pair], root)
 
 
+def _depth_first_tree(complex, pair):
+    """The nested tree's selected part, with the off-color vertices grown depth first
+    from each selected vertex in turn, so that they hang in long off-color chains."""
+    bfs = build_nested_tree(complex, pair)
+    kappa, adj = complex.coloring, complex.adjacency()
+    parent = {v: p for v, p in bfs.parent.items() if kappa[v] in bfs.colors}
+    for start in sorted(parent):
+        stack = [start]
+        while stack:
+            nxt = next((w for w in adj[stack[-1]] if w not in parent), None)
+            if nxt is None:
+                stack.pop()
+            else:
+                parent[nxt] = stack[-1]
+                stack.append(nxt)
+    return NestedSpanningTree(complex, pair, bfs.root, parent, bfs.inner_edges)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: shapes.cross_polytope(5), lambda: shapes.cross_polytope(4).barycentric_subdivision()]
+)
+def test_restriction_follows_long_off_color_chains(build):
+    """A nested tree from build_nested_tree hangs every off-color vertex from a
+    selected one; a hand-built tree may not, and the per-vertex descents and climbs
+    of the restriction must then follow whole chains."""
+    complex = build()
+    kappa = complex.coloring
+    longest = 0
+    for pair in combinations(complex.colors, 2):
+        tree = _depth_first_tree(complex, pair)
+        for v in complex.vertices:
+            if kappa[v] not in tree.colors:
+                longest = max(longest, len(pi1._chain(tree.parent, kappa, tree.colors, v, ())))
+        pres = full_presentation(complex, tree)
+        production = restrict_presentation(pres, complex, pair, tree)
+        oracle = _whole_loop_restriction(pres, complex, pair, tree)
+        assert production.generators == oracle.generators
+        assert production.relators == oracle.relators
+    assert longest >= 4
+
+
 def test_restriction_validates_once_per_call(monkeypatch):
     calls = []
     ready = pi1._require_pi1_ready
@@ -564,45 +642,69 @@ def _bfs_tree(adj, start):
 @pytest.mark.parametrize("build", [shapes.sd_projective_plane, lambda: shapes.cross_polytope(5)])
 def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
     space = build()
-    calls = _record_memo_calls(monkeypatch, "_detour_tree")
+    calls = _record_memo_calls(monkeypatch, "_detour_search")
     bypasses, bypass = [], pi1._bypass
 
     def recording_bypass(complex, colors, kappa, u, mid, tail, memos):
+        before = len(calls)
         hops = bypass(complex, colors, kappa, u, mid, tail, memos)
-        bypasses.append((colors, u, mid, tail, hops))
+        bypasses.append((colors, u, mid, tail, hops, len(calls) - before))
         return hops
 
     monkeypatch.setattr(pi1, "_bypass", recording_bypass)
     generator_bounds(space)
     memos = _memos_by_pair(calls, lambda args: (args[3], args[4]))
     assert set(memos) == {frozenset(p) for p in combinations(space.colors, 2)}
-    assert len(calls) > sum(map(len, memos.values()))  # a pair reads its trees again
+    assert len(calls) > sum(map(len, memos.values()))  # a pair resumes its searches
     assert "detour_trees" not in space._cache
     fresh = build()
     kappa, near = fresh.coloring, pi1._completions(fresh)
-    for colors, trees in memos.items():
-        for (center, start), parent in trees.items():
-            assert parent == _bfs_tree(link_graph_by_star_scan(fresh, center, colors), start)
-            assert pi1._detour_tree(fresh, colors, kappa, center, start, near, {}) == parent
-            for goal in parent:
+    partial = 0
+    for colors, searches in memos.items():
+        goals = {}
+        for args in calls:
+            if args[1] == colors:
+                goals.setdefault((args[3], args[4]), set()).add(args[5])
+        for (center, start), (parent, *_) in searches.items():
+            full = _bfs_tree(link_graph_by_star_scan(fresh, center, colors), start)
+            assert parent.items() <= full.items()  # every discovered pointer is the full tree's
+            assert goals[center, start] <= set(parent)
+            partial += len(parent) < len(full)
+            for goal in goals[center, start]:
+                again = pi1._detour_search(fresh, colors, kappa, center, start, goal, near, {})
+                assert again.items() <= parent.items()
                 path = [goal]
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])
                 assert path[::-1] == _link_detour(fresh, colors, center, start, goal)
-    for colors, u, mid, tail, hops in bypasses:
+    assert partial  # some search stopped before its whole link
+    searched = 0
+    for colors, u, mid, tail, hops, searches in bypasses:
         goal = pi1._bridge_vertex(fresh, colors, kappa, mid, tail, near, {})
         assert hops == _link_detour(fresh, colors, mid, u, goal)
+        assert searches == (goal != u)  # a bypass whose bridge is its entry vertex searches nothing
+        searched += searches
+    assert 0 < searched < len(bypasses)
 
 
 def test_detour_tree_memo_keeps_no_tree_that_failed_its_witness_check():
     octahedron = shapes.cross_polytope(3)
-    # 0 and 1 are antipodal, so the triangle {0, 1, 2} is not a face
+    colors, kappa = frozenset({1, 2}), octahedron.coloring
+    # first use: 0 and 1 are antipodal, so the triangle {0, 1, 2} is not a face
     near = {**pi1._completions(octahedron), (0, 2): {1: (1,)}}
-    trees = {}
+    searches = {}
     for _ in range(2):
         with pytest.raises(pi1.ContractViolationError, match=r"\[2, 1, 0\] is not a face"):
-            pi1._detour_tree(octahedron, frozenset({1, 2}), octahedron.coloring, 0, 2, near, trees)
-    assert trees == {}
+            pi1._detour_search(octahedron, colors, kappa, 0, 2, 3, near, searches)
+        assert searches == {}
+    # resumption: the search from 0 around 4 finds 2 at once, then meets {2, 4, 5}
+    near = {**pi1._completions(octahedron), (2, 4): {1: (5,)}}
+    assert pi1._detour_search(octahedron, colors, kappa, 4, 0, 2, near, searches) == {0: None, 2: 0, 3: 0}
+    assert set(searches) == {(4, 0)}
+    with pytest.raises(pi1.ContractViolationError, match=r"\[2, 5, 4\] is not a face"):
+        pi1._detour_search(octahedron, colors, kappa, 4, 0, 1, near, searches)
+    assert searches == {}
+    assert pi1._detour_search(octahedron, colors, kappa, 4, 0, 2, near, searches) == {0: None, 2: 0, 3: 0}
 
 
 def test_verify_leaves_no_per_pair_memos_on_the_complex():
@@ -613,6 +715,23 @@ def test_verify_leaves_no_per_pair_memos_on_the_complex():
         assert not {"detour_trees", "bridges", "rewrite_memos"} & set(space._cache)
         assert not {"star", "link_edges", "link_graphs"} & set(space._cache)
         assert "skeleton" in space._cache and "completions" in space._cache
+
+
+@pytest.mark.parametrize("build", [shapes.sd_projective_plane, lambda: shapes.cross_polytope(5)])
+def test_bounds_and_verify_leave_no_cyclic_garbage(build):
+    """The per-pair memos are plain containers: dropping them frees everything by
+    reference counting, with nothing left for the cyclic collector."""
+    from topokit.cli import verification_report
+
+    for run in (generator_bounds, verification_report):
+        space = build()
+        gc.collect()
+        gc.disable()
+        try:
+            run(space)
+            assert gc.collect() == 0, run.__name__
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("name", ORACLE_COMPLEXES)

@@ -71,6 +71,19 @@ def test_colors_and_labels_are_checked_not_converted():
         SimplicialPoset({0: 1, 1: 2}, [(0, 1)], coloring={0: 1, 1: 2})
 
 
+def test_ids_and_ranks_are_checked_not_converted():
+    with pytest.raises(ValidationError, match="1.7"):
+        SimplicialPoset({0: 1.7}, [])
+    with pytest.raises(ValidationError, match="'0'"):
+        SimplicialPoset({"0": 1}, [])
+    with pytest.raises(ValidationError, match="2.0"):
+        SimplicialPoset({0: 1, 1: 1, 2: 2}, [(0, 2), (1, 2.0)])
+    with pytest.raises(ValidationError, match="'x'"):
+        SimplicialPoset({0: 1}, [], coloring={"x": 1})
+    with pytest.raises(ValidationError, match="'a'"):
+        SimplicialPoset({0: 1}, [], labels={"a": "x"})
+
+
 def test_shared_atom_sets_invalid():
     # two rank-2 elements below one rank-3 element, both on the same atom pair
     poset = SimplicialPoset(
