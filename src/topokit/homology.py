@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .complex import SimplicialComplex
-from .errors import ValidationError
+from .errors import FaceNotFoundError, ValidationError
 
 Matrix = list[list[int]]
 
@@ -403,9 +403,12 @@ def edge_path_cycle_vector(complex: SimplicialComplex, path) -> list[int]:
     """Signed edge-incidence vector of an edge path (degenerate edges count 0)."""
     letters = complex._skeleton()[1]
     z = [0] * len(letters)
-    for u, v in path:
-        if u != v:
-            z[letters[(min(u, v), max(u, v))] - 1] += 1 if u < v else -1
+    try:
+        for u, v in path:
+            if u != v:
+                z[letters[(min(u, v), max(u, v))] - 1] += 1 if u < v else -1
+    except KeyError as missing:
+        raise FaceNotFoundError("({},{}) is not an edge of the complex".format(*missing.args[0])) from None
     return z
 
 

@@ -16,14 +16,14 @@ Two further ingredients make the presentation shrink:
 
 Restricting to a color pair needs no full presentation: each edge maps to a
 word on the pair's selected non-tree edges (an off-color edge, the rewrite of
-its tree loop between selected vertices, put together from memos of each
-vertex's descent and climb), and the triangle relators map through those
-images.  The edges, their letters and the triangle
-relators come from the space's edge skeleton (``_skeleton()``), built once per
-complex or poset and read by first homology as well.  Each bypass of an
-off-color vertex reads its bridge and its detour from one index shared by all
-pairs: the vertices completing each vertex and edge to a face, by color.  A
-detour search stops at its bridge and is resumed for the next one.
+its tree loop between selected vertices, put together from each vertex's
+descent and climb, filled in one parents-first pass over the nested tree),
+and the triangle relators map through those images.  The edges, their letters
+and the triangle relators come from the space's edge skeleton (``_skeleton()``),
+built once per complex or poset and read by first homology as well.  Each
+bypass of an off-color vertex reads its bridge and its detour from one index
+shared by all pairs: the vertices completing each vertex and edge to a face, by
+color.  A detour search stops at its bridge and is resumed for the next one.
 A simplicial poset's group is read from the same skeleton of its rank-2 and
 rank-3 elements, with no rewriting.
 
@@ -320,7 +320,9 @@ def verify_certificate(space, source, target, certificate: Certificate) -> bool:
 
 class NestedSpanningTree:
     """A spanning tree of the whole complex containing a spanning tree of the
-    color-selected subcomplex; parent pointers answer path-to-root queries."""
+    color-selected subcomplex; parent pointers answer path-to-root queries.
+    The constructor checks that they hang every vertex from ``root`` along
+    edges, and keeps the vertices parents first (a BFS over the children)."""
 
     def __init__(self, complex, colors, root, parent, inner_edges):
         self.complex = complex
@@ -328,9 +330,18 @@ class NestedSpanningTree:
         self.root = root
         self.parent = dict(parent)
         self.inner_edges = frozenset(inner_edges)
-        self.edges = frozenset(
-            _canon(v, p) for v, p in self.parent.items() if p is not None
-        )
+        faces, children = complex.face_set(), {}
+        for v, p in self.parent.items():
+            if p is not None and _canon(v, p) not in faces:
+                raise ValidationError(f"tree edge ({v},{p}) is not an edge of the complex")
+            children.setdefault(p, []).append(v)
+        self.edges = frozenset(_canon(v, p) for v, p in self.parent.items() if p is not None)
+        order = [root] if (root,) in faces and self.parent.get(root, root) is None else []
+        for v in order:  # the root has no parent, so no cycle is reached
+            order.extend(children.get(v, ()))
+        if not len(order) == len(self.parent) == len(complex.vertices):
+            raise ValidationError(f"parent pointers do not hang every vertex from root {root}")
+        self._order = order
 
     def path_to_root(self, v) -> list[int]:
         if v not in self.parent:
@@ -401,9 +412,7 @@ def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
         raise ContractViolationError(
             "selected subcomplex is disconnected although the property checks passed"
         )
-    inner_edges = frozenset(
-        _canon(v, p) for v, p in parent.items() if p is not None
-    )
+    inner_edges = frozenset(_canon(v, p) for v, p in parent.items() if p is not None)
 
     queue = deque(sorted(parent))
     while queue:
@@ -444,16 +453,16 @@ class GroupPresentation:
                 raise ValidationError(f"relator letter {bad} references no generator")
             rels.append(word)
         self.relators: tuple[tuple[int, ...], ...] = tuple(rels)
-        self._index = {g.edge: i + 1 for i, g in enumerate(self.generators)}
         # set by tietze_simplify: the rounds it ran and whether the last changed nothing
         self.rounds = rounds
         self.converged = converged
 
     def generator_index(self, edge) -> int:
         edge = tuple(edge)
-        if edge not in self._index:
-            raise ValidationError(f"no generator for edge {edge}")
-        return self._index[edge]
+        for i, g in enumerate(self.generators, 1):
+            if g.edge == edge:
+                return i
+        raise ValidationError(f"no generator for edge {edge}")
 
     def abelianization(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, invariant factors > 1) of the abelianized group."""
@@ -701,54 +710,18 @@ def _bypass_word(complex, colors, kappa, u, mid, tail, memos, signed):
     return _letters(signed, zip(hops, hops[1:])), hops[-1]
 
 
-def _chain(parent, kappa, colors, v, memo) -> list:
-    """``v`` and its tree ancestors up to the first below a selected one, none in ``memo``."""
-    path = []
-    while v not in memo:
-        path.append(v)
-        if kappa[parent[v]] in colors:
-            break
-        v = parent[v]
-    return path
-
-
-def _descent(complex, colors, kappa, parent, v, memos, signed, down):
-    """``(word, u)`` on meeting the off-color ``v``: the letters of the rewritten tree path
-    from v's nearest selected ancestor, and the selected vertex it stands at; memoized."""
-    for w in reversed(_chain(parent, kappa, colors, v, down)):  # top down
-        p = parent[w]
-        if kappa[p] in colors:
-            down[w] = ((), p)
-        else:
-            word, u = down[p]
-            letters, bridge = _bypass_word(complex, colors, kappa, u, p, w, memos, signed)
-            down[w] = (word + letters, bridge)
-    return down[v]
-
-
-def _climb(complex, colors, kappa, parent, u, v, memos, signed, climbs):
-    """The letters of the rewritten tree path from the selected ``u`` on meeting ``v`` up to
-    v's nearest selected ancestor; memoized per off-color w as the climb from its bridge."""
-    if kappa[v] in colors:
-        return _letters(signed, [(u, v)])
-    near, bridges, _ = memos
-    for w in reversed(_chain(parent, kappa, colors, v, climbs)):  # top down
-        p = parent[w]
-        x = _bridge_vertex(complex, colors, kappa, w, p, near, bridges)
-        climbs[w] = _climb(complex, colors, kappa, parent, x, p, memos, signed, climbs)
-    letters, _ = _bypass_word(complex, colors, kappa, u, v, parent[v], memos, signed)
-    return letters + climbs[v]
-
-
 def _restrict(complex, tree, edges, relators) -> GroupPresentation:
     """Restrict generators ``edges`` (letters 1, 2, ...) and ``relators`` to the
     pair ``tree.colors``.  A tree edge maps to (), a kept (selected non-tree)
     edge to its new letter, and an off-color edge (a, b) to the rewrite of its
     tree loop between a's and b's nearest selected ancestors: a's descent, the
-    bypass of a, and b's climb, from memos of this pair only."""
+    bypasses of a and b, and b's climb.  One parents-first pass over the nested
+    tree gives each off-color w its descent (the letters from its nearest selected
+    ancestor down to w, and the vertex they end at) and its climb (the letters from
+    the bridge replacing w back up); the memos are this pair's only."""
     colors, parent, kappa = tree.colors, tree.parent, complex._coloring
     memos = (_completions(complex), {}, {})  # bridges, detour searches: this pair only
-    down, climbs = {}, {}
+    near, bridges, _ = memos
     signed: dict[ComplexEdge, int] = {}  # oriented edge -> its kept letter, 0 on the tree
     for u, v in tree.edges:
         signed[u, v] = signed[v, u] = 0
@@ -757,6 +730,20 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
         if (u, v) not in tree.edges and kappa[u] in colors and kappa[v] in colors:
             generators.append(Generator(edge=(u, v), tree=False, selected=True))
             signed[u, v], signed[v, u] = len(generators), -len(generators)
+    down, up = {}, {}
+    for w in tree._order:  # parents first
+        if kappa[w] in colors:
+            continue
+        p = parent[w]
+        x = _bridge_vertex(complex, colors, kappa, w, p, near, bridges)
+        if kappa[p] in colors:
+            down[w] = ((), p)
+            up[w] = _letters(signed, [(x, p)])
+        else:
+            word, u = down[p]
+            letters, u = _bypass_word(complex, colors, kappa, u, p, w, memos, signed)
+            down[w] = (word + letters, u)
+            up[w] = _bypass_word(complex, colors, kappa, x, p, parent[p], memos, signed)[0] + up[p]
     images = [()] * (2 * len(edges) + 1)  # images[i] and images[-i]: letter i and its inverse
     for i, (a, b) in enumerate(edges, 1):
         x = signed.get((a, b))
@@ -766,10 +753,13 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
             if kappa[a] in colors:
                 word, u = (), a
             else:
-                word, u = _descent(complex, colors, kappa, parent, a, memos, signed, down)
+                word, u = down[a]
                 letters, u = _bypass_word(complex, colors, kappa, u, a, b, memos, signed)
                 word += letters
-            word += _climb(complex, colors, kappa, parent, u, b, memos, signed, climbs)
+            if kappa[b] in colors:
+                word += _letters(signed, [(u, b)])
+            else:
+                word += _bypass_word(complex, colors, kappa, u, b, parent[b], memos, signed)[0] + up[b]
             images[i], images[-i] = word, tuple(invert_word(word))
     mapped = []
     for rel in relators:
@@ -786,15 +776,21 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
 def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentation:
     """Eliminate every generator outside the selected subcomplex.
 
-    The inputs are validated once, here; :func:`generator_bounds` runs the
-    same restriction.  The result is presented on exactly the selected
-    non-tree edges, as many as the selection's second h-entry.
+    The inputs are validated once, here, the tree's nestedness included;
+    :func:`generator_bounds` runs the same restriction.  The result is presented
+    on exactly the selected non-tree edges, as many as the selection's h2.
     """
     colors = _require_pi1_ready(complex, colors)
     if tree.complex is not complex:
         raise ValidationError("tree was built on a different complex")
     if tree.colors != colors:
         raise ValidationError("tree was built for a different color pair")
+    kappa = complex._coloring
+    if kappa[tree.root] not in colors:
+        raise ValidationError(f"tree root {tree.root} is not in the selected subcomplex")
+    for v, p in tree.parent.items():
+        if p is not None and kappa[v] in colors and kappa[p] not in colors:
+            raise ValidationError(f"selected vertex {v} hangs from the off-color {p}; the tree is not nested")
     faces = complex.face_set()
     for g in presentation.generators:
         if len(g.edge) != 2 or g.edge not in faces:

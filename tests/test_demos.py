@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the library in ``src/``."""
+"""Every demo script, and the README's library tour, runs against the library in ``src/``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,3 +20,22 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_tour_gives_its_commented_results():
+    """Each expression line of the tour evaluates to the value its comment
+    shows (the text before any colon); the other statements run in order."""
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = code.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(code).body:
+        source = ast.get_source_segment(code, node)
+        if isinstance(node, ast.Expr):
+            shown = lines[node.end_lineno - 1].split("#", 1)[1].split(":", 1)[0].strip()
+            assert repr(eval(source, namespace)) == shown, source
+            checked.append(shown)
+        else:
+            exec(source, namespace)
+    assert checked == ["(1, 3, 3, 1)", "HomologySummary(betti1=0, torsion=())", "0", "True"]

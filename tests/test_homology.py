@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import invariant_factors_by_minors, random_closed_path
 
 from topokit import (
+    FaceNotFoundError,
     SimplicialComplex,
     ValidationError,
     boundary_matrices,
@@ -277,3 +278,9 @@ def test_degenerate_edges_contribute_nothing():
     hexagon = shapes.cycle_complex(6)
     z = edge_path_cycle_vector(hexagon, [(0, 0), (0, 1), (1, 1), (1, 0)])
     assert z == [0] * 6
+
+
+def test_edge_path_cycle_vector_names_a_missing_edge():
+    # {0, 1} is an antipodal pair of the octahedron, never an edge
+    with pytest.raises(FaceNotFoundError, match=r"\(0,1\) is not an edge of the complex"):
+        edge_path_cycle_vector(shapes.cross_polytope(3), [(0, 1)])

@@ -406,6 +406,46 @@ def test_restriction_rejects_a_presentation_of_another_tree(octahedron):
         restrict_presentation(full_presentation(octahedron, other), octahedron, {1, 2}, tree)
 
 
+def _retree(tree, moves):
+    """A hand-built tree on ``tree``'s complex and pair: its parent pointers updated by ``moves``."""
+    parent = {**tree.parent, **moves}
+    return NestedSpanningTree(tree.complex, tree.colors, tree.root, parent, tree.inner_edges)
+
+
+def test_tree_constructor_refuses_parent_pointers_that_are_not_a_tree(octahedron):
+    tree = build_nested_tree(octahedron, {1, 2})
+    assert tree.root == 0 and tree._order[0] == 0 and sorted(tree._order) == list(octahedron.vertices)
+    with pytest.raises(ValidationError):
+        _retree(tree, {4: 5, 5: 4})  # a 2-cycle off the root
+    # 2 and 4 are adjacent, so only the cycle is wrong
+    with pytest.raises(ValidationError, match="do not hang every vertex from root 0"):
+        _retree(tree, {2: 4, 4: 2})
+    with pytest.raises(ValidationError, match="do not hang every vertex from root 0"):
+        _retree(tree, {0: 2})  # the root hangs below its own child
+    with pytest.raises(ValidationError, match="do not hang every vertex from root 0"):
+        _retree(tree, {5: None})  # a second root
+    missing = {v: p for v, p in tree.parent.items() if v != 5}
+    with pytest.raises(ValidationError, match="do not hang every vertex from root 0"):
+        NestedSpanningTree(octahedron, {1, 2}, 0, missing, tree.inner_edges)
+    # {0, 1} is an antipodal pair, never an edge
+    with pytest.raises(ValidationError, match=r"tree edge \(1,0\) is not an edge of the complex"):
+        _retree(tree, {1: 0})
+
+
+def test_restriction_refuses_a_tree_that_is_not_nested(octahedron):
+    torus = shapes.sd_torus()
+    tree = build_nested_tree(torus, {1, 2})
+    assert torus.coloring[31] == 3 and torus.coloring[6] in tree.colors and tree.parent[6] != 31
+    hung = _retree(tree, {6: 31})  # still a spanning tree of the torus, but not nested
+    with pytest.raises(ValidationError, match="selected vertex 6 hangs from the off-color 31"):
+        restrict_presentation(full_presentation(torus, hung), torus, {1, 2}, hung)
+    # every vertex of the octahedron hangs from the off-color 4, but for 5 from 0
+    parent = {4: None, 0: 4, 1: 4, 2: 4, 3: 4, 5: 0}
+    off_root = NestedSpanningTree(octahedron, {1, 2}, 4, parent, ())
+    with pytest.raises(ValidationError, match="tree root 4 is not in the selected subcomplex"):
+        restrict_presentation(full_presentation(octahedron, off_root), octahedron, {1, 2}, off_root)
+
+
 def _whole_loop_restriction(presentation, complex, colors, tree):
     """Oracle: rewrite every off-color generator's whole tree loop through the
     public rewriter, validating each loop afresh."""
@@ -453,6 +493,12 @@ def _whole_loop_restriction(presentation, complex, colors, tree):
     return GroupPresentation(generators, relators)
 
 
+def _flipped(tree):
+    """The same tree with its parent dict in reverse order."""
+    parent = dict(reversed(tree.parent.items()))
+    return NestedSpanningTree(tree.complex, tree.colors, tree.root, parent, tree.inner_edges)
+
+
 def _assert_restrictions_agree(complex, pairs=None, root=None):
     """The production restriction of generator_bounds, the public oracle pair
     and the whole-loop oracle give the same generators and relators."""
@@ -463,7 +509,7 @@ def _assert_restrictions_agree(complex, pairs=None, root=None):
         oracle = _whole_loop_restriction(pres, complex, pair, tree)
         edges, _, triangles = complex._skeleton()
         production = pi1._restrict(complex, tree, edges, triangles)
-        for other in (local, oracle):
+        for other in (local, oracle, pi1._restrict(complex, _flipped(tree), edges, triangles)):
             assert production.generators == other.generators
             assert production.relators == other.relators
 
@@ -525,12 +571,14 @@ def test_restriction_follows_long_off_color_chains(build):
         tree = _depth_first_tree(complex, pair)
         for v in complex.vertices:
             if kappa[v] not in tree.colors:
-                longest = max(longest, len(pi1._chain(tree.parent, kappa, tree.colors, v, ())))
+                depth = next(i for i, w in enumerate(tree.path_to_root(v)) if kappa[w] in tree.colors)
+                longest = max(longest, depth)
         pres = full_presentation(complex, tree)
-        production = restrict_presentation(pres, complex, pair, tree)
         oracle = _whole_loop_restriction(pres, complex, pair, tree)
-        assert production.generators == oracle.generators
-        assert production.relators == oracle.relators
+        for hung in (tree, _flipped(tree)):  # reversed, each chain is listed bottom up
+            production = restrict_presentation(pres, complex, pair, hung)
+            assert production.generators == oracle.generators
+            assert production.relators == oracle.relators
     assert longest >= 4
 
 
