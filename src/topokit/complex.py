@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb
 
 from .errors import (
@@ -49,21 +49,27 @@ def as_face(vertices) -> Face:
 
 
 def _maximal(faces) -> list[Face]:
-    """Filter an iterable of faces down to the inclusion-maximal ones.
+    """Filter an iterable of faces down to the inclusion-maximal ones, in (size, lex) order.
 
-    Faces go largest first, and each is tested only against the kept faces
-    through its first vertex, which are the only ones that can contain it.
+    Faces go largest first.  Each one smaller than the largest is tested only against
+    the kept faces through its first vertex, which are the only ones that can contain
+    it, and only faces larger than the smallest are indexed.
     """
+    ordered = sorted(set(faces), key=lambda f: (len(f), f))
+    smallest, largest = (len(ordered[0]), len(ordered[-1])) if ordered else (0, 0)
     kept: list[Face] = []
     through: dict[int, list[frozenset[int]]] = {}  # vertex -> kept faces containing it
-    for face in sorted(set(faces), key=lambda f: (-len(f), f)):
-        fs = frozenset(face)
-        if kept and (not face or any(fs <= g for g in through.get(face[0], ()))):
-            continue
+    for face in reversed(ordered):
+        if len(face) < largest:
+            fs = frozenset(face)
+            if not face or any(fs < g for g in through.get(face[0], ())):
+                continue
         kept.append(face)
-        for v in face:
-            through.setdefault(v, []).append(fs)
-    return sorted(kept, key=lambda f: (len(f), f))
+        if len(face) > smallest:
+            fs = frozenset(face)
+            for v in face:
+                through.setdefault(v, []).append(fs)
+    return kept[::-1]
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,12 @@ class _Space:
     """What a simplicial complex and a simplicial poset share.
 
     A subclass calls :meth:`_attach` and sets ``_cache``; it supplies ``d``,
-    ``is_pure``, ``require_valid()``, ``f_vector()``, ``edges()`` and
-    ``triangle_sides()``, and three sweeps: ``_link_layer(k)`` (see
-    :func:`_links_connected`), ``_ridges()``, each facet's codimension-1 cells, and
-    ``_color_sets()``, the color set of each face (of each element, and of the
-    implicit bottom).
+    ``vertices``, ``is_pure``, ``require_valid()``, ``f_vector()``, ``edges()``,
+    ``_ends(edge)``, an edge's two end vertices ascending, and ``triangle_sides()``,
+    and three sweeps: ``_link_layer(k)`` (see :func:`_links_connected`),
+    ``_ridges()``, each facet's codimension-1 cells, and ``_color_sets()``, the
+    color set of each face (of each element, and of the implicit bottom).  The
+    1-skeleton, its vertices joined by the ends of its edges, is read only here.
     """
 
     def _attach(self, coloring, labels, vertices) -> None:
@@ -146,6 +153,34 @@ class _Space:
             self._cache["flag_f"] = Counter(self._color_sets())
         return dict(self._cache["flag_f"])
 
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """1-skeleton adjacency, neighbors in ascending order; cached."""
+        self.require_valid()
+        if "adj" not in self._cache:
+            adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+            for u, v in map(self._ends, self.edges()):
+                adj[u].add(v)
+                adj[v].add(u)
+            self._cache["adj"] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        return self._cache["adj"]
+
+    def is_connected(self) -> bool:
+        """Whether the 1-skeleton is connected (no vertex, or one, counts as connected); cached."""
+        self.require_valid()
+        if "connected" not in self._cache:
+            tops = chain(zip(self.vertices), map(self._ends, self.edges()))
+            self._cache["connected"] = _tops_connected(tops)
+        return self._cache["connected"]
+
+    def check_properties(self) -> PropertyReport:
+        """Exact tests for purity, balancedness, and connectivity of small-face links; cached."""
+        self.require_valid()
+        if "props" not in self._cache:
+            self._cache["props"] = PropertyReport(
+                self.is_pure, _is_balanced(self), self.links_connected()
+            )
+        return self._cache["props"]
+
     def links_connected(self) -> bool:
         """Whether the link of the empty face and of every face of size < d - 1 is
         connected, decided by one union-find sweep per face size; cached."""
@@ -190,19 +225,10 @@ class SimplicialComplex(_Space):
             if cf in seen:
                 raise ValidationError(f"duplicate facet: {list(cf)}")
             seen.add(cf)
-        norm = sorted(seen, key=lambda f: (len(f), f)) or [()]
-        largest = len(norm[-1])
-        through: dict[int, list[frozenset[int]]] = {}  # vertex -> larger facets through it
-        for f in norm:
-            if len(f) > len(norm[0]):
-                for v in f:
-                    through.setdefault(v, []).append(frozenset(f))
-        for f in norm:  # a facet can only lie in larger facets through its first vertex
-            if len(f) == largest:
-                break
-            fs = frozenset(f)
-            if not f or any(fs < g for g in through.get(f[0], ())):
-                raise ValidationError(f"facet {list(f)} is contained in a larger facet")
+        norm = _maximal(seen) or [()]
+        if len(norm) < len(seen):
+            least = min(seen.difference(norm), key=lambda f: (len(f), f))
+            raise ValidationError(f"facet {list(least)} is contained in a larger facet")
         self._facets: tuple[Face, ...] = tuple(norm)
         self._vertices: tuple[int, ...] = tuple(sorted({v for f in norm for v in f}))
 
@@ -296,15 +322,9 @@ class SimplicialComplex(_Space):
         """The edges ``(ab, bc, ac)`` of each triangle ``a < b < c``, triangles sorted."""
         return [((a, b), (b, c), (a, c)) for a, b, c in (self.faces(2) if self.dim >= 2 else [])]
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """1-skeleton adjacency, neighbors in ascending order; cached."""
-        if "adj" not in self._cache:
-            adj: dict[int, set[int]] = {v: set() for v in self._vertices}
-            for u, v in self.edges():
-                adj[u].add(v)
-                adj[v].add(u)
-            self._cache["adj"] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        return self._cache["adj"]
+    def _ends(self, edge: Face) -> Face:
+        """An edge of a complex is the pair of its vertices, ascending."""
+        return edge
 
     def facets_containing(self, face) -> list[Face]:
         """Facets containing ``face``, in stored order: the intersection of the
@@ -362,13 +382,10 @@ class SimplicialComplex(_Space):
         labels = self._labels and {v: self._labels[v] for v in verts if v in self._labels}
         return SimplicialComplex(_maximal(tops), coloring, labels or None)
 
-    # -- connectivity ---------------------------------------------------------
+    # -- checks -----------------------------------------------------------------
 
-    def is_connected(self) -> bool:
-        """Graph connectivity of the 1-skeleton (void and single point count as connected)."""
-        if "connected" not in self._cache:
-            self._cache["connected"] = _tops_connected(self._facets)
-        return self._cache["connected"]
+    # perfbench/tracer.py wraps it in this class's own __dict__
+    check_properties = _Space.check_properties
 
     def require_valid(self) -> None:
         """A complex is checked when it is built, so nothing is left to check."""
@@ -379,13 +396,6 @@ class SimplicialComplex(_Space):
     def _color_sets(self):
         kappa = self._coloring
         return (frozenset(map(kappa.get, f)) for f in self.face_set())
-
-    def check_properties(self) -> PropertyReport:
-        """Exact tests for purity, balancedness, and connectivity of small-face links."""
-        if "props" not in self._cache:
-            balanced = _is_balanced(self)
-            self._cache["props"] = PropertyReport(self.is_pure, balanced, self.links_connected())
-        return self._cache["props"]
 
     def _link_layer(self, k: int):
         """The links of the faces of size k on integer ids: the vertex at position p of

@@ -8,8 +8,9 @@ complex or rank-3 element of a simplicial poset (a regular CW complex whose
 cells are simplices, with the homology of its order complex).  It factors
 ``d2`` with :func:`unit_pivot_factor`: each +-1 pivot adds an invariant
 factor 1, and the dense :func:`smith_normal_form` (``U @ A @ V == D``) runs
-only on the block the pivots leave over.  Dense SNF and
-:func:`boundary_matrices` stay public as the tested oracle.
+only on the block the pivots leave over.  :func:`cycle_class_equal` reads the
+end vertices of each edge from the same data, so it answers on posets too.  Dense
+SNF and :func:`boundary_matrices` stay public as the tested oracle.
 """
 
 from __future__ import annotations
@@ -374,14 +375,15 @@ class HomologySummary:
 
 
 def chain_data(space) -> dict:
-    """The edges and the factored ``d2``, cached on the complex or poset.  Both come
-    from the presentation skeleton: ``d2``'s column j is triangle j's relator, the
-    edge of letter i being row ``i - 1``."""
+    """The end vertices of each edge and the factored ``d2``, cached on the complex or
+    poset.  Both come from the presentation skeleton: ``d2``'s column j is triangle j's
+    relator, the edge of letter i being row ``i - 1``."""
     cache = space._cache
     if "chain" not in cache:
         edges, _, relators = space._skeleton()
         columns = ({abs(x) - 1: 1 if x > 0 else -1 for x in rel} for rel in relators)
-        cache["chain"] = {"edges": edges, "d2": unit_pivot_factor(columns)}
+        ends = [*map(space._ends, edges)]
+        cache["chain"] = {"edges": ends, "d2": unit_pivot_factor(columns)}
     return cache["chain"]
 
 
@@ -412,9 +414,10 @@ def edge_path_cycle_vector(complex: SimplicialComplex, path) -> list[int]:
     return z
 
 
-def cycle_class_equal(complex: SimplicialComplex, z1: list[int], z2: list[int]) -> bool:
-    """Whether two 1-cycles differ by a boundary, decided exactly on the factored d2."""
-    data = chain_data(complex)
+def cycle_class_equal(space, z1: list[int], z2: list[int]) -> bool:
+    """Whether two 1-cycles of a complex or poset, indexed like ``edges()``, differ by a
+    boundary, decided exactly on the factored d2."""
+    data = chain_data(space)
     edges = data["edges"]
     for z in (z1, z2):
         if len(z) != len(edges):

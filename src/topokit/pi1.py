@@ -324,12 +324,11 @@ class NestedSpanningTree:
     The constructor checks that they hang every vertex from ``root`` along
     edges, and keeps the vertices parents first (a BFS over the children)."""
 
-    def __init__(self, complex, colors, root, parent, inner_edges):
+    def __init__(self, complex, colors, root, parent):
         self.complex = complex
         self.colors = frozenset(colors)
         self.root = root
         self.parent = dict(parent)
-        self.inner_edges = frozenset(inner_edges)
         faces, children = complex.face_set(), {}
         for v, p in self.parent.items():
             if p is not None and _canon(v, p) not in faces:
@@ -412,8 +411,6 @@ def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
         raise ContractViolationError(
             "selected subcomplex is disconnected although the property checks passed"
         )
-    inner_edges = frozenset(_canon(v, p) for v, p in parent.items() if p is not None)
-
     queue = deque(sorted(parent))
     while queue:
         u = queue.popleft()
@@ -423,7 +420,7 @@ def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
                 queue.append(w)
     if len(parent) != len(complex.vertices):
         raise ContractViolationError("complex is disconnected although checks passed")
-    return NestedSpanningTree(complex, colors, root, parent, inner_edges)
+    return NestedSpanningTree(complex, colors, root, parent)
 
 
 # -- presentations ----------------------------------------------------------------
@@ -980,7 +977,7 @@ def poset_edge_path_group(poset, base=None) -> GroupPresentation:
         raise FaceNotFoundError(f"basepoint {base} must be an atom")
 
     edges, _, triangles = poset._skeleton()
-    ends = {e: tuple(sorted(poset.atoms_of(e))) for e in edges}
+    ends = {e: poset._ends(e) for e in edges}
     incident: dict[int, list[int]] = {a: [] for a in atoms}
     for e, (a, b) in ends.items():  # e ascends, so every list does
         incident[a].append(e)

@@ -255,6 +255,15 @@ def test_cycle_check_rejects_wrong_length():
         cycle_class_equal(hexagon, [0] * 5, [0] * 5)
 
 
+def test_cycle_classes_on_the_double_circle(double_circle):
+    # its two edges join the same atoms, so [1, -1] is a cycle, and with no
+    # 2-cells it bounds nothing
+    assert cycle_class_equal(double_circle, [1, -1], [1, -1])
+    assert not cycle_class_equal(double_circle, [1, -1], [0, 0])
+    with pytest.raises(ValidationError, match="^input is not a cycle$"):
+        cycle_class_equal(double_circle, [1, 0], [1, 0])
+
+
 @pytest.mark.parametrize("name", ["sd_torus", "sd_rp2"])
 def test_cycle_class_matches_dense_membership(corpus, name):
     complex = corpus[name]

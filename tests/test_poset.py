@@ -8,6 +8,7 @@ from topokit import (
     FaceNotFoundError,
     HomologySummary,
     MissingColoringError,
+    PosetValidation,
     PurityError,
     SimplicialComplex,
     SimplicialPoset,
@@ -20,6 +21,8 @@ from topokit import (
     restrict_presentation,
     tietze_simplify,
 )
+from conftest import corpus_complexes
+
 from topokit import shapes
 from topokit.pi1 import check_edge_path
 from topokit.complex import _tops_connected
@@ -91,6 +94,80 @@ def test_shared_atom_sets_invalid():
         [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4)],
     )
     assert not poset.validate().valid
+
+
+def brute_force_simplicial(ranks, covers) -> bool:
+    """Whether each element x of rank k has 2^k - 1 elements at or below it, sent one to
+    one onto the nonempty sets of x's atoms by taking atoms; covers go up one rank."""
+    below: dict[int, set[int]] = {}
+    for x in sorted(ranks, key=ranks.get):
+        below[x] = {x}.union(*(below[lo] for lo, hi in covers if hi == x))
+    for x, k in ranks.items():
+        atoms = frozenset(z for z in below[x] if ranks[z] == 1)
+        atom_sets = {atoms & below[y] for y in below[x]}
+        nonempty = {frozenset(s) for n in range(1, len(atoms) + 1) for s in combinations(atoms, n)}
+        if len(below[x]) != 2 ** k - 1 or len(atom_sets) != len(below[x]) or atom_sets != nonempty:
+            return False
+    return True
+
+
+@st.composite
+def ranked_posets(draw):
+    """Elements of ranks 1 to 3 whose covers go up one rank: either drawn freely, or the
+    face poset of a drawn complex with one cover dropped or added, or one element
+    doubled (same lower covers) and the double put in place of another lower cover of
+    an element above it, so that valid posets and near misses of every kind occur."""
+    if draw(st.booleans()):
+        layers = []
+        for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+            start = sum(map(len, layers))
+            layers.append(range(start, start + size))
+        ranks = {x: r for r, layer in enumerate(layers, 1) for x in layer}
+        covers = {
+            (lo, hi)
+            for r, (lower, layer) in enumerate(zip(layers, layers[1:]), 2)
+            for hi in layer
+            for lo in draw(
+                st.lists(st.sampled_from(lower), min_size=1, max_size=r + 1, unique=True)
+            )
+        }
+        return ranks, covers
+    faces = st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)
+    poset = face_poset(SimplicialComplex.from_faces(draw(st.lists(faces, max_size=6))))
+    ranks = {x: poset.rank(x) for x in poset.ids}
+    covers = set(poset.covers)
+    mutation = draw(st.sampled_from(["none", "drop", "add", "double"]))
+    if mutation == "drop" and covers:
+        covers.discard(draw(st.sampled_from(sorted(covers))))
+    pairs = sorted((lo, hi) for lo in ranks for hi in ranks if ranks[hi] == ranks[lo] + 1)
+    if mutation == "add" and pairs:
+        covers.add(draw(st.sampled_from(pairs)))
+    if mutation == "double" and ranks:
+        x, double = draw(st.sampled_from(sorted(ranks))), len(ranks)
+        ranks[double] = ranks[x]
+        covers |= {(lo, double) for lo, hi in covers if hi == x}
+        others = sorted((y, hi) for y, hi in covers if (x, hi) in covers and y != x)
+        if others:
+            y, hi = draw(st.sampled_from(others))
+            covers ^= {(y, hi), (double, hi)}
+    return ranks, covers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ranked_posets())
+def test_validation_matches_brute_force_on_small_ranked_posets(poset_data):
+    ranks, covers = poset_data
+    poset = SimplicialPoset(ranks, covers)
+    assert poset.validate().valid == brute_force_simplicial(ranks, covers)
+
+
+def test_parallel_sides_of_one_triangle_invalid():
+    # every size is right (7 elements below 6, on 3 atoms), but 3 and 4 both join 0 and 1
+    poset = SimplicialPoset(
+        {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3},
+        [(0, 3), (1, 3), (0, 4), (1, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)],
+    )
+    assert poset.validate() == PosetValidation(False, "two elements below 6 share the same atom set", 6)
 
 
 # -- face posets -------------------------------------------------------------------
@@ -313,6 +390,38 @@ def test_disjoint_union_fails_link_connectivity():
     report = union.check_properties()
     assert report.pure
     assert not report.links_connected
+
+
+# -- the 1-skeleton shared with complexes -------------------------------------------------------
+
+
+def disjoint_triangles():
+    return SimplicialComplex([(0, 1, 2), (3, 4, 5)], coloring={0: 1, 1: 2, 2: 3, 3: 1, 4: 2, 5: 3})
+
+
+@pytest.mark.parametrize("name", [*corpus_complexes(), "disjoint-triangles"])
+def test_face_poset_answers_like_its_complex_on_the_1_skeleton(corpus, name):
+    complex = corpus[name] if name in corpus else disjoint_triangles()
+    poset = face_poset(complex)
+    vertex = {a: int(poset.labels[a]) for a in poset.atoms()}
+    assert sorted(vertex.values()) == list(complex.vertices)
+    adjacency = poset.adjacency()
+    assert {vertex[a]: tuple(sorted(map(vertex.get, ns))) for a, ns in adjacency.items()} == complex.adjacency()
+    assert all(list(ns) == sorted(ns) for ns in adjacency.values())
+    assert poset.is_connected() == complex.is_connected()
+    assert poset.check_properties() == complex.check_properties()
+
+
+def test_parallel_edges_give_one_neighbor(double_circle):
+    assert double_circle.adjacency() == {0: (1,), 1: (0,)}
+    assert double_circle.is_connected()
+
+
+def test_invalid_poset_has_no_1_skeleton():
+    poset = SimplicialPoset({0: 1, 1: 2}, [(0, 1)])  # a rank-2 element on one atom
+    for query in (poset.adjacency, poset.is_connected, poset.check_properties):
+        with pytest.raises(ValidationError, match="invalid simplicial poset"):
+            query()
 
 
 # -- f/h-vectors ------------------------------------------------------------------------------
