@@ -13,7 +13,6 @@ from topokit import SimplicialComplex
 circle = shapes.double_edge_circle()
 print(f"Double-edge circle: {circle}")
 print(f"  elements: {[(x, circle.rank(x), (circle.labels or {}).get(x)) for x in circle.ids]}")
-print(f"  validation: {circle.validate()}")
 f, h = circle.f_vector(), circle.h_vector()
 print(f"  f = {f}, h = {h}  (h2 = 1: one circle)")
 
@@ -37,8 +36,10 @@ print(f"  octahedron face poset: {octahedron_poset}")
 fo, ho = octahedron_poset.f_vector(), octahedron_poset.h_vector()
 print(f"  f = {fo}, h = {ho}  (same numbers as the complex)")
 
-print("\nAn invalid poset is pinpointed by the validator:")
-from topokit import SimplicialPoset
+print("\nAn invalid poset is refused when it is built, with the first violation:")
+from topokit import SimplicialPoset, ValidationError
 
-broken = SimplicialPoset({0: 1, 1: 2}, [(0, 1)])
-print(f"  {broken.validate()}")
+try:
+    SimplicialPoset({0: 1, 1: 2}, [(0, 1)])
+except ValidationError as broken:
+    print(f"  {broken}")

@@ -51,7 +51,7 @@ from .pi1 import (
     verify_certificate,
     word_to_loop,
 )
-from .poset import PosetValidation, SimplicialPoset, face_poset
+from .poset import SimplicialPoset, face_poset
 
 __all__ = [
     "Certificate",
@@ -63,7 +63,6 @@ __all__ = [
     "MissingColoringError",
     "NestedSpanningTree",
     "PosetEdge",
-    "PosetValidation",
     "PropertyError",
     "PropertyReport",
     "PurityError",

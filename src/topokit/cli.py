@@ -64,9 +64,7 @@ def load_input(path: str):
     if kind == "complex":
         return SimplicialComplex.from_json(data)
     if kind == "poset":
-        poset = SimplicialPoset.from_json(data)
-        poset.require_valid()
-        return poset
+        return SimplicialPoset.from_json(data)
     raise ValidationError(f'unknown input type {kind!r}; expected "complex" or "poset"')
 
 

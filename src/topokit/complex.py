@@ -96,12 +96,13 @@ class _Space:
     """What a simplicial complex and a simplicial poset share.
 
     A subclass calls :meth:`_attach` and sets ``_cache``; it supplies ``d``,
-    ``vertices``, ``is_pure``, ``require_valid()``, ``f_vector()``, ``edges()``,
-    ``_ends(edge)``, an edge's two end vertices ascending, and ``triangle_sides()``,
-    and three sweeps: ``_link_layer(k)`` (see :func:`_links_connected`),
-    ``_ridges()``, each facet's codimension-1 cells, and ``_color_sets()``, the
-    color set of each face (of each element, and of the implicit bottom).  The
-    1-skeleton, its vertices joined by the ends of its edges, is read only here.
+    ``vertices``, ``is_pure``, ``f_vector()``, ``edges()``, ``_ends(edge)``, an
+    edge's two end vertices ascending, and ``triangle_sides()``, and three sweeps:
+    ``_link_layer(k)`` (see :func:`_links_connected`), ``_ridges()``, each facet's
+    codimension-1 cells, and ``_color_sets()``, the color set of each face (of each
+    element, and of the implicit bottom).  Both constructors check their input, so
+    every instance is valid.  The 1-skeleton, its vertices joined by the ends of its
+    edges, is read only here.
     """
 
     def _attach(self, coloring, labels, vertices) -> None:
@@ -146,7 +147,6 @@ class _Space:
 
     def flag_f_vector(self) -> dict[frozenset[int], int]:
         """Face counts by color set, the empty face under ``frozenset()``; cached."""
-        self.require_valid()
         if self._coloring is None:
             raise MissingColoringError("color-set counts need a coloring")
         if "flag_f" not in self._cache:
@@ -155,7 +155,6 @@ class _Space:
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """1-skeleton adjacency, neighbors in ascending order; cached."""
-        self.require_valid()
         if "adj" not in self._cache:
             adj: dict[int, set[int]] = {v: set() for v in self.vertices}
             for u, v in map(self._ends, self.edges()):
@@ -166,7 +165,6 @@ class _Space:
 
     def is_connected(self) -> bool:
         """Whether the 1-skeleton is connected (no vertex, or one, counts as connected); cached."""
-        self.require_valid()
         if "connected" not in self._cache:
             tops = chain(zip(self.vertices), map(self._ends, self.edges()))
             self._cache["connected"] = _tops_connected(tops)
@@ -174,7 +172,6 @@ class _Space:
 
     def check_properties(self) -> PropertyReport:
         """Exact tests for purity, balancedness, and connectivity of small-face links; cached."""
-        self.require_valid()
         if "props" not in self._cache:
             self._cache["props"] = PropertyReport(
                 self.is_pure, _is_balanced(self), self.links_connected()
@@ -185,7 +182,6 @@ class _Space:
         """Whether the link of the empty face and of every face of size < d - 1 is
         connected, decided by one union-find sweep per face size; cached."""
         if "links_ok" not in self._cache:
-            self.require_valid()
             self._cache["links_ok"] = _links_connected(map(self._link_layer, range(self.d - 1)))
         return self._cache["links_ok"]
 
@@ -387,9 +383,6 @@ class SimplicialComplex(_Space):
     # perfbench/tracer.py wraps it in this class's own __dict__
     check_properties = _Space.check_properties
 
-    def require_valid(self) -> None:
-        """A complex is checked when it is built, so nothing is left to check."""
-
     def _ridges(self):
         return (combinations(f, len(f) - 1) for f in self._facets if f)
 
@@ -477,16 +470,22 @@ def _as_str(value) -> str:
 
 def _id_map_from_json(data: dict, key: str) -> dict | None:
     """The optional object ``data[key]`` (``"coloring"`` or ``"labels"``) keyed by integer
-    ids; the constructors check its values."""
+    ids, each written as ``str`` writes it; the constructors check its values."""
     raw = data.get(key)
     if not isinstance(raw, (dict, type(None))):
         raise ValidationError(f'"{key}" must be an object keyed by ids')
     if not raw:
         return None
-    try:
-        return {int(v): c for v, c in raw.items()}
-    except ValueError as exc:
-        raise ValidationError(f'"{key}" ids do not parse: {exc}') from None
+    ids = {}
+    for k, value in raw.items():
+        try:
+            v = int(k)
+        except (TypeError, ValueError):
+            v = None
+        if v is None or str(v) != k:
+            raise ValidationError(f'"{key}" id {k!r} is not an integer written canonically')
+        ids[v] = value
+    return ids
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:

@@ -234,15 +234,11 @@ def _triangle_move_complex(complex, path, move):
     return path[:pos] + ((a, c),) + path[pos + 2 :]
 
 
-def _rank3_triangle(poset, sigma):
-    """The three atoms and three edge elements of a rank-3 element."""
+def _rank3_sides(poset, sigma) -> dict[frozenset[int], int]:
+    """The three edge elements of a rank-3 element, keyed by their atom pairs."""
     if poset.rank(sigma) != 3:
         raise ValidationError(f"witness {sigma} is not a rank-3 element")
-    atoms = sorted(poset.atoms_of(sigma))
-    sides = sorted(y for y in poset.down_set(sigma) if poset.rank(y) == 2)
-    if len(atoms) != 3 or len(sides) != 3:
-        raise ValidationError(f"element {sigma} is not a triangle")
-    return atoms, sides
+    return {poset.atoms_of(e): e for e in poset._down[sigma]}
 
 
 def _triangle_move_poset(poset, path, move):
@@ -254,34 +250,25 @@ def _triangle_move_poset(poset, path, move):
         cur = path[pos]
         if cur.elem is None:
             raise ValidationError("cannot expand a stationary edge across a triangle")
-        atoms, sides = _rank3_triangle(poset, sigma)
-        if cur.elem not in sides:
+        sides = _rank3_sides(poset, sigma)
+        if cur.elem not in sides.values():
             raise ValidationError(f"edge element {cur.elem} is not a side of {sigma}")
         x, z = cur.init, cur.term
-        rest = set(atoms) - {x, z}
-        if len(rest) != 1:
-            raise ValidationError("triangle atoms do not extend the edge")
-        y = rest.pop()
-        first = [e for e in sides if e != cur.elem and poset.atoms_of(e) == {x, y}]
-        second = [e for e in sides if e != cur.elem and poset.atoms_of(e) == {y, z}]
-        if len(first) != 1 or len(second) != 1:
-            raise ValidationError(f"sides of {sigma} do not match the expansion")
-        return path[:pos] + (PosetEdge(first[0], x, y), PosetEdge(second[0], y, z)) + path[pos + 1 :]
+        (y,) = poset.atoms_of(sigma) - {x, z}
+        first, second = sides[frozenset((x, y))], sides[frozenset((y, z))]
+        return path[:pos] + (PosetEdge(first, x, y), PosetEdge(second, y, z)) + path[pos + 1 :]
     if not 0 <= pos < len(path) - 1:
         raise ValidationError("contract position out of range")
     e1, e2 = path[pos], path[pos + 1]
     if e1.elem is None or e2.elem is None or e1.elem == e2.elem:
         raise ValidationError("contract needs two distinct edge elements")
-    atoms, sides = _rank3_triangle(poset, sigma)
+    sides = _rank3_sides(poset, sigma)
     x, y, z = e1.init, e1.term, e2.term
-    if {x, y, z} != set(atoms):
+    if {x, y, z} != poset.atoms_of(sigma):
         raise ValidationError("triangle atoms do not match the contracted edges")
-    if e1.elem not in sides or e2.elem not in sides:
+    if e1.elem not in sides.values() or e2.elem not in sides.values():
         raise ValidationError("contracted edges are not sides of the witness")
-    third = [e for e in sides if e not in (e1.elem, e2.elem)]
-    if len(third) != 1 or poset.atoms_of(third[0]) != {x, z}:
-        raise ValidationError("witness has no side joining the outer atoms")
-    return path[:pos] + (PosetEdge(third[0], x, z),) + path[pos + 2 :]
+    return path[:pos] + (PosetEdge(sides[frozenset((x, z))], x, z),) + path[pos + 2 :]
 
 
 # setting -> (space type, expand/contract replay)
@@ -963,7 +950,6 @@ def poset_edge_path_group(poset, base=None) -> GroupPresentation:
     skeleton shared with H1, less its tree sides.  ``Generator.realization``
     is the tree path from the base, the element, and the tree path back.
     """
-    poset.require_valid()
     if not poset.is_pure:
         raise PropertyError("poset edge-path groups need a pure poset")
     if not poset.links_connected():

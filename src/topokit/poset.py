@@ -9,27 +9,18 @@ its relatives representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .complex import SimplicialComplex, _Space, _as_int, _id_map_from_json
 from .errors import FaceNotFoundError, MissingColoringError, ValidationError
 
 
-@dataclass(frozen=True)
-class PosetValidation:
-    """Result of the structural validation, with the first offender if any."""
-
-    valid: bool
-    reason: str | None = None
-    element: int | None = None
-
-    def as_dict(self) -> dict:
-        return {"valid": self.valid, "reason": self.reason, "element": self.element}
-
-
 class SimplicialPoset(_Space):
-    """A ranked element table plus cover relations with an implicit bottom."""
+    """A ranked element table plus cover relations with an implicit bottom.
+
+    The constructor is strict: a table that is not a simplicial poset is
+    refused with the first violation found.
+    """
 
     def __init__(self, ranks: dict[int, int], covers, coloring=None, labels=None):
         self._rank: dict[int, int] = {}
@@ -60,6 +51,9 @@ class SimplicialPoset(_Space):
                 raise ValidationError(f"colored element {v} is not an atom")
         self._attach(coloring, labels, self.atoms())
         self._cache: dict = {}
+        reason = self._validate()
+        if reason is not None:
+            raise ValidationError(f"invalid simplicial poset: {reason}")
 
     # -- accessors -------------------------------------------------------------
 
@@ -100,12 +94,11 @@ class SimplicialPoset(_Space):
         return self.elements_of_rank(2)
 
     def _ends(self, edge: int) -> tuple[int, int]:
-        """The two atoms of a rank-2 element of a valid poset, its lower covers."""
+        """The two atoms of a rank-2 element, its lower covers."""
         return self._down[edge]
 
     def triangle_sides(self) -> list[tuple[int, int, int]]:
         """The sides ``(ab, bc, ac)`` of each rank-3 element on atoms ``a < b < c``."""
-        self.require_valid()
         # a side's lower covers are its two atoms; sorted by them, sides run ab, ac, bc
         sides = (sorted(self._down[t], key=self._down.get) for t in self.elements_of_rank(3))
         return [(ab, bc, ac) for ab, ac, bc in sides]
@@ -131,7 +124,11 @@ class SimplicialPoset(_Space):
         return memo[x]
 
     def atoms_of(self, x: int) -> frozenset[int]:
-        return frozenset(y for y in self.down_set(x) if self._rank[y] == 1)
+        """The atoms below or at x, memoized."""
+        memo = self._cache.setdefault("atoms", {})
+        if x not in memo:
+            memo[x] = frozenset(y for y in self.down_set(x) if self._rank[y] == 1)
+        return memo[x]
 
     def color_set(self, x: int) -> frozenset[int]:
         if self._coloring is None:
@@ -145,54 +142,30 @@ class SimplicialPoset(_Space):
 
     # -- validation --------------------------------------------------------
 
-    def validate(self) -> PosetValidation:
-        """Check every structural invariant; reports the first violation found."""
-        if "validation" not in self._cache:
-            self._cache["validation"] = self._validate()
-        return self._cache["validation"]
-
-    def _validate(self) -> PosetValidation:
+    def _validate(self) -> str | None:
+        """The first structural invariant this table breaks, or None."""
         for lo, hi in self._covers:
             if self._rank[hi] != self._rank[lo] + 1:
-                return PosetValidation(
-                    False,
-                    f"cover ({lo}, {hi}) jumps from rank {self._rank[lo]} to {self._rank[hi]}",
-                    hi,
-                )
+                return f"cover ({lo}, {hi}) jumps from rank {self._rank[lo]} to {self._rank[hi]}"
         for x in sorted(self._rank, key=lambda y: (self._rank[y], y)):
             k = self._rank[x]
             interval = self.down_set(x)
-            atoms = sorted(self.atoms_of(x))
+            atoms = self.atoms_of(x)
             if len(atoms) != k:
-                return PosetValidation(
-                    False, f"element {x} of rank {k} has {len(atoms)} atoms below it", x
-                )
+                return f"element {x} of rank {k} has {len(atoms)} atoms below it"
             if len(interval) != 2 ** k - 1:
-                return PosetValidation(
-                    False,
-                    f"interval below {x} has {len(interval)} elements, expected {2 ** k - 1}",
-                    x,
-                )
+                return f"interval below {x} has {len(interval)} elements, expected {2 ** k - 1}"
             # elements go in rank order, so every y below x has passed the size test
             # already; with injectivity as well, the atom-set map is forced to be an
             # order isomorphism onto the Boolean lattice
             if len({self.atoms_of(y) for y in interval}) != len(interval):
-                return PosetValidation(
-                    False, f"two elements below {x} share the same atom set", x
-                )
+                return f"two elements below {x} share the same atom set"
         if self._coloring is not None:
             for facet in self.maximal_elements():
                 cols = [self._coloring[a] for a in sorted(self.atoms_of(facet))]
                 if len(set(cols)) != len(cols):
-                    return PosetValidation(
-                        False, f"facet {facet} has repeated atom colors {cols}", facet
-                    )
-        return PosetValidation(True)
-
-    def require_valid(self):
-        report = self.validate()
-        if not report.valid:
-            raise ValidationError(f"invalid simplicial poset: {report.reason}")
+                    return f"facet {facet} has repeated atom colors {cols}"
+        return None
 
     # -- structure ----------------------------------------------------------
 
@@ -207,7 +180,6 @@ class SimplicialPoset(_Space):
         It is the barycentric subdivision of the poset's cells, so it has the
         same H1 and edge-path group; the library computes both from the cells.
         """
-        self.require_valid()
         chains = [(m,) for m in self.maximal_elements()]  # extended downward
         facets = set()
         while chains:
@@ -223,7 +195,6 @@ class SimplicialPoset(_Space):
         """The upper set of ``x`` re-ranked so that ``x`` becomes the implicit bottom."""
         if x is None:
             return self
-        self.require_valid()
         base = self.rank(x)
         members = self.up_set(x) - {x}
         ranks = {y: self._rank[y] - base for y in members}
@@ -278,7 +249,6 @@ class SimplicialPoset(_Space):
 
     def f_vector(self) -> tuple[int, ...]:
         """Element counts by rank; ``f[0] = 1`` counts the implicit bottom."""
-        self.require_valid()
         return tuple([1] + [len(self.elements_of_rank(r)) for r in range(1, self.d + 1)])
 
     def _ridges(self):
@@ -326,40 +296,12 @@ class SimplicialPoset(_Space):
             ranks[x] = _as_int(entry["rank"])
             if "label" in entry:
                 labels[x] = entry["label"]
-        poset = cls(
+        return cls(
             ranks,
             [(_as_int(lo), _as_int(hi)) for lo, hi in covers],
             _id_map_from_json(data, "coloring"),
             labels or None,
         )
-        recomputed = poset._heights()
-        for x, r in ranks.items():
-            if recomputed[x] != r:
-                raise ValidationError(
-                    f"declared rank {r} of element {x} disagrees with cover height {recomputed[x]}"
-                )
-        return poset
-
-    def _heights(self) -> dict[int, int]:
-        """Rank recomputed from covers: 1 + longest descending cover chain.
-
-        Elements are settled bottom-up once all their lower covers are, so
-        no recursion is needed; elements never settled lie on or above a
-        cover cycle.
-        """
-        height: dict[int, int] = {}
-        waiting = {x: len(self._down[x]) for x in self._rank}
-        ready = [x for x, n in waiting.items() if n == 0]
-        while ready:
-            x = ready.pop()
-            height[x] = 1 + max((height[y] for y in self._down[x]), default=0)
-            for z in self._up[x]:
-                waiting[z] -= 1
-                if not waiting[z]:
-                    ready.append(z)
-        if len(height) != len(self._rank):
-            raise ValidationError("covers form a cycle")
-        return height
 
 
 def face_poset(complex: SimplicialComplex) -> SimplicialPoset:

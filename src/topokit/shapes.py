@@ -8,6 +8,12 @@ from .complex import SimplicialComplex, connected_sum
 from .errors import ValidationError
 from .poset import SimplicialPoset
 
+# Largest inputs the generators build: a cross-polytope boundary of dimension d has
+# 2^d facets and 3^d faces (531,441 at d = 12), and each copy in a connected sum
+# rebuilds the running sum, so the sum's cost grows with the square of the copies.
+MAX_CROSS_POLYTOPE_DIM = 12
+MAX_OCTAHEDRON_COPIES = 500
+
 # Classical 7-vertex torus triangulation (Moebius): triangles {i, i+1, i+3}
 # and {i, i+2, i+3} mod 7.  Not balanced (its 1-skeleton is K7).
 _TORUS_FACETS = tuple(
@@ -37,10 +43,13 @@ def cross_polytope(d: int) -> SimplicialComplex:
 
     Vertices 2i and 2i+1 form the i-th antipodal pair and share color i+1;
     facets pick one vertex from every pair, so the coloring is balanced.
-    The case d = 3 is the octahedron.
+    The case d = 3 is the octahedron.  Dimensions above
+    ``MAX_CROSS_POLYTOPE_DIM`` (12) are refused before anything is built.
     """
-    if d < 1:
-        raise ValidationError("cross-polytope dimension must be >= 1")
+    if not 1 <= d <= MAX_CROSS_POLYTOPE_DIM:
+        raise ValidationError(
+            f"cross-polytope dimension must be between 1 and {MAX_CROSS_POLYTOPE_DIM}, got {d}"
+        )
     facets = [
         tuple(sorted(2 * i + choice[i] for i in range(d)))
         for choice in product((0, 1), repeat=d)
@@ -91,10 +100,13 @@ def octahedron_sum(copies: int) -> SimplicialComplex:
 
     Each gluing identifies the lexicographically largest facet of the running
     sum with the smallest facet of a fresh octahedron, matching vertices in
-    ascending order; colors are aligned automatically.
+    ascending order; colors are aligned automatically.  More than
+    ``MAX_OCTAHEDRON_COPIES`` (500) copies are refused before anything is built.
     """
-    if copies < 1:
-        raise ValidationError("need at least one copy")
+    if not 1 <= copies <= MAX_OCTAHEDRON_COPIES:
+        raise ValidationError(
+            f"connected sums take between 1 and {MAX_OCTAHEDRON_COPIES} copies, got {copies}"
+        )
     total = cross_polytope(3)
     for _ in range(copies - 1):
         extra = cross_polytope(3)

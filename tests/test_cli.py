@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus_complexes
 
-from topokit import SimplicialComplex, SimplicialPoset, face_poset
+from topokit import SimplicialComplex, SimplicialPoset, face_poset, shapes
 from topokit.cli import main
 
 
@@ -52,6 +52,28 @@ def test_gen_connected_sum_counts(tmp_path, capsys):
 def test_gen_missing_params(capsys):
     code, _, _ = run(capsys, "gen", "--shape", "cross-polytope")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cross-polytope", "--dim", "13"), "between 1 and 12, got 13"),
+        (("connected-sum", "--copies", "501"), "between 1 and 500 copies, got 501"),
+    ],
+)
+def test_gen_refuses_shapes_past_their_cap(capsys, monkeypatch, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shape past its cap was built")
+
+    monkeypatch.setattr(shapes, "SimplicialComplex", refuse)
+    code, out, err = run(capsys, "gen", "--shape", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_gen_builds_the_largest_cross_polytope(tmp_path, capsys):
+    path = gen_file(tmp_path, capsys, "cross-polytope", "--dim", "12")
+    assert len(json.loads(path.read_text())["facets"]) == 2 ** 12
 
 
 # -- check -----------------------------------------------------------------------
@@ -121,6 +143,7 @@ def test_check_poset(tmp_path, capsys):
 
 MALFORMED_INPUTS = {
     "coloring-list": {"type": "complex", "facets": [[0, 1], [1, 2]], "coloring": [1, 2, 1]},
+    "coloring-key-not-canonical": {"type": "complex", "facets": [[0, 1]], "coloring": {"0": 2, "00": 1, "1": 2}},
     "coloring-not-int": {"type": "complex", "facets": [[0, 1], [1, 2]], "coloring": {"0": 1, "1": "x", "2": 1}},
     "one-element-cover": {"type": "poset", "elements": [{"id": 0, "rank": 1}], "covers": [[0]]},
     "cyclic-covers": {
@@ -172,6 +195,33 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, name):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _poset(ranks, covers, **extra):
+    return {
+        "type": "poset",
+        "elements": [{"id": x, "rank": r} for x, r in ranks.items()],
+        "covers": covers,
+        **extra,
+    }
+
+
+INVALID_POSETS = {
+    "rank-jump": _poset({0: 1, 1: 1, 2: 3}, [[0, 2], [1, 2]]),
+    "cover-cycle": _poset({0: 1, 1: 1, 2: 2}, [[0, 2], [1, 2], [2, 0]]),
+    "rank-2-on-one-atom": _poset({0: 1, 1: 2}, [[0, 1]]),
+    "repeated-facet-colors": _poset({0: 1, 1: 1, 2: 2}, [[0, 2], [1, 2]], coloring={"0": 1, "1": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_POSETS))
+def test_check_refuses_an_invalid_poset(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(INVALID_POSETS[name]))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid simplicial poset: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("facets", [[], [[]]])

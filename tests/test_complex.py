@@ -14,6 +14,7 @@ from topokit import (
     MissingColoringError,
     PurityError,
     SimplicialComplex,
+    SimplicialPoset,
     ValidationError,
     connected_sum,
     find_balanced_coloring,
@@ -253,6 +254,32 @@ def test_ids_of_colors_and_labels_are_checked_not_converted():
         SimplicialComplex([(0, 1)], coloring={0.5: 1, 0: 1, 1: 2})
     with pytest.raises(ValidationError, match="True"):
         SimplicialComplex([(0, 1)], labels={True: "x"})
+
+
+# each is read by ``int()`` as an id that ``str()`` writes otherwise
+NON_CANONICAL_KEYS = ["00", " 0", "+0", "-0", "0\n", "1_0"]
+ID_MAPS = {
+    "complex-coloring": {"type": "complex", "facets": [[0, 1], [0, 10]], "coloring": {"0": 1, "1": 2, "10": 2}},
+    "complex-labels": {"type": "complex", "facets": [[0, 1], [0, 10]], "labels": {"0": "a", "1": "b", "10": "c"}},
+    "poset-coloring": {
+        "type": "poset",
+        "elements": [{"id": x, "rank": 1} for x in (0, 1, 10)] + [{"id": 2, "rank": 2}, {"id": 3, "rank": 2}],
+        "covers": [[0, 2], [1, 2], [0, 3], [10, 3]],
+        "coloring": {"0": 1, "1": 2, "10": 2},
+    },
+}
+
+
+@pytest.mark.parametrize("key", NON_CANONICAL_KEYS)
+@pytest.mark.parametrize("name", sorted(ID_MAPS))
+def test_json_id_keys_must_be_written_canonically(name, key):
+    data = ID_MAPS[name]
+    field = "labels" if "labels" in data else "coloring"
+    # a second key for an id that is already there, with the same value
+    data = {**data, field: {**data[field], key: data[field][str(int(key))]}}
+    load = SimplicialPoset.from_json if data["type"] == "poset" else SimplicialComplex.from_json
+    with pytest.raises(ValidationError, match=f'"{field}" id {re.escape(repr(key))} is not'):
+        load(data)
 
 
 # -- strong connectivity ------------------------------------------------------------------

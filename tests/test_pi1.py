@@ -949,26 +949,11 @@ def _triangle_with_parallel_edge():
     return SimplicialPoset(ranks, covers)
 
 
-def _rank3_with_parallel_sides():
-    # not a simplicial poset: element 6 has atoms {0,1,2} but its sides are
-    # 3={0,1}, 4={0,1}, 5={1,2}; replay must still refuse to use it
-    ranks = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3}
-    covers = [(0, 3), (1, 3), (0, 4), (1, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)]
-    return SimplicialPoset(ranks, covers)
-
-
-def _rank3_over_one_edge():
-    # not a simplicial poset: element 3 of rank 3 lies over the single edge 2
-    return SimplicialPoset({0: 1, 1: 1, 2: 2, 3: 3}, [(0, 2), (1, 2), (2, 3)])
-
-
 REPLAY_SPACES = {
     "octahedron": lambda: shapes.cross_polytope(3),
     "two_triangles": lambda: face_poset(SimplicialComplex([(0, 1, 2), (1, 2, 3)])),
     "triangle": lambda: face_poset(SimplicialComplex([(0, 1, 2)])),
     "triangle_parallel": _triangle_with_parallel_edge,
-    "parallel_sides": _rank3_with_parallel_sides,
-    "one_edge": _rank3_over_one_edge,
 }
 
 E = PosetEdge
@@ -1002,9 +987,9 @@ REJECTED_REPLAYS = [
     ("triangle", (E(5, 1, 2),), (("expand", 1, 6),), "expand position out of range"),
     ("triangle", (E(None, 0, 0),), (("expand", 0, 6),), "cannot expand a stationary edge"),
     ("triangle", (E(5, 1, 2),), (("expand", 0, 3),), "witness 3 is not a rank-3 element"),
-    ("one_edge", (E(2, 0, 1),), (("expand", 0, 3),), "element 3 is not a triangle"),
+    ("triangle", (E(5, 1, 2),), (("expand", 0, 99),), "no element with id 99"),
     ("triangle_parallel", (E(7, 0, 1),), (("expand", 0, 6),), "edge element 7 is not a side of 6"),
-    ("parallel_sides", (E(5, 1, 2),), (("expand", 0, 6),), "sides of 6 do not match the expansion"),
+    ("two_triangles", (E(7, 1, 3),), (("expand", 0, 9),), "edge element 7 is not a side of 9"),
     # poset contract
     ("triangle", (E(3, 0, 1),), (("contract", 0, 6),), "contract position out of range"),
     ("triangle", (E(3, 0, 1), E(3, 1, 0)), (("contract", 0, 6),), "contract needs two distinct edge elements"),
@@ -1012,7 +997,7 @@ REJECTED_REPLAYS = [
     ("triangle", (E(3, 0, 1), E(5, 1, 2)), (("contract", 0, 3),), "witness 3 is not a rank-3 element"),
     ("two_triangles", (E(4, 0, 1), E(7, 1, 3)), (("contract", 0, 9),), "triangle atoms do not match"),
     ("triangle_parallel", (E(7, 0, 1), E(5, 1, 2)), (("contract", 0, 6),), "contracted edges are not sides"),
-    ("parallel_sides", (E(3, 0, 1), E(5, 1, 2)), (("contract", 0, 6),), "no side joining the outer atoms"),
+    ("two_triangles", (E(4, 0, 1), E(6, 1, 2)), (("contract", 0, 99),), "no element with id 99"),
     # poset cancel and insert
     ("triangle", (E(3, 0, 1),), (("cancel", 0),), "cancel position out of range"),
     ("triangle", (E(3, 0, 1), E(5, 1, 2)), (("cancel", 0),), "cancel needs an edge followed by its"),
@@ -1083,6 +1068,18 @@ def test_replay_rejects(space, source, moves, message):
     with pytest.raises((ValidationError, FaceNotFoundError), match=message):
         apply_certificate(space, source, cert)
     assert not verify_certificate(space, source, source, cert)
+
+
+def test_rank3_witnesses_that_are_not_triangles_cannot_be_built():
+    # replay reads a rank-3 witness's three sides by their atom pairs; a rank-3
+    # element with parallel sides, or over one edge, is refused before any replay
+    with pytest.raises(ValidationError, match="two elements below 6 share the same atom set"):
+        SimplicialPoset(
+            {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3},
+            [(0, 3), (1, 3), (0, 4), (1, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)],
+        )
+    with pytest.raises(ValidationError, match="element 3 of rank 3 has 2 atoms below it"):
+        SimplicialPoset({0: 1, 1: 1, 2: 2, 3: 3}, [(0, 2), (1, 2), (2, 3)])
 
 
 @pytest.mark.parametrize("space,source,move,target", ACCEPTED_REPLAYS)

@@ -8,7 +8,6 @@ from topokit import (
     FaceNotFoundError,
     HomologySummary,
     MissingColoringError,
-    PosetValidation,
     PurityError,
     SimplicialComplex,
     SimplicialPoset,
@@ -40,27 +39,23 @@ def shifted_double_circle(offset):
 
 
 def test_face_poset_is_valid(corpus):
-    assert face_poset(corpus["octahedron"]).validate().valid
+    for complex in corpus.values():
+        face_poset(complex)  # the constructor refuses an invalid poset
 
 
 def test_double_circle_is_valid(double_circle):
-    report = double_circle.validate()
-    assert report.valid
     for e in (2, 3):
         assert double_circle.atoms_of(e) == {0, 1}
 
 
 def test_rank2_element_with_single_atom_invalid():
-    poset = SimplicialPoset({0: 1, 1: 2}, [(0, 1)])
-    report = poset.validate()
-    assert not report.valid
-    assert report.element == 1
+    with pytest.raises(ValidationError, match="^invalid simplicial poset: element 1 of rank 2 has 1 atoms"):
+        SimplicialPoset({0: 1, 1: 2}, [(0, 1)])
 
 
 def test_rank_jump_invalid():
-    poset = SimplicialPoset({0: 1, 1: 3}, [(0, 1)])
-    report = poset.validate()
-    assert not report.valid
+    with pytest.raises(ValidationError, match=r"cover \(0, 1\) jumps from rank 1 to 3"):
+        SimplicialPoset({0: 1, 1: 3}, [(0, 1)])
 
 
 def test_colors_and_labels_are_checked_not_converted():
@@ -89,11 +84,11 @@ def test_ids_and_ranks_are_checked_not_converted():
 
 def test_shared_atom_sets_invalid():
     # two rank-2 elements below one rank-3 element, both on the same atom pair
-    poset = SimplicialPoset(
-        {0: 1, 1: 1, 2: 2, 3: 2, 4: 3},
-        [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4)],
-    )
-    assert not poset.validate().valid
+    with pytest.raises(ValidationError, match="element 4 of rank 3 has 2 atoms below it"):
+        SimplicialPoset(
+            {0: 1, 1: 1, 2: 2, 3: 2, 4: 3},
+            [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4)],
+        )
 
 
 def brute_force_simplicial(ranks, covers) -> bool:
@@ -157,17 +152,22 @@ def ranked_posets(draw):
 @given(ranked_posets())
 def test_validation_matches_brute_force_on_small_ranked_posets(poset_data):
     ranks, covers = poset_data
-    poset = SimplicialPoset(ranks, covers)
-    assert poset.validate().valid == brute_force_simplicial(ranks, covers)
+    valid = brute_force_simplicial(ranks, covers)
+    try:
+        SimplicialPoset(ranks, covers)
+    except ValidationError as exc:
+        assert not valid, exc
+    else:
+        assert valid
 
 
 def test_parallel_sides_of_one_triangle_invalid():
     # every size is right (7 elements below 6, on 3 atoms), but 3 and 4 both join 0 and 1
-    poset = SimplicialPoset(
-        {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3},
-        [(0, 3), (1, 3), (0, 4), (1, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)],
-    )
-    assert poset.validate() == PosetValidation(False, "two elements below 6 share the same atom set", 6)
+    with pytest.raises(ValidationError, match="two elements below 6 share the same atom set"):
+        SimplicialPoset(
+            {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3},
+            [(0, 3), (1, 3), (0, 4), (1, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)],
+        )
 
 
 # -- face posets -------------------------------------------------------------------
@@ -327,7 +327,6 @@ def test_link_walk_on_double_circle_and_pinched_triangles(double_circle):
 
 def test_link_connectivity_joins_through_covers_not_atoms():
     poset = pinched_triangles()
-    assert poset.validate().valid
     # both facets above atom 0 also hold atom 1, but no element covering 0
     assert not hasse_connected(poset.link(0))
     assert not poset.links_connected()
@@ -418,10 +417,9 @@ def test_parallel_edges_give_one_neighbor(double_circle):
 
 
 def test_invalid_poset_has_no_1_skeleton():
-    poset = SimplicialPoset({0: 1, 1: 2}, [(0, 1)])  # a rank-2 element on one atom
-    for query in (poset.adjacency, poset.is_connected, poset.check_properties):
-        with pytest.raises(ValidationError, match="invalid simplicial poset"):
-            query()
+    # covers that run in a cycle: the table is refused before any query can run on it
+    with pytest.raises(ValidationError, match=r"^invalid simplicial poset: cover \(1, 0\) jumps"):
+        SimplicialPoset({0: 1, 1: 2}, [(0, 1), (1, 0)])
 
 
 # -- f/h-vectors ------------------------------------------------------------------------------
@@ -634,7 +632,6 @@ def test_group_of_double_circle_matches_order_complex(double_circle):
 
 def test_parallel_triangles_give_a_sphere():
     poset = two_tops_on_one_boundary()
-    assert poset.validate().valid
     assert poset.triangle_sides() == [(3, 5, 4), (3, 5, 4)]
     check_group_against_order_complex(poset)
     assert h1(poset).betti1 == 0

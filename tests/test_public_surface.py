@@ -1,4 +1,5 @@
-"""The names that outside code reaches by name stay where it looks for them.
+"""The names that outside code reaches by name stay where it looks for them, and the
+library imports nothing from outside the standard library.
 
 ``perfbench/tracer.py`` wraps its ``TARGETS`` on their owners: a function on
 its module, a ``Class.method`` in that class's own ``__dict__`` (an inherited
@@ -6,6 +7,7 @@ method is not patched there).  A name moved to a base class or another module
 would otherwise only show in the benchmark's traced runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -43,3 +45,16 @@ def test_tracer_target_is_bound_on_its_owner(layer, qual):
 @pytest.mark.parametrize("name", topokit.__all__)
 def test_public_name_resolves(name):
     assert getattr(topokit, name, None) is not None
+
+
+@pytest.mark.parametrize("path", sorted(Path(topokit.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {root}"
