@@ -24,6 +24,7 @@ from .errors import (
 )
 from .homology import h1
 from .pi1 import (
+    DEFAULT_TIETZE_ROUNDS,
     generator_bounds,
     poset_edge_path_group,
     require_full_palette,
@@ -33,8 +34,6 @@ from .pi1 import (
 )
 from .poset import SimplicialPoset
 from . import shapes
-
-DEFAULT_TIETZE_ROUNDS = 50
 
 
 def _tietze_rounds(value=None) -> int:
@@ -192,7 +191,7 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
         "upper_bound_within_h2": upper_bound_info,
     }
     if ns:
-        checks["ns_holds"] = h[2] - h[1] >= comb(d + 1, 2) * summary.betti1
+        checks["ns_holds"] = h2 - h[1] >= comb(d + 1, 2) * summary.betti1
     report = {
         "input": input_id,
         "kind": kind,

@@ -54,6 +54,9 @@ from .poset import SimplicialPoset
 
 ComplexEdge = tuple[int, int]
 
+# rounds of :func:`tietze_simplify` when no limit is given, in the library and the CLI
+DEFAULT_TIETZE_ROUNDS = 50
+
 
 class PosetEdge(NamedTuple):
     """An oriented traversal of a rank-2 element; ``elem`` is None for the
@@ -789,7 +792,7 @@ def _cyclic_canonical(word) -> tuple[int, ...]:
     return min((w[s:] + w[:s] for w in words for s in range(len(w))), default=())
 
 
-def tietze_simplify(presentation, max_rounds: int = 50) -> GroupPresentation:
+def tietze_simplify(presentation, max_rounds: int = DEFAULT_TIETZE_ROUNDS) -> GroupPresentation:
     """Bounded, deterministic presentation cleanup.
 
     Each round free- and cyclically reduces relators, drops empty ones,
@@ -914,7 +917,7 @@ def tietze_simplify(presentation, max_rounds: int = 50) -> GroupPresentation:
     return GroupPresentation(new_gens, new_rels, rounds, converged)
 
 
-def generator_bounds(complex, tietze_rounds: int = 50) -> dict:
+def generator_bounds(complex, tietze_rounds: int = DEFAULT_TIETZE_ROUNDS) -> dict:
     """Per color pair: selected h2, restricted and post-simplification
     generator counts; ``best`` is the smallest certified upper bound."""
     _require_pi1_ready(complex)

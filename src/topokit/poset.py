@@ -49,11 +49,11 @@ class SimplicialPoset(_Space):
         for v in map(_as_int, coloring or ()):
             if self._rank.get(v) != 1:
                 raise ValidationError(f"colored element {v} is not an atom")
-        self._attach(coloring, labels, self.atoms())
-        self._cache: dict = {}
-        reason = self._validate()
+        self._attach(coloring, labels, sorted(x for x, r in self._rank.items() if r == 1))
+        reason = self._index()
         if reason is not None:
             raise ValidationError(f"invalid simplicial poset: {reason}")
+        self._cache: dict = {}
 
     # -- accessors -------------------------------------------------------------
 
@@ -68,7 +68,7 @@ class SimplicialPoset(_Space):
     @property
     def d(self) -> int:
         """The largest rank, the poset analogue of a complex's facet size."""
-        return max(self._rank.values(), default=0)
+        return len(self._by_rank)  # every rank from 1 to the largest is occupied
 
     def rank(self, x: int) -> int:
         if x not in self._rank:
@@ -76,7 +76,7 @@ class SimplicialPoset(_Space):
         return self._rank[x]
 
     def elements_of_rank(self, r: int) -> tuple[int, ...]:
-        return tuple(sorted(x for x, rk in self._rank.items() if rk == r))
+        return self._by_rank.get(r, ())
 
     def atoms(self) -> tuple[int, ...]:
         return self.elements_of_rank(1)
@@ -103,32 +103,10 @@ class SimplicialPoset(_Space):
         sides = (sorted(self._down[t], key=self._down.get) for t in self.elements_of_rank(3))
         return [(ab, bc, ac) for ab, ac, bc in sides]
 
-    def down_set(self, x: int) -> frozenset[int]:
-        """All elements <= x (excluding the implicit bottom), memoized."""
-        return self._closure("down", self._down, x)
-
-    def up_set(self, x: int) -> frozenset[int]:
-        return self._closure("up", self._up, x)
-
-    def _closure(self, key, adjacency, x) -> frozenset[int]:
-        memo = self._cache.setdefault(key, {})
-        if x not in memo:
-            self.rank(x)
-            seen, stack = {x}, [x]
-            while stack:
-                for w in adjacency[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            memo[x] = frozenset(seen)
-        return memo[x]
-
     def atoms_of(self, x: int) -> frozenset[int]:
-        """The atoms below or at x, memoized."""
-        memo = self._cache.setdefault("atoms", {})
-        if x not in memo:
-            memo[x] = frozenset(y for y in self.down_set(x) if self._rank[y] == 1)
-        return memo[x]
+        """The atoms below or at x."""
+        self.rank(x)  # refuses an unknown id
+        return self._atoms[x]
 
     def color_set(self, x: int) -> frozenset[int]:
         if self._coloring is None:
@@ -142,27 +120,41 @@ class SimplicialPoset(_Space):
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self) -> str | None:
-        """The first structural invariant this table breaks, or None."""
+    def _index(self) -> str | None:
+        """Build ``_by_rank`` (the ids of each rank, ascending) and ``_atoms`` (each
+        element's atom set) in one pass in (rank, id) order, and return the first
+        invariant the table breaks, or None.
+
+        When x of rank k is reached, every element below it has passed.  Its interval
+        is then Boolean exactly when x covers k elements (none at k = 1) with pairwise
+        distinct atom sets and k atoms between them, and, for k >= 4, every two of them,
+        a on all of x's atoms but i and b on all but j, cover a common element c.
+        Proof: c lies on all atoms but i and j, so two elements below a and b on one
+        atom set lie below c (the intervals below a and b are Boolean) and are one.  At
+        k = 2 and 3, c is the bottom or the atom that a and b share, so it always exists.
+        """
         for lo, hi in self._covers:
             if self._rank[hi] != self._rank[lo] + 1:
                 return f"cover ({lo}, {hi}) jumps from rank {self._rank[lo]} to {self._rank[hi]}"
+        by_rank: dict[int, list[int]] = {}
+        self._atoms: dict[int, frozenset[int]] = {}
         for x in sorted(self._rank, key=lambda y: (self._rank[y], y)):
-            k = self._rank[x]
-            interval = self.down_set(x)
-            atoms = self.atoms_of(x)
+            k, below = self._rank[x], self._down[x]
+            atoms = frozenset().union(*map(self._atoms.get, below)) if k > 1 else frozenset((x,))
             if len(atoms) != k:
                 return f"element {x} of rank {k} has {len(atoms)} atoms below it"
-            if len(interval) != 2 ** k - 1:
-                return f"interval below {x} has {len(interval)} elements, expected {2 ** k - 1}"
-            # elements go in rank order, so every y below x has passed the size test
-            # already; with injectivity as well, the atom-set map is forced to be an
-            # order isomorphism onto the Boolean lattice
-            if len({self.atoms_of(y) for y in interval}) != len(interval):
+            if k > 1 and len(below) != k:
+                return f"element {x} of rank {k} covers {len(below)} elements, expected {k}"
+            if len(set(map(self._atoms.get, below))) < len(below) or k >= 4 and any(
+                set(self._down[a]).isdisjoint(self._down[b]) for a, b in combinations(below, 2)
+            ):
                 return f"two elements below {x} share the same atom set"
+            self._atoms[x] = atoms
+            by_rank.setdefault(k, []).append(x)
+        self._by_rank: dict[int, tuple[int, ...]] = {r: tuple(xs) for r, xs in by_rank.items()}
         if self._coloring is not None:
             for facet in self.maximal_elements():
-                cols = [self._coloring[a] for a in sorted(self.atoms_of(facet))]
+                cols = [self._coloring[a] for a in sorted(self._atoms[facet])]
                 if len(set(cols)) != len(cols):
                     return f"facet {facet} has repeated atom colors {cols}"
         return None
@@ -196,16 +188,17 @@ class SimplicialPoset(_Space):
         if x is None:
             return self
         base = self.rank(x)
-        members = self.up_set(x) - {x}
+        members, stack = set(), [x]
+        while stack:
+            for y in self._up[stack.pop()]:
+                if y not in members:
+                    members.add(y)
+                    stack.append(y)
         ranks = {y: self._rank[y] - base for y in members}
         coloring = None
-        if self._coloring is not None:
-            base_atoms = self.atoms_of(x)
-            coloring = {}
-            for y in sorted(members):
-                if ranks[y] == 1:
-                    extra = self.atoms_of(y) - base_atoms
-                    coloring[y] = self._coloring[next(iter(extra))]
+        if self._coloring is not None:  # an atom of the link adds one atom to x's
+            kappa, atoms = self._coloring, self._atoms
+            coloring = {y: kappa[min(atoms[y] - atoms[x])] for y in self._up[x]}
         return self._sub_poset(members, ranks, coloring)
 
     def rank_select(self, colors) -> "SimplicialPoset":

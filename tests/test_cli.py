@@ -211,6 +211,8 @@ INVALID_POSETS = {
     "cover-cycle": _poset({0: 1, 1: 1, 2: 2}, [[0, 2], [1, 2], [2, 0]]),
     "rank-2-on-one-atom": _poset({0: 1, 1: 2}, [[0, 1]]),
     "repeated-facet-colors": _poset({0: 1, 1: 1, 2: 2}, [[0, 2], [1, 2]], coloring={"0": 1, "1": 1}),
+    "rank-1e9": _poset({0: 10**9}, []),
+    "rank-3-without-covers": _poset({0: 1, 1: 1, 2: 1, 3: 3}, []),
 }
 
 
@@ -433,6 +435,23 @@ def test_verify_ns_reports_surface_failure(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path), "--ns")
     assert code == 1
     assert not json.loads(out)["checks"]["ns_holds"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"type": "complex", "facets": [[0]], "coloring": {"0": 1}},
+        {"type": "poset", "elements": [{"id": 0, "rank": 1}], "covers": [], "coloring": {"0": 1}},
+    ],
+    ids=["complex", "poset"],
+)
+def test_verify_ns_on_facet_size_1(tmp_path, capsys, data):
+    # the h-vector (1, 0) has no h2 entry, which the check reads as 0, as the bound does
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path), "--ns")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"]["ns_holds"]
 
 
 def test_verify_is_deterministic(tmp_path, capsys):

@@ -108,13 +108,13 @@ def brute_force_simplicial(ranks, covers) -> bool:
 
 @st.composite
 def ranked_posets(draw):
-    """Elements of ranks 1 to 3 whose covers go up one rank: either drawn freely, or the
+    """Elements of ranks 1 to 4 whose covers go up one rank: either drawn freely, or the
     face poset of a drawn complex with one cover dropped or added, or one element
     doubled (same lower covers) and the double put in place of another lower cover of
     an element above it, so that valid posets and near misses of every kind occur."""
     if draw(st.booleans()):
         layers = []
-        for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
             start = sum(map(len, layers))
             layers.append(range(start, start + size))
         ranks = {x: r for r, layer in enumerate(layers, 1) for x in layer}
@@ -127,7 +127,7 @@ def ranked_posets(draw):
             )
         }
         return ranks, covers
-    faces = st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)
+    faces = st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True)
     poset = face_poset(SimplicialComplex.from_faces(draw(st.lists(faces, max_size=6))))
     ranks = {x: poset.rank(x) for x in poset.ids}
     covers = set(poset.covers)
@@ -168,6 +168,24 @@ def test_parallel_sides_of_one_triangle_invalid():
             {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3},
             [(0, 3), (1, 3), (0, 4), (1, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)],
         )
+
+
+def test_triangles_over_parallel_edges_below_a_tetrahedron_invalid():
+    # triangle 0-1-3 covers a copy 15 of edge 0-1 instead of the edge: every element up
+    # to rank 3 has a Boolean interval and the tetrahedron 14 covers four triangles on
+    # distinct atom sets, but 0-1-2 and 0-1-3 cover no common edge
+    tetrahedron = face_poset(SimplicialComplex([(0, 1, 2, 3)]))
+    assert (tetrahedron.labels[4], tetrahedron.labels[11]) == ("0-1", "0-1-3")
+    ranks = {x: tetrahedron.rank(x) for x in tetrahedron.ids} | {15: 2}
+    covers = set(tetrahedron.covers) - {(4, 11)} | {(0, 15), (1, 15), (15, 11)}
+    SimplicialPoset(
+        {x: r for x, r in ranks.items() if x != 14}, [c for c in covers if 14 not in c]
+    )
+    with pytest.raises(
+        ValidationError,
+        match="^invalid simplicial poset: two elements below 14 share the same atom set$",
+    ):
+        SimplicialPoset(ranks, covers)
 
 
 # -- face posets -------------------------------------------------------------------
@@ -282,11 +300,21 @@ def hasse_connected(poset):
 def _link_tops(self, x) -> list[tuple[int, ...]]:
     """For each facet above ``x``, the elements covering ``x`` below it (the
     atoms when ``x`` is the bottom ``None``).  Covers, not atoms: two rank-2
-    elements may share their atoms without being joined in the link."""
+    elements may share their atoms without being joined in the link.  It walks the
+    lower covers itself, so it reads none of the poset's rank or atom tables."""
+    facets = []
+    for m in self._rank:
+        if not self._up[m]:
+            below, stack = {m}, [m]
+            while stack:
+                for y in self._down[stack.pop()]:
+                    if y not in below:
+                        below.add(y)
+                        stack.append(y)
+            facets.append(below)
     if x is None:
-        return [tuple(self.atoms_of(m)) for m in self.maximal_elements()]
-    facets = (m for m in self.up_set(x) if not self._up[m])
-    return [tuple(y for y in self._up[x] if y in self.down_set(m)) for m in facets]
+        return [tuple(y for y in below if not self._down[y]) for below in facets]
+    return [tuple(y for y in self._up[x] if y in below) for below in facets if x in below]
 
 
 def check_link_walk(poset):
