@@ -31,7 +31,12 @@ Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
 followed by its reverse, or inserting such a pair.  For simplicial posets
 the triangle witness is a rank-3 element and edges carry the id of the
-rank-2 element they traverse, which keeps parallel edges apart.
+rank-2 element they traverse, which keeps parallel edges apart.  A replay
+copies the checked source into one list and edits it in place, move by move,
+so its cost grows with the moves and the path length, not their product.
+Edge paths are read, type-checked, chained and looked up in one pass.  Vertex
+and element ids, positions and colors must be integers: a bool, float, string
+or None is refused, not converted.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -78,42 +84,64 @@ def _canon(u: int, v: int) -> ComplexEdge:
 
 
 def check_edge_path(space, path) -> tuple:
-    """Validate chaining and membership in ``space``; returns the path as a tuple.
+    """Read, type-check, chain and look up each edge of ``path`` in one pass; returns
+    the path as a tuple.
 
-    A complex edge is a vertex pair ``(u, v)``, a poset edge a :class:`PosetEdge`;
-    either way ``e[-2]`` and ``e[-1]`` are its endpoints.
+    A complex edge is a pair ``(u, v)`` of vertex ids, a poset edge a
+    :class:`PosetEdge` or an ``(elem, init, term)`` triple; either way ``e[-2]`` and
+    ``e[-1]`` are its endpoints.  Ids must be integers: bools, floats, strings and
+    None (but for a stationary poset edge's element) are refused, not converted.
     """
-    poset = isinstance(space, SimplicialPoset)
-    edges = tuple(_read_edge(poset, e) for e in path)
+    if isinstance(space, SimplicialPoset):
+        return tuple(_poset_path(space, path))
+    return tuple(_complex_path(space, space.face_set(), path))
+
+
+def _complex_path(complex, faces, path) -> list[ComplexEdge]:
+    """:func:`check_edge_path` on a complex with face set ``faces``, as a list."""
+    edges: list[ComplexEdge] = []
+    end = None  # the end of the last edge read
+    for raw in path:
+        e = raw if type(raw) is tuple else tuple(raw) if isinstance(raw, (tuple, list)) else ()
+        if len(e) != 2:
+            raise ValidationError(f"a complex edge is a pair of vertex ids, got {raw!r}")
+        u, v = e
+        if type(u) is not int or type(v) is not int:  # refuse bools, floats, strings, None
+            _as_int(u), _as_int(v)
+        if u != end and edges:
+            raise ValidationError(f"path breaks between {edges[-1]} and {e}")
+        # a miss goes to has_face, which rejects negative ids
+        face = e if u < v else (v, u) if u > v else (u,)
+        if face not in faces and not complex.has_face(face):
+            raise FaceNotFoundError(f"({u},{v}) is not an edge of the complex")
+        edges.append(e)
+        end = v
     if not edges:
         raise ValidationError("edge paths must be nonempty")
-    for e, nxt in zip(edges, edges[1:]):
-        if e[-1] != nxt[-2]:
-            raise ValidationError(f"path breaks between {e} and {nxt}")
-    faces = None if poset else space.face_set()
-    for e in edges:
-        if not poset:
-            u, v = e
-            face = (u,) if u == v else _canon(u, v)
-            # _read_edge made the ids ints, so a face_set hit needs no as_face;
-            # a miss goes to has_face, which rejects negative ids
-            if face not in faces and not space.has_face(face):
-                raise FaceNotFoundError(f"({u},{v}) is not an edge of the complex")
-        elif e.elem is None:
-            if e.init != e.term or space.rank(e.init) != 1:
-                raise ValidationError(f"{e} is not a stationary edge at an atom")
-        elif space.rank(e.elem) != 2:
-            raise ValidationError(f"element {e.elem} is not an edge element")
-        elif e.init == e.term or space.atoms_of(e.elem) != {e.init, e.term}:
-            raise ValidationError(f"{e} does not traverse element {e.elem}")
     return edges
 
 
-def _read_edge(poset: bool, e):
-    """A raw edge as a complex edge ``(u, v)`` or, in a poset, a :class:`PosetEdge`."""
-    if poset:
-        return PosetEdge(None if e[0] is None else int(e[0]), int(e[1]), int(e[2]))
-    return (int(e[0]), int(e[1]))
+def _poset_path(poset, path) -> list[PosetEdge]:
+    """:func:`check_edge_path` on a poset, as a list."""
+    edges: list[PosetEdge] = []
+    for raw in path:
+        if not isinstance(raw, (tuple, list)) or len(raw) != 3:
+            raise ValidationError(f"a poset edge is an (elem, init, term) triple, got {raw!r}")
+        elem, init, term = raw
+        e = PosetEdge(None if elem is None else _as_int(elem), _as_int(init), _as_int(term))
+        if elem is None:
+            if init != term or poset.rank(init) != 1:
+                raise ValidationError(f"{e} is not a stationary edge at an atom")
+        elif poset.rank(elem) != 2:
+            raise ValidationError(f"element {elem} is not an edge element")
+        elif init == term or poset.atoms_of(elem) != {init, term}:
+            raise ValidationError(f"{e} does not traverse element {elem}")
+        if edges and edges[-1].term != init:
+            raise ValidationError(f"path breaks between {edges[-1]} and {e}")
+        edges.append(e)
+    if not edges:
+        raise ValidationError("edge paths must be nonempty")
+    return edges
 
 
 def _reverse(e):
@@ -192,49 +220,55 @@ def _json_list(value, size=None):
     return value
 
 
-def _apply_move(space, path, move, triangle_move):
-    """Replay one move; ``triangle_move`` is the setting's expand/contract."""
+def _bad_move(move) -> ValidationError:
+    """Why ``move`` is not a (kind, pos, ...) tuple of a known kind, its size (two
+    entries for a cancel, three for every other kind) and an integer position."""
+    kinds = ("expand", "contract", "cancel", "insert")
+    if not isinstance(move, (tuple, list)) or not move:
+        return ValidationError(f"a move is a (kind, pos, ...) tuple, got {move!r}")
     kind = move[0]
-    if kind in ("expand", "contract"):
-        return triangle_move(space, path, move)
-    if kind == "cancel":
-        _, pos = move
-        if not 0 <= pos < len(path) - 1:
-            raise ValidationError("cancel position out of range")
-        if path[pos + 1] != _reverse(path[pos]):
-            raise ValidationError("cancel needs an edge followed by its reverse")
-        if len(path) == 2:
-            return (_stationary(path[pos]),)
-        return path[:pos] + path[pos + 2 :]
-    if kind == "insert":
-        _, pos, edge = move
-        (edge,) = check_edge_path(space, [edge])
-        if not 0 <= pos <= len(path):
-            raise ValidationError("insert position out of range")
-        junction = path[pos][-2] if pos < len(path) else path[-1][-1]
-        if junction != edge[-2]:
-            raise ValidationError("inserted pair does not chain with the path")
-        return path[:pos] + (edge, _reverse(edge)) + path[pos:]
-    raise ValidationError(f"unknown move kind {kind!r}")
+    if kind not in kinds:
+        return ValidationError(f"unknown move kind {kind!r}")
+    size = 2 if kind == "cancel" else 3
+    if len(move) != size:
+        return ValidationError(f"a {kind!r} move has {size} entries, got {move!r}")
+    return ValidationError(f"move position must be an integer, got {move[1]!r}")
 
 
-def _triangle_move_complex(complex, path, move):
-    """Expand ``a -> c`` into ``a -> b -> c`` or contract it back, for the ordered
-    witness ``(a, b, c)``; ``(u, mid, u)`` contracts ``u -> mid -> u`` to ``(u, u)``."""
-    kind, pos, witness = move
-    if len(witness) != 3:
-        raise ValidationError(f"witness {list(witness)} does not name three vertices")
-    a, b, c = witness
-    witness = tuple(sorted({a, b, c}))
-    if witness not in complex.face_set() and not complex.has_face(witness):
-        raise ValidationError(f"witness {list(witness)} is not a face")
-    if kind == "expand":
-        if not 0 <= pos < len(path) or path[pos] != (a, c):
-            raise ValidationError(f"expand at {pos} does not match the path")
-        return path[:pos] + ((a, b), (b, c)) + path[pos + 1 :]
-    if not 0 <= pos < len(path) - 1 or path[pos] != (a, b) or path[pos + 1] != (b, c):
-        raise ValidationError(f"contract at {pos} does not match the path")
-    return path[:pos] + ((a, c),) + path[pos + 2 :]
+def _complex_moves(complex):
+    """The path reader and the in-place expand/contract of a complex, both on one read
+    of its face set.  For the ordered witness ``(a, b, c)``, expand turns ``a -> c``
+    into ``a -> b -> c`` and contract turns it back; ``(u, mid, u)`` contracts
+    ``u -> mid -> u`` to ``(u, u)``."""
+    faces = complex.face_set()
+
+    def triangle(path, kind, pos, witness):
+        if not isinstance(witness, (tuple, list)) or len(witness) != 3:
+            shown = list(witness) if isinstance(witness, (tuple, list)) else repr(witness)
+            raise ValidationError(f"witness {shown} does not name three vertices")
+        a, b, c = witness
+        if type(a) is not int or type(b) is not int or type(c) is not int:  # as for edges
+            _as_int(a), _as_int(b), _as_int(c)
+        x, y, z = a, b, c  # sorted, then deduplicated: (u, mid, u) names the edge {u, mid}
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        face = (x, y, z) if x != y != z else (x, z) if x != z else (x,)
+        if face not in faces and not complex.has_face(face):
+            raise ValidationError(f"witness {list(face)} is not a face")
+        if kind == "expand":
+            if not 0 <= pos < len(path) or path[pos] != (a, c):
+                raise ValidationError(f"expand at {pos} does not match the path")
+            path[pos : pos + 1] = ((a, b), (b, c))
+        elif not 0 <= pos < len(path) - 1 or path[pos] != (a, b) or path[pos + 1] != (b, c):
+            raise ValidationError(f"contract at {pos} does not match the path")
+        else:
+            path[pos : pos + 2] = ((a, c),)
+
+    return partial(_complex_path, complex, faces), triangle
 
 
 def _rank3_sides(poset, sigma) -> dict[frozenset[int], int]:
@@ -244,55 +278,82 @@ def _rank3_sides(poset, sigma) -> dict[frozenset[int], int]:
     return {poset.atoms_of(e): e for e in poset._down[sigma]}
 
 
-def _triangle_move_poset(poset, path, move):
-    """Expand one edge into two, or contract two into one, across a rank-3 witness."""
-    kind, pos, sigma = move
-    if kind == "expand":
-        if not 0 <= pos < len(path):
-            raise ValidationError("expand position out of range")
-        cur = path[pos]
-        if cur.elem is None:
-            raise ValidationError("cannot expand a stationary edge across a triangle")
+def _poset_moves(poset):
+    """The path reader and the in-place expand of one edge into two, or contraction
+    of two into one, across a rank-3 witness, of a poset."""
+
+    def triangle(path, kind, pos, sigma):
+        sigma = _as_int(sigma)
+        if kind == "expand":
+            if not 0 <= pos < len(path):
+                raise ValidationError("expand position out of range")
+            cur = path[pos]
+            if cur.elem is None:
+                raise ValidationError("cannot expand a stationary edge across a triangle")
+            sides = _rank3_sides(poset, sigma)
+            if cur.elem not in sides.values():
+                raise ValidationError(f"edge element {cur.elem} is not a side of {sigma}")
+            x, z = cur.init, cur.term
+            (y,) = poset.atoms_of(sigma) - {x, z}
+            first, second = sides[frozenset((x, y))], sides[frozenset((y, z))]
+            path[pos : pos + 1] = (PosetEdge(first, x, y), PosetEdge(second, y, z))
+            return
+        if not 0 <= pos < len(path) - 1:
+            raise ValidationError("contract position out of range")
+        e1, e2 = path[pos], path[pos + 1]
+        if e1.elem is None or e2.elem is None or e1.elem == e2.elem:
+            raise ValidationError("contract needs two distinct edge elements")
         sides = _rank3_sides(poset, sigma)
-        if cur.elem not in sides.values():
-            raise ValidationError(f"edge element {cur.elem} is not a side of {sigma}")
-        x, z = cur.init, cur.term
-        (y,) = poset.atoms_of(sigma) - {x, z}
-        first, second = sides[frozenset((x, y))], sides[frozenset((y, z))]
-        return path[:pos] + (PosetEdge(first, x, y), PosetEdge(second, y, z)) + path[pos + 1 :]
-    if not 0 <= pos < len(path) - 1:
-        raise ValidationError("contract position out of range")
-    e1, e2 = path[pos], path[pos + 1]
-    if e1.elem is None or e2.elem is None or e1.elem == e2.elem:
-        raise ValidationError("contract needs two distinct edge elements")
-    sides = _rank3_sides(poset, sigma)
-    x, y, z = e1.init, e1.term, e2.term
-    if {x, y, z} != poset.atoms_of(sigma):
-        raise ValidationError("triangle atoms do not match the contracted edges")
-    if e1.elem not in sides.values() or e2.elem not in sides.values():
-        raise ValidationError("contracted edges are not sides of the witness")
-    return path[:pos] + (PosetEdge(sides[frozenset((x, z))], x, z),) + path[pos + 2 :]
+        x, y, z = e1.init, e1.term, e2.term
+        if {x, y, z} != poset.atoms_of(sigma):
+            raise ValidationError("triangle atoms do not match the contracted edges")
+        if e1.elem not in sides.values() or e2.elem not in sides.values():
+            raise ValidationError("contracted edges are not sides of the witness")
+        path[pos : pos + 2] = (PosetEdge(sides[frozenset((x, z))], x, z),)
+
+    return partial(_poset_path, poset), triangle
 
 
-# setting -> (space type, expand/contract replay)
+# setting -> (space type, its path reader and in-place expand/contract)
 _SETTINGS = {
-    "complex": (SimplicialComplex, _triangle_move_complex),
-    "poset": (SimplicialPoset, _triangle_move_poset),
+    "complex": (SimplicialComplex, _complex_moves),
+    "poset": (SimplicialPoset, _poset_moves),
 }
 
 
 def apply_certificate(space, source, certificate: Certificate):
-    """Replay every move on ``source``; raises on the first invalid move."""
+    """Replay every move on ``source``, editing one list in place; raises on the
+    first invalid move and returns the final path as a tuple."""
     setting = certificate.setting
     if setting not in _SETTINGS:
         raise ValidationError(f"unknown certificate setting {setting!r}")
-    space_type, triangle_move = _SETTINGS[setting]
+    space_type, setting_moves = _SETTINGS[setting]
     if not isinstance(space, space_type):
         raise ValidationError(f"{setting} certificate needs a simplicial {setting}")
-    path = check_edge_path(space, source)
+    read_path, triangle = setting_moves(space)
+    path = read_path(source)
     for move in certificate.moves:
-        path = _apply_move(space, path, move, triangle_move)
-    return path
+        # a position is an int but not a bool, as _as_int reads it
+        match move:
+            case ("expand" | "contract" as kind, int() as pos, witness) if type(pos) is not bool:
+                triangle(path, kind, pos, witness)
+            case ("cancel", int() as pos) if type(pos) is not bool:
+                if not 0 <= pos < len(path) - 1:
+                    raise ValidationError("cancel position out of range")
+                if path[pos + 1] != _reverse(path[pos]):
+                    raise ValidationError("cancel needs an edge followed by its reverse")
+                path[pos : pos + 2] = () if len(path) > 2 else (_stationary(path[pos]),)
+            case ("insert", int() as pos, edge) if type(pos) is not bool:
+                (edge,) = read_path((edge,))
+                if not 0 <= pos <= len(path):
+                    raise ValidationError("insert position out of range")
+                junction = path[pos][-2] if pos < len(path) else path[-1][-1]
+                if junction != edge[-2]:
+                    raise ValidationError("inserted pair does not chain with the path")
+                path[pos:pos] = (edge, _reverse(edge))
+            case _:
+                raise _bad_move(move)
+    return tuple(path)
 
 
 def verify_certificate(space, source, target, certificate: Certificate) -> bool:
@@ -359,7 +420,7 @@ def _require_pi1_ready(complex: SimplicialComplex, colors=None) -> frozenset | N
         raise PropertyError(f"pure/balanced/connected-links checks failed: {report.as_dict()}")
     if colors is None:
         return None
-    colors = frozenset(int(c) for c in colors)
+    colors = frozenset(_as_int(c) for c in colors)
     if len(colors) != 2 or not colors <= set(palette):
         raise ValidationError(f"need exactly two palette colors, got {sorted(colors)}")
     return colors

@@ -212,8 +212,10 @@ class SimplicialPoset(_Space):
         return self._sub_poset(members, ranks, coloring)
 
     def _sub_poset(self, members, ranks, coloring) -> "SimplicialPoset":
-        """The elements ``members`` with the given ranks and the covers among them."""
-        covers = [(lo, hi) for lo, hi in self._covers if lo in members and hi in members]
+        """The elements ``members`` with the given ranks and the covers among them,
+        read from the members' own lower covers."""
+        down = self._down
+        covers = [(lo, hi) for hi in members for lo in down[hi] if lo in members]
         labels = (
             {x: self._labels[x] for x in members if x in self._labels}
             if self._labels

@@ -114,8 +114,9 @@ def h_from_f_by_polynomial(f, lam):
     return sum(f[i] * (lam - 1) ** (d - i) for i in range(d + 1))
 
 
-def random_closed_path(complex, root, rng, max_steps=12):
-    """Deterministic pseudo-random closed walk: wander, then return by BFS tree."""
+def random_closed_path(complex, root, rng, max_steps=12, min_steps=3):
+    """Deterministic pseudo-random closed walk: wander ``min_steps`` to ``max_steps``
+    edges, then return by BFS tree."""
     adjacency = complex.adjacency()
     parent = {root: None}
     queue = [root]
@@ -127,7 +128,7 @@ def random_closed_path(complex, root, rng, max_steps=12):
                 queue.append(w)
     current = root
     edges = []
-    for _ in range(rng.randint(3, max_steps)):
+    for _ in range(rng.randint(min_steps, max_steps)):
         neighbors = adjacency[current]
         if not neighbors:
             break

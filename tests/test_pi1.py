@@ -1009,6 +1009,36 @@ REJECTED_REPLAYS = [
     ("triangle", (E(3, 0, 1),), (("insert", 0, E(5, 1, 2)),), "inserted pair does not chain with the path"),
     ("triangle", (E(3, 0, 1),), (("flip", 0),), "unknown move kind 'flip'"),
     ("octahedron", ((0, 2),), (("expand", 0, (0, 2)),), r"witness \[0, 2\] does not name three vertices"),
+    # ids that are not integers are refused, not converted
+    ("octahedron", ((0.9, 2.2),), (), "expected an integer, got 0.9"),
+    ("octahedron", (("0", "2"),), (), "expected an integer, got '0'"),
+    ("octahedron", ((True, 2),), (), "expected an integer, got True"),
+    ("octahedron", ((None, 2),), (), "expected an integer, got None"),
+    ("octahedron", ((0, 2, 99),), (), r"a complex edge is a pair of vertex ids, got \(0, 2, 99\)"),
+    ("octahedron", ((0,),), (), r"a complex edge is a pair of vertex ids, got \(0,\)"),
+    ("octahedron", (5,), (), "a complex edge is a pair of vertex ids, got 5"),
+    ("octahedron", ((0, 2),), (("expand", 0, (0, 4.0, 2)),), "expected an integer, got 4.0"),
+    ("octahedron", ((0, 2),), (("expand", 0, 7),), "witness 7 does not name three vertices"),
+    ("octahedron", ((0, 2),), (("insert", 1, (2.0, 4)),), "expected an integer, got 2.0"),
+    ("triangle", ((3.0, 0, 1),), (), "expected an integer, got 3.0"),
+    ("triangle", ((3, 0, True),), (), "expected an integer, got True"),
+    ("triangle", ((None, "0", "0"),), (), "expected an integer, got '0'"),
+    ("triangle", ((3, 0),), (), r"a poset edge is an \(elem, init, term\) triple, got \(3, 0\)"),
+    ("triangle", (E(5, 1, 2),), (("expand", 0, 6.0),), "expected an integer, got 6.0"),
+    ("triangle", (E(3, 0, 1),), (("insert", 1, (5, 1)),), r"triple, got \(5, 1\)"),
+    # malformed moves: each is refused, so verify_certificate returns False
+    ("octahedron", ((0, 2),), (("expand", 0.5, (0, 4, 2)),), "move position must be an integer, got 0.5"),
+    ("octahedron", ((0, 2),), (("expand", True, (0, 4, 2)),), "move position must be an integer, got True"),
+    ("octahedron", ((0, 2), (2, 0)), (("cancel", "a"),), "move position must be an integer, got 'a'"),
+    ("octahedron", ((0, 2),), (("expand", 0, (0, 4, 2), 9),), "'expand' move has 3 entries"),
+    ("octahedron", ((0, 2), (2, 0)), (("cancel",),), "'cancel' move has 2 entries"),
+    ("octahedron", ((0, 2),), (("insert", 0, (0,)),), r"a complex edge is a pair of vertex ids, got \(0,\)"),
+    ("octahedron", ((0, 2),), ((),), r"a move is a \(kind, pos, ...\) tuple, got \(\)"),
+    ("octahedron", ((0, 2),), ("cancel",), "a move is a .* tuple, got 'cancel'"),
+    ("octahedron", ((0, 2),), (None,), "a move is a .* tuple, got None"),
+    ("octahedron", ((0, 2),), ((["expand"], 0, (0, 4, 2)),), r"unknown move kind \['expand'\]"),
+    ("triangle", (E(5, 1, 2),), (("expand", 0.0, 6),), "move position must be an integer, got 0.0"),
+    ("triangle", (E(5, 1, 2),), (("contract", 0),), "'contract' move has 3 entries"),
 ]
 
 ACCEPTED_REPLAYS = [
@@ -1099,3 +1129,22 @@ def test_replay_checks_the_space_matches_the_setting(double_circle):
         apply_certificate(octahedron, (E(2, 0, 1),), Certificate("poset", ()))
     with pytest.raises(ValidationError, match="unknown certificate setting"):
         apply_certificate(octahedron, ((0, 2),), Certificate("graph", ()))
+
+
+def test_certificate_does_not_verify_against_a_float_source():
+    octahedron = shapes.cross_polytope(3)
+    rewritten, cert = rewrite_path_to_colors(octahedron, {1, 2}, [(0, 4), (4, 2)])
+    assert verify_certificate(octahedron, [(0, 4), (4, 2)], rewritten, cert)
+    assert not verify_certificate(octahedron, [(0.0, 4.9), (4.2, 2)], rewritten, cert)
+    assert not verify_certificate(octahedron, [(0, 4), (4, 2)], [tuple(map(float, e)) for e in rewritten], cert)
+    with pytest.raises(ValidationError, match="expected an integer, got 0.0"):
+        rewrite_path_to_colors(octahedron, {1, 2}, [(0.0, 4.9), (4.2, 2)])
+
+
+@pytest.mark.parametrize("colors,bad", [((1.9, 2.7), "1.9"), ((True, 2), "True"), (("1", "2"), "'1'"), ((1, None), "None")])
+def test_colors_are_refused_not_converted(colors, bad):
+    octahedron = shapes.cross_polytope(3)
+    with pytest.raises(ValidationError, match=f"expected an integer, got {bad}"):
+        rewrite_path_to_colors(octahedron, colors, [(0, 4), (4, 2)])
+    with pytest.raises(ValidationError, match=f"expected an integer, got {bad}"):
+        build_nested_tree(octahedron, colors)

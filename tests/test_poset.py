@@ -111,7 +111,9 @@ def ranked_posets(draw):
     """Elements of ranks 1 to 4 whose covers go up one rank: either drawn freely, or the
     face poset of a drawn complex with one cover dropped or added, or one element
     doubled (same lower covers) and the double put in place of another lower cover of
-    an element above it, so that valid posets and near misses of every kind occur."""
+    an element above it, or in place of the element it copies below one element above
+    it (below a tetrahedron, only the pairwise rank >= 4 condition refuses that), so
+    that valid posets and near misses of every kind occur."""
     if draw(st.booleans()):
         layers = []
         for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
@@ -131,17 +133,20 @@ def ranked_posets(draw):
     poset = face_poset(SimplicialComplex.from_faces(draw(st.lists(faces, max_size=6))))
     ranks = {x: poset.rank(x) for x in poset.ids}
     covers = set(poset.covers)
-    mutation = draw(st.sampled_from(["none", "drop", "add", "double"]))
+    mutation = draw(st.sampled_from(["none", "drop", "add", "double", "split"]))
     if mutation == "drop" and covers:
         covers.discard(draw(st.sampled_from(sorted(covers))))
     pairs = sorted((lo, hi) for lo in ranks for hi in ranks if ranks[hi] == ranks[lo] + 1)
     if mutation == "add" and pairs:
         covers.add(draw(st.sampled_from(pairs)))
-    if mutation == "double" and ranks:
+    if mutation in ("double", "split") and ranks:
         x, double = draw(st.sampled_from(sorted(ranks))), len(ranks)
         ranks[double] = ranks[x]
         covers |= {(lo, double) for lo, hi in covers if hi == x}
-        others = sorted((y, hi) for y, hi in covers if (x, hi) in covers and y != x)
+        if mutation == "double":
+            others = sorted((y, hi) for y, hi in covers if (x, hi) in covers and y != x)
+        else:
+            others = sorted((y, hi) for y, hi in covers if y == x)
         if others:
             y, hi = draw(st.sampled_from(others))
             covers ^= {(y, hi), (double, hi)}
