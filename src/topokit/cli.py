@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from itertools import combinations
 from math import comb
 
+from . import _read, shapes
 from .complex import SimplicialComplex, h_additivity_table, selected_h
 from .errors import (
     ContractViolationError,
@@ -33,30 +35,17 @@ from .pi1 import (
     verify_certificate,
 )
 from .poset import SimplicialPoset
-from . import shapes
-
-
-def _tietze_rounds(value=None) -> int:
-    """``--tietze-rounds``, else the default; a non-integer or negative value is
-    invalid input."""
-    if value is None:
-        return DEFAULT_TIETZE_ROUNDS
-    try:
-        rounds = int(value)
-    except ValueError:
-        rounds = None
-    if rounds is None or rounds < 0:
-        raise ValidationError(f"tietze rounds must be a nonnegative integer, got {value!r}")
-    return rounds
 
 
 def load_input(path: str):
     """Parse a JSON file into a complex or a poset, keyed on its "type"."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"expected a file path, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
-        raise ValidationError(f"cannot decode {path}: {exc}") from None
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 JSON, too deep
+        raise ValidationError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("input JSON must be an object")
     kind = data.get("type")
@@ -97,46 +86,46 @@ def hvec_report(obj) -> dict:
 # -- pi1 ------------------------------------------------------------------------
 
 
-def _convergence(simplified) -> dict:
-    """Rounds a Tietze run used and whether it reached a fixpoint."""
-    return {"tietze_rounds": simplified.rounds, "tietze_converged": simplified.converged}
+def _run(obj, rounds, pair=None) -> tuple:
+    """The bound stages both reports read, each run once, in this order: the simplified
+    presentations (each color pair's for a complex, by :func:`generator_bounds`; the
+    edge-path group's for a poset), the pi1 report's check of its ``pair``, then H1.
+    Returns the rows by pair (None for a poset), the upper bound, the presentation of
+    ``pair`` (or of the poset) and the H1 summary."""
+    if isinstance(obj, SimplicialPoset):
+        simplified = tietze_simplify(poset_edge_path_group(obj), rounds)
+        rows, upper, chosen = None, len(simplified.generators), simplified
+    else:
+        bounds = generator_bounds(obj, rounds)
+        per_pair = bounds["per_pair"]
+        if pair is not None and pair not in per_pair:
+            raise ValidationError(f"no color pair {pair} in the palette")
+        rows = {
+            key: {k: val[k] for k in ("h2_selected", "generators", "post_tietze")}
+            | {"tietze_rounds": val["presentation"].rounds, "tietze_converged": val["presentation"].converged}
+            for key, val in per_pair.items()
+        }
+        upper, chosen = bounds["best"], pair and per_pair[pair]["presentation"]
+    return rows, upper, chosen, h1(obj)
 
 
 def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
-    rounds = _tietze_rounds(tietze_rounds)
-    if isinstance(obj, SimplicialPoset) and colors is not None:
+    rounds = DEFAULT_TIETZE_ROUNDS if tietze_rounds is None else _read.rounds(tietze_rounds)
+    poset = isinstance(obj, SimplicialPoset)
+    if poset and colors is not None:
         raise ValidationError("--colors applies to complexes only")
     require_full_palette(obj)
-    if isinstance(obj, SimplicialPoset):
-        simplified = tietze_simplify(poset_edge_path_group(obj), rounds)
-        return {
-            "kind": "poset",
-            "presentation": simplified.render(),
-            "generators": len(simplified.generators),
-            "min_generators_lower_bound": h1(obj).min_generators,
-            "min_generators_upper_bound": len(simplified.generators),
-        }
-    bounds = generator_bounds(obj, rounds)
-    pair = tuple(sorted(colors) if colors is not None else obj.colors[:2])
-    if pair not in bounds["per_pair"]:
-        raise ValidationError(f"no color pair {pair} in the palette")
-    entry = bounds["per_pair"][pair]
-    lower = h1(obj).min_generators
+    pair = None if poset else tuple(sorted(_read.ids(colors)) if colors is not None else obj.colors[:2])
+    rows, upper, presentation, summary = _run(obj, rounds, pair)
+    per_pair = {"-".join(map(str, key)): row for key, row in (rows or {}).items()}
+    head = {"kind": "poset"} if poset else {"kind": "complex", "colors": list(pair)}
+    body = {"generators": upper} if poset else {"per_pair": per_pair}
     return {
-        "kind": "complex",
-        "colors": list(pair),
-        "presentation": entry["presentation"].render(),
-        "per_pair": {
-            "-".join(map(str, key)): {
-                "h2_selected": val["h2_selected"],
-                "generators": val["generators"],
-                "post_tietze": val["post_tietze"],
-                **_convergence(val["presentation"]),
-            }
-            for key, val in bounds["per_pair"].items()
-        },
-        "min_generators_lower_bound": lower,
-        "min_generators_upper_bound": bounds["best"],
+        **head,
+        "presentation": presentation.render(),
+        **body,
+        "min_generators_lower_bound": summary.min_generators,
+        "min_generators_upper_bound": upper,
     }
 
 
@@ -149,7 +138,7 @@ poset_h_additivity = h_additivity_table
 
 def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
     """The machine-readable bound report for one complex or poset."""
-    rounds = _tietze_rounds(tietze_rounds)
+    rounds = DEFAULT_TIETZE_ROUNDS if tietze_rounds is None else _read.rounds(tietze_rounds)
     start = time.perf_counter()
     props = obj.check_properties()
     if not props.all_hold:
@@ -157,10 +146,9 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
     d = obj.d
     h = obj.h_vector()
     additivity = h_additivity_table(obj)
-    summary = h1(obj)
-    if isinstance(obj, SimplicialPoset):
+    rows, upper, _, summary = _run(obj, rounds)
+    if rows is None:
         kind = "poset"
-        upper = len(tietze_simplify(poset_edge_path_group(obj), rounds).generators)
         # with all d colors on every facet, each pair selects a poset of rank 2
         per_table = [
             {"colors": list(p), "h2_selected": selected_h(obj.flag_f_vector(), p), "post_tietze": None}
@@ -168,27 +156,18 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
         ]
     else:
         kind = "complex"
-        bounds = generator_bounds(obj, rounds)
-        upper = bounds["best"]
         per_table = [
-            {
-                "colors": list(pair),
-                "h2_selected": entry["h2_selected"],
-                "post_tietze": entry["post_tietze"],
-                **_convergence(entry["presentation"]),
-            }
-            for pair, entry in bounds["per_pair"].items()
+            {"colors": list(pair), **{k: v for k, v in row.items() if k != "generators"}}
+            for pair, row in rows.items()
         ]
 
     lower = summary.min_generators
     h2 = h[2] if len(h) > 2 else 0
     pairs = comb(d, 2)
-    bound_holds = pairs * lower <= h2
-    upper_bound_info = pairs * upper <= h2
     checks = {
         "h_additivity_holds": additivity["holds"],
-        "bound_holds": bound_holds,
-        "upper_bound_within_h2": upper_bound_info,
+        "bound_holds": pairs * lower <= h2,
+        "upper_bound_within_h2": pairs * upper <= h2,
     }
     if ns:
         checks["ns_holds"] = h2 - h[1] >= comb(d + 1, 2) * summary.betti1
@@ -204,10 +183,7 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
         "checks": checks,
         "timing_seconds": round(time.perf_counter() - start, 6),
     }
-    mandatory = checks["h_additivity_holds"] and checks["bound_holds"]
-    if ns:
-        mandatory = mandatory and checks["ns_holds"]
-    report["ok"] = mandatory
+    report["ok"] = checks["h_additivity_holds"] and checks["bound_holds"] and checks.get("ns_holds", True)
     return report
 
 
@@ -218,12 +194,11 @@ def generate_shape(shape: str, dim=None, n=None, copies=None):
     if shape == "cross-polytope":
         if dim is None:
             raise ValidationError("cross-polytope needs --dim")
-        return shapes.cross_polytope(int(dim))
+        return shapes.cross_polytope(_read.integer(dim))
     if shape == "cycle":
         if n is None:
             raise ValidationError("cycle needs --n")
-        n = int(n)
-        if n % 2:
+        if _read.integer(n) % 2:
             raise ValidationError("cycle length must be even to admit the alternating coloring")
         return shapes.cycle_complex(n)
     if shape == "sd-torus":
@@ -235,7 +210,7 @@ def generate_shape(shape: str, dim=None, n=None, copies=None):
     if shape == "connected-sum":
         if copies is None:
             raise ValidationError("connected-sum needs --copies")
-        return shapes.octahedron_sum(int(copies))
+        return shapes.octahedron_sum(_read.integer(copies))
     raise ValidationError(f"unknown shape {shape!r}")
 
 
@@ -243,6 +218,7 @@ def generate_shape(shape: str, dim=None, n=None, copies=None):
 
 
 def rewrite_report(complex, vertex_list, colors) -> dict:
+    vertex_list = _read.ids(vertex_list)
     if len(vertex_list) < 2:
         raise ValidationError("--path needs at least two vertices")
     path = list(zip(vertex_list, vertex_list[1:]))
@@ -261,14 +237,9 @@ def rewrite_report(complex, vertex_list, colors) -> dict:
 # -- argument plumbing --------------------------------------------------------------
 
 
-def _parse_colors(text):
-    try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"bad --colors value {text!r}") from exc
-    if len(parts) != 2:
-        raise ValidationError("--colors needs exactly two comma-separated colors")
-    return parts
+def _rounds_text(text):
+    """``--tietze-rounds`` read as one integer, or None for the default."""
+    return None if text is None else _read.text_ints(text, "tietze rounds", 1)[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,100 +249,67 @@ def build_parser() -> argparse.ArgumentParser:
         "for simplicial complexes and posets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run the property checks")
-    p_check.add_argument("file")
-    p_check.add_argument("-o", metavar="FILE", dest="out")
-
-    p_hvec = sub.add_parser("hvec", help="print f- and h-vectors")
-    p_hvec.add_argument("file")
-    p_hvec.add_argument("-o", metavar="FILE", dest="out")
-
-    p_pi1 = sub.add_parser("pi1", help="presentation and generator bounds")
-    p_pi1.add_argument("file")
-    p_pi1.add_argument("--colors", metavar="A,B")
-    p_pi1.add_argument("--tietze-rounds", dest="tietze_rounds")
-    p_pi1.add_argument("-o", metavar="FILE", dest="out")
-
-    p_verify = sub.add_parser("verify", help="verify the h-vector bound inequalities")
-    p_verify.add_argument("file")
-    p_verify.add_argument("--ns", action="store_true")
-    p_verify.add_argument("--tietze-rounds", dest="tietze_rounds")
-    p_verify.add_argument("-o", metavar="FILE", dest="out")
-
-    p_gen = sub.add_parser("gen", help="emit a canonical instance as JSON")
-    p_gen.add_argument(
-        "--shape",
-        required=True,
-        choices=[
-            "cross-polytope",
-            "cycle",
-            "sd-torus",
-            "sd-rp2",
-            "double-circle",
-            "connected-sum",
-        ],
-    )
-    p_gen.add_argument("--dim", type=int)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--copies", type=int)
-    p_gen.add_argument("-o", metavar="FILE", dest="out")
-
-    p_rw = sub.add_parser("rewrite", help="rewrite an edge path into two colors")
-    p_rw.add_argument("file")
-    p_rw.add_argument("--path", required=True, metavar="V0,V1,...")
-    p_rw.add_argument("--colors", required=True, metavar="A,B")
-    p_rw.add_argument("-o", metavar="FILE", dest="out")
+    helps = {
+        "check": "run the property checks",
+        "hvec": "print f- and h-vectors",
+        "pi1": "presentation and generator bounds",
+        "verify": "verify the h-vector bound inequalities",
+        "gen": "emit a canonical instance as JSON",
+        "rewrite": "rewrite an edge path into two colors",
+    }
+    cmd = {name: sub.add_parser(name, help=text) for name, text in helps.items()}
+    for name in ("check", "hvec", "pi1", "verify", "rewrite"):
+        cmd[name].add_argument("file")
+    cmd["pi1"].add_argument("--colors", metavar="A,B")
+    cmd["pi1"].add_argument("--tietze-rounds", dest="tietze_rounds")
+    cmd["verify"].add_argument("--ns", action="store_true")
+    cmd["verify"].add_argument("--tietze-rounds", dest="tietze_rounds")
+    shape_names = ["cross-polytope", "cycle", "sd-torus", "sd-rp2", "double-circle", "connected-sum"]
+    cmd["gen"].add_argument("--shape", required=True, choices=shape_names)
+    for flag in ("--dim", "--n", "--copies"):
+        cmd["gen"].add_argument(flag, type=int)
+    cmd["rewrite"].add_argument("--path", required=True, metavar="V0,V1,...")
+    cmd["rewrite"].add_argument("--colors", required=True, metavar="A,B")
+    for p in cmd.values():
+        p.add_argument("-o", metavar="FILE", dest="out")
     return parser
 
 
 _parser = functools.cache(build_parser)  # one parser per process; build_parser() stays fresh
 
 
+# the report field that reads false when a command's verified check fails (exit 1)
+_VERDICTS = {"check": "all_hold", "verify": "ok", "rewrite": "verified"}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "check":
-            report = check_report(load_input(args.file))
-            _emit(report, args.out)
-            return 0 if report["all_hold"] else 1
-        if args.command == "hvec":
-            _emit(hvec_report(load_input(args.file)), args.out)
-            return 0
-        if args.command == "pi1":
-            colors = _parse_colors(args.colors) if args.colors else None
-            report = pi1_report(load_input(args.file), colors, args.tietze_rounds)
-            _emit(report, args.out)
-            return 0
-        if args.command == "verify":
-            obj = load_input(args.file)
-            report = verification_report(
-                obj, input_id=args.file, ns=args.ns, tietze_rounds=args.tietze_rounds
-            )
-            _emit(report, args.out)
-            return 0 if report["ok"] else 1
         if args.command == "gen":
-            obj = generate_shape(args.shape, args.dim, args.n, args.copies)
-            _emit(obj.to_json(), args.out)
-            return 0
-        if args.command == "rewrite":
+            report = generate_shape(args.shape, args.dim, args.n, args.copies).to_json()
+        elif args.command == "pi1":
+            colors = _read.text_ints(args.colors, "--colors", 2) if args.colors else None
+            report = pi1_report(load_input(args.file), colors, _rounds_text(args.tietze_rounds))
+        elif args.command in ("check", "hvec"):
+            report = (check_report if args.command == "check" else hvec_report)(load_input(args.file))
+        elif args.command == "verify":
+            obj = load_input(args.file)
+            rounds = _rounds_text(args.tietze_rounds)
+            report = verification_report(obj, input_id=args.file, ns=args.ns, tietze_rounds=rounds)
+        else:
             obj = load_input(args.file)
             if isinstance(obj, SimplicialPoset):
                 raise ValidationError("rewrite applies to complexes only")
-            try:
-                verts = [int(x) for x in args.path.split(",")]
-            except ValueError as exc:
-                raise ValidationError(f"bad --path value {args.path!r}") from exc
-            report = rewrite_report(obj, verts, _parse_colors(args.colors))
-            _emit(report, args.out)
-            return 0 if report["verified"] else 1
+            verts = _read.text_ints(args.path, "--path")
+            report = rewrite_report(obj, verts, _read.text_ints(args.colors, "--colors", 2))
+        _emit(report, args.out)
+        return 1 if args.command in _VERDICTS and not report[_VERDICTS[args.command]] else 0
     except (PropertyError, ContractViolationError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, OSError, TopoError) as exc:
+    except (OSError, TopoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -15,16 +15,20 @@ Conventions used throughout:
   (``f[0] = 1`` for the empty face);
 * a link with at most one vertex counts as connected, two or more isolated
   vertices count as disconnected.
+
+Every argument is read through :mod:`topokit._read`, which states the rule
+once: a value of the wrong type is refused, not converted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, combinations, permutations
 from math import comb
 
+from . import _read
 from .errors import (
     FaceNotFoundError,
     MissingColoringError,
@@ -37,12 +41,10 @@ Face = tuple[int, ...]
 
 
 def as_face(vertices) -> Face:
-    """Canonicalize an iterable of vertex ids into a sorted face tuple."""
-    face = tuple(vertices)
-    for v in face:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValidationError(f"vertex ids must be nonnegative integers, got {v!r}")
-    face = tuple(sorted(face))
+    """Canonicalize an array of vertex ids into a sorted face tuple."""
+    face = tuple(sorted(_read.ids(vertices)))
+    if face and face[0] < 0:
+        raise ValidationError(f"vertex ids must be nonnegative integers, got {face[0]}")
     if len(set(face)) != len(face):
         raise ValidationError(f"face has repeated vertices: {face}")
     return face
@@ -85,11 +87,7 @@ class PropertyReport:
         return self.pure and self.balanced and self.links_connected
 
     def as_dict(self) -> dict:
-        return {
-            "pure": self.pure,
-            "balanced": self.balanced,
-            "links_connected": self.links_connected,
-        }
+        return asdict(self)
 
 
 class _Space:
@@ -106,11 +104,10 @@ class _Space:
     """
 
     def _attach(self, coloring, labels, vertices) -> None:
-        """Store ``coloring`` on ``vertices`` and ``labels``, keyed by integer ids.  Every
-        vertex needs a color, a positive integer; a label is a string.  Ids and values
-        of other types are refused, not converted; colors off ``vertices`` are dropped."""
+        """Store ``coloring`` on ``vertices`` and ``labels``, mappings read by ``_read``.
+        Every vertex needs a color, a positive integer; colors off ``vertices`` are dropped."""
         if coloring is not None:
-            coloring = {_as_int(v): _as_int(c) for v, c in coloring.items()}
+            coloring = _read.id_map(coloring, _read.integer)
             for v in vertices:
                 if v not in coloring:
                     raise ValidationError(f"vertex {v} has no color")
@@ -119,9 +116,7 @@ class _Space:
                     raise ValidationError(f"colors must be positive integers, got {c}")
             coloring = {v: coloring[v] for v in vertices}
         self._coloring: dict[int, int] | None = coloring
-        self._labels: dict[int, str] | None = (
-            {_as_int(v): _as_str(s) for v, s in labels.items()} if labels else None
-        )
+        self._labels: dict[int, str] | None = labels and _read.id_map(labels, _read.label) or None
 
     @property
     def coloring(self) -> dict[int, int] | None:
@@ -211,23 +206,23 @@ class SimplicialComplex(_Space):
     Instances are immutable; every operation returns a new complex.  The
     constructor is strict: duplicate facets and facets contained in one
     another are rejected.  Use :meth:`from_faces` to build a complex from
-    an arbitrary family of faces.
+    an arbitrary family of faces.  Every entry reads its faces once, then
+    shares one build step, :meth:`_of`.
     """
 
     def __init__(self, facets, coloring=None, labels=None):
-        seen: set[Face] = set()
-        for f in facets:
-            cf = as_face(f)
-            if cf in seen:
-                raise ValidationError(f"duplicate facet: {list(cf)}")
-            seen.add(cf)
-        norm = _maximal(seen) or [()]
-        if len(norm) < len(seen):
-            least = min(seen.difference(norm), key=lambda f: (len(f), f))
-            raise ValidationError(f"facet {list(least)} is contained in a larger facet")
-        self._facets: tuple[Face, ...] = tuple(norm)
-        self._vertices: tuple[int, ...] = tuple(sorted({v for f in norm for v in f}))
+        self._build(_strict([as_face(f) for f in _read.items(facets)]), coloring, labels)
 
+    @classmethod
+    def _of(cls, facets, coloring=None, labels=None) -> "SimplicialComplex":
+        """The complex on ``facets``, already read, inclusion-maximal, in (size, lex) order."""
+        self = cls.__new__(cls)
+        self._build(facets or [()], coloring, labels)
+        return self
+
+    def _build(self, facets, coloring, labels) -> None:
+        self._facets: tuple[Face, ...] = tuple(facets)
+        self._vertices: tuple[int, ...] = tuple(sorted({v for f in facets for v in f}))
         self._attach(coloring, labels, self._vertices)
         if self._coloring is not None:
             for f in self._facets:
@@ -246,7 +241,7 @@ class SimplicialComplex(_Space):
     @classmethod
     def from_faces(cls, faces, coloring=None, labels=None) -> "SimplicialComplex":
         """Build the smallest complex containing every face in ``faces``."""
-        return cls(_maximal(as_face(f) for f in faces), coloring, labels)
+        return cls._of(_maximal(map(as_face, _read.items(faces))), coloring, labels)
 
     # -- basic accessors ------------------------------------------------------
 
@@ -280,10 +275,8 @@ class SimplicialComplex(_Space):
         return self._hash
 
     def __repr__(self):
-        return (
-            f"SimplicialComplex({len(self._vertices)} vertices, "
-            f"{len(self._facets)} facets, dim {self.dim})"
-        )
+        shape = f"{len(self._vertices)} vertices, {len(self._facets)} facets, dim {self.dim}"
+        return f"SimplicialComplex({shape})"
 
     # -- faces ----------------------------------------------------------------
 
@@ -302,8 +295,10 @@ class SimplicialComplex(_Space):
 
     def faces(self, k: int) -> list[Face]:
         """All faces of dimension ``k`` (size ``k + 1``), sorted; a copy of a cached list."""
+        if type(k) is not int:
+            _read.integer(k)
         if k < -1 or k > self.dim:
-            raise ValueError(f"face dimension {k} out of range [-1, {self.dim}]")
+            raise ValidationError(f"face dimension {k} out of range [-1, {self.dim}]")
         if "by_size" not in self._cache:
             by_size: list[list[Face]] = [[] for _ in range(self.dim + 2)]
             for face in sorted(self.face_set()):
@@ -366,7 +361,7 @@ class SimplicialComplex(_Space):
         """Subcomplex of faces all of whose vertex colors lie in ``colors``."""
         if self._coloring is None:
             raise MissingColoringError("rank selection needs a coloring")
-        allowed = set(colors)
+        allowed = _read.colors(colors)
         return self._subcomplex(
             [tuple(v for v in f if self._coloring[v] in allowed) for f in self._facets]
         )
@@ -376,7 +371,7 @@ class SimplicialComplex(_Space):
         verts = {v for t in tops for v in t}
         coloring = None if self._coloring is None else {v: self._coloring[v] for v in verts}
         labels = self._labels and {v: self._labels[v] for v in verts if v in self._labels}
-        return SimplicialComplex(_maximal(tops), coloring, labels or None)
+        return SimplicialComplex._of(_maximal(tops), coloring, labels or None)
 
     # -- checks -----------------------------------------------------------------
 
@@ -423,7 +418,7 @@ class SimplicialComplex(_Space):
                     index[tuple(sorted(order[: k + 1]))] for k in range(len(order))
                 )
                 chains.add(tuple(sorted(chain)))
-        return SimplicialComplex(
+        return SimplicialComplex._of(
             sorted(chains, key=lambda f: (len(f), f)),
             coloring={i: len(f) for f, i in index.items()},
             labels={i: "-".join(map(str, f)) for f, i in index.items()},
@@ -444,52 +439,32 @@ class SimplicialComplex(_Space):
         facets = data.get("facets")
         if not isinstance(facets, list):
             raise ValidationError('"facets" must be a list of vertex lists')
-        for f in facets:
-            if not isinstance(f, list):
-                raise ValidationError("each facet must be a list of vertex ids")
-            as_face(f)  # vertex types first: ids of mixed types do not compare
-            if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
+        faces = [as_face(f) for f in facets]
+        for f, face in zip(facets, faces):
+            if list(face) != f:
                 raise ValidationError(f"facet {f} is not strictly ascending")
-        labels = _id_map_from_json(data, "labels")
-        return cls([tuple(f) for f in facets], _id_map_from_json(data, "coloring"), labels)
+        labels = _read.json_id_map(data, "labels")
+        return cls._of(_strict(faces), _read.json_id_map(data, "coloring"), labels)
 
 
-def _as_int(value) -> int:
-    """``value`` if it is a JSON integer; bools, floats, strings and null are refused."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_str(value) -> str:
-    """``value`` if it is a JSON string; numbers, arrays and null are refused, not converted."""
-    if not isinstance(value, str):
-        raise ValidationError(f"expected a string label, got {value!r}")
-    return value
-
-
-def _id_map_from_json(data: dict, key: str) -> dict | None:
-    """The optional object ``data[key]`` (``"coloring"`` or ``"labels"``) keyed by integer
-    ids, each written as ``str`` writes it; the constructors check its values."""
-    raw = data.get(key)
-    if not isinstance(raw, (dict, type(None))):
-        raise ValidationError(f'"{key}" must be an object keyed by ids')
-    if not raw:
-        return None
-    ids = {}
-    for k, value in raw.items():
-        try:
-            v = int(k)
-        except (TypeError, ValueError):
-            v = None
-        if v is None or str(v) != k:
-            raise ValidationError(f'"{key}" id {k!r} is not an integer written canonically')
-        ids[v] = value
-    return ids
+def _strict(faces) -> list[Face]:
+    """Read faces as the constructor takes them: no duplicate, none inside another;
+    inclusion-maximal, in (size, lex) order."""
+    seen: set[Face] = set()
+    for f in faces:
+        if f in seen:
+            raise ValidationError(f"duplicate facet: {list(f)}")
+        seen.add(f)
+    norm = _maximal(seen) or [()]
+    if len(norm) < len(seen):
+        least = min(seen.difference(norm), key=lambda f: (len(f), f))
+        raise ValidationError(f"facet {list(least)} is contained in a larger facet")
+    return norm
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
     """Alternating-sum transform: h_i = sum_j (-1)^(i-j) C(d-j, d-i) f[j]."""
+    f = _read.ids(f)
     d = len(f) - 1
     return tuple(
         sum((-1) ** (i - j) * comb(d - j, d - i) * f[j] for j in range(i + 1))
@@ -598,6 +573,7 @@ def connected_sum(
     identification is color-preserving, keeping the sum balanced.
     """
     face1, face2 = as_face(face1), as_face(face2)
+    matching = _read.id_map(matching, _read.integer)
     if not (k1.is_pure and k2.is_pure):
         raise PurityError("connected sums need pure summands")
     if k1.dim != k2.dim:

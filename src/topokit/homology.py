@@ -19,6 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
+from . import _read
 from .complex import SimplicialComplex
 from .errors import FaceNotFoundError, ValidationError
 
@@ -94,9 +95,9 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     divisibility chain d1 | d2 | ...  Pivots are chosen by minimal absolute
     value to keep intermediate entries small.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [row[:] for row in a]
+    d = _read.matrix(a)
+    m = len(d)
+    n = len(d[0]) if m else 0
     u = identity_matrix(m)
     v = identity_matrix(n)
 
@@ -224,8 +225,10 @@ def invariant_factors(a: Matrix) -> list[int]:
 
 
 def snf_is_valid(a: Matrix, u: Matrix, d: Matrix, v: Matrix) -> bool:
-    """Full validity check: product identity, unimodularity, divisibility chain."""
-    if mat_mul(mat_mul(u, a), v) != d:
+    """Full validity check: shapes, product identity, unimodularity, divisibility chain."""
+    a, u, d, v = map(_read.matrix, (a, u, d, v))
+    (m, n), *shapes = [(len(x), len(x[0]) if x else 0) for x in (a, u, d, v)]
+    if shapes != [(m, m), (m, n), (n, n)] or mat_mul(mat_mul(u, a), v) != d:
         return False
     if abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
         return False
@@ -402,13 +405,17 @@ def h1(space) -> HomologySummary:
 
 
 def edge_path_cycle_vector(complex: SimplicialComplex, path) -> list[int]:
-    """Signed edge-incidence vector of an edge path (degenerate edges count 0)."""
+    """Signed edge-incidence vector of an edge path (degenerate edges count 0), read in
+    one pass: each edge a pair of integer vertex ids."""
     letters = complex._skeleton()[1]
     z = [0] * len(letters)
     try:
-        for u, v in path:
+        for e in path if type(path) is list or type(path) is tuple else _read.items(path):
+            u, v = e if type(e) is tuple and len(e) == 2 else _read.ids(e, 2)
+            if type(u) is not int or type(v) is not int:  # refuse bools, floats, strings, None
+                _read.integer(u), _read.integer(v)
             if u != v:
-                z[letters[(min(u, v), max(u, v))] - 1] += 1 if u < v else -1
+                z[letters[(u, v) if u < v else (v, u)] - 1] += 1 if u < v else -1
     except KeyError as missing:
         raise FaceNotFoundError("({},{}) is not an edge of the complex".format(*missing.args[0])) from None
     return z
@@ -419,6 +426,7 @@ def cycle_class_equal(space, z1: list[int], z2: list[int]) -> bool:
     boundary, decided exactly on the factored d2."""
     data = chain_data(space)
     edges = data["edges"]
+    z1, z2 = _read.ids(z1), _read.ids(z2)
     for z in (z1, z2):
         if len(z) != len(edges):
             raise ValidationError("cycle vector has the wrong length")

@@ -34,9 +34,10 @@ the triangle witness is a rank-3 element and edges carry the id of the
 rank-2 element they traverse, which keeps parallel edges apart.  A replay
 copies the checked source into one list and edits it in place, move by move,
 so its cost grows with the moves and the path length, not their product.
-Edge paths are read, type-checked, chained and looked up in one pass.  Vertex
-and element ids, positions and colors must be integers: a bool, float, string
-or None is refused, not converted.
+Edge paths are read, type-checked, chained and looked up in one pass.  Every
+argument is read through :mod:`topokit._read`, which states the rule once:
+a value of the wrong type (a bool, float, string or None for an id, position
+or color) is refused, not converted.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from functools import partial
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from .complex import SimplicialComplex, _as_int, require_full_palette, selected_h
+from . import _read
+from .complex import SimplicialComplex, require_full_palette, selected_h
 from .errors import (
     ContractViolationError,
     FaceNotFoundError,
@@ -101,13 +103,13 @@ def _complex_path(complex, faces, path) -> list[ComplexEdge]:
     """:func:`check_edge_path` on a complex with face set ``faces``, as a list."""
     edges: list[ComplexEdge] = []
     end = None  # the end of the last edge read
-    for raw in path:
+    for raw in path if type(path) is list or type(path) is tuple else _read.items(path):
         e = raw if type(raw) is tuple else tuple(raw) if isinstance(raw, (tuple, list)) else ()
         if len(e) != 2:
             raise ValidationError(f"a complex edge is a pair of vertex ids, got {raw!r}")
         u, v = e
         if type(u) is not int or type(v) is not int:  # refuse bools, floats, strings, None
-            _as_int(u), _as_int(v)
+            _read.integer(u), _read.integer(v)
         if u != end and edges:
             raise ValidationError(f"path breaks between {edges[-1]} and {e}")
         # a miss goes to has_face, which rejects negative ids
@@ -124,11 +126,11 @@ def _complex_path(complex, faces, path) -> list[ComplexEdge]:
 def _poset_path(poset, path) -> list[PosetEdge]:
     """:func:`check_edge_path` on a poset, as a list."""
     edges: list[PosetEdge] = []
-    for raw in path:
+    for raw in path if type(path) is list or type(path) is tuple else _read.items(path):
         if not isinstance(raw, (tuple, list)) or len(raw) != 3:
             raise ValidationError(f"a poset edge is an (elem, init, term) triple, got {raw!r}")
         elem, init, term = raw
-        e = PosetEdge(None if elem is None else _as_int(elem), _as_int(init), _as_int(term))
+        e = PosetEdge(None if elem is None else _read.integer(elem), _read.integer(init), _read.integer(term))
         if elem is None:
             if init != term or poset.rank(init) != 1:
                 raise ValidationError(f"{e} is not a stationary edge at an atom")
@@ -158,81 +160,40 @@ def _stationary(e):
 
 @dataclass(frozen=True)
 class Certificate:
-    """A replayable list of elementary moves between two edge paths."""
+    """A replayable list of elementary moves between two edge paths.  Building one checks
+    only its setting and that ``moves`` is a list or tuple: the replay checks each move,
+    and the JSON forms read each with :func:`_read.move`."""
 
     setting: str  # "complex" | "poset"
     moves: tuple
 
+    def __post_init__(self):
+        if self.setting not in ("complex", "poset"):
+            raise ValidationError(f"unknown certificate setting {self.setting!r}")
+        if not isinstance(self.moves, (tuple, list)):
+            raise ValidationError(f"certificate moves must be a list, got {self.moves!r}")
+
     def to_json(self) -> dict:
         out = []
-        for move in self.moves:
-            kind = move[0]
-            if kind in ("expand", "contract"):
-                out.append({"kind": kind, "pos": move[1], "witness": list(move[2]) if self.setting == "complex" else move[2]})
-            elif kind == "cancel":
-                out.append({"kind": kind, "pos": move[1]})
-            else:
-                out.append({"kind": kind, "pos": move[1], "edge": list(move[2])})
+        for kind, pos, *x in (_read.move(self.setting, move) for move in self.moves):
+            out.append({"kind": kind, "pos": pos})
+            if x:  # a witness (a poset's is one id) or an inserted edge
+                out[-1]["edge" if kind == "insert" else "witness"] = x[0] if type(x[0]) is int else list(x[0])
         return {"setting": self.setting, "moves": out}
 
     @classmethod
     def from_json(cls, data) -> "Certificate":
         if not isinstance(data, dict):
             raise ValidationError("a certificate must be a JSON object")
-        setting = data.get("setting")
-        if setting not in ("complex", "poset"):
-            raise ValidationError("certificate setting must be 'complex' or 'poset'")
-        entries = data.get("moves", [])
-        if not isinstance(entries, list):
-            raise ValidationError("certificate moves must be a list")
-        poset = setting == "poset"
+        raw = cls(data.get("setting"), data.get("moves", []))  # checks the setting and the list
         moves = []
-        for entry in entries:
+        for entry in raw.moves:
             if not isinstance(entry, dict):
                 raise ValidationError(f"a move must be a JSON object, got {entry!r}")
-            kind = entry.get("kind")
-            pos = _as_int(entry.get("pos"))
-            if kind in ("expand", "contract"):
-                witness = entry.get("witness")
-                if poset:
-                    moves.append((kind, pos, _as_int(witness)))
-                else:
-                    moves.append((kind, pos, tuple(_as_int(x) for x in _json_list(witness))))
-            elif kind == "cancel":
-                moves.append((kind, pos))
-            elif kind == "insert":
-                edge = _json_list(entry.get("edge"), 3 if poset else 2)
-                if poset:
-                    elem = None if edge[0] is None else _as_int(edge[0])
-                    moves.append((kind, pos, PosetEdge(elem, _as_int(edge[1]), _as_int(edge[2]))))
-                else:
-                    moves.append((kind, pos, (_as_int(edge[0]), _as_int(edge[1]))))
-            else:
-                raise ValidationError(f"unknown move kind {kind!r}")
-        return cls(setting, tuple(moves))
-
-
-def _json_list(value, size=None):
-    """``value`` if it is a JSON array (of ``size`` entries, when given)."""
-    if not isinstance(value, (list, tuple)) or (size is not None and len(value) != size):
-        want = "an array" if size is None else f"an array of {size} entries"
-        raise ValidationError(f"expected {want}, got {value!r}")
-    return value
-
-
-def _bad_move(move) -> ValidationError:
-    """Why ``move`` is not a (kind, pos, ...) tuple of a known kind, its size (two
-    entries for a cancel, three for every other kind) and an integer position."""
-    kinds = ("expand", "contract", "cancel", "insert")
-    if not isinstance(move, (tuple, list)) or not move:
-        return ValidationError(f"a move is a (kind, pos, ...) tuple, got {move!r}")
-    kind = move[0]
-    if kind not in kinds:
-        return ValidationError(f"unknown move kind {kind!r}")
-    size = 2 if kind == "cancel" else 3
-    if len(move) != size:
-        return ValidationError(f"a {kind!r} move has {size} entries, got {move!r}")
-    return ValidationError(f"move position must be an integer, got {move[1]!r}")
+            kind, pos = entry.get("kind"), _read.integer(entry.get("pos"))
+            x = () if kind == "cancel" else (entry.get("edge" if kind == "insert" else "witness"),)
+            moves.append(_read.move(raw.setting, (kind, pos, *x)))
+        return cls(raw.setting, tuple(moves))
 
 
 def _complex_moves(complex):
@@ -248,7 +209,7 @@ def _complex_moves(complex):
             raise ValidationError(f"witness {shown} does not name three vertices")
         a, b, c = witness
         if type(a) is not int or type(b) is not int or type(c) is not int:  # as for edges
-            _as_int(a), _as_int(b), _as_int(c)
+            _read.integer(a), _read.integer(b), _read.integer(c)
         x, y, z = a, b, c  # sorted, then deduplicated: (u, mid, u) names the edge {u, mid}
         if x > y:
             x, y = y, x
@@ -283,7 +244,7 @@ def _poset_moves(poset):
     of two into one, across a rank-3 witness, of a poset."""
 
     def triangle(path, kind, pos, sigma):
-        sigma = _as_int(sigma)
+        sigma = _read.integer(sigma)
         if kind == "expand":
             if not 0 <= pos < len(path):
                 raise ValidationError("expand position out of range")
@@ -325,15 +286,13 @@ def apply_certificate(space, source, certificate: Certificate):
     """Replay every move on ``source``, editing one list in place; raises on the
     first invalid move and returns the final path as a tuple."""
     setting = certificate.setting
-    if setting not in _SETTINGS:
-        raise ValidationError(f"unknown certificate setting {setting!r}")
     space_type, setting_moves = _SETTINGS[setting]
     if not isinstance(space, space_type):
         raise ValidationError(f"{setting} certificate needs a simplicial {setting}")
     read_path, triangle = setting_moves(space)
     path = read_path(source)
     for move in certificate.moves:
-        # a position is an int but not a bool, as _as_int reads it
+        # a position is an int but not a bool, as _read.integer reads it
         match move:
             case ("expand" | "contract" as kind, int() as pos, witness) if type(pos) is not bool:
                 triangle(path, kind, pos, witness)
@@ -351,8 +310,9 @@ def apply_certificate(space, source, certificate: Certificate):
                 if junction != edge[-2]:
                     raise ValidationError("inserted pair does not chain with the path")
                 path[pos:pos] = (edge, _reverse(edge))
-            case _:
-                raise _bad_move(move)
+            case _:  # a move the reader accepts matches a case above
+                _read.move(setting, move)  # raises, naming the fault
+                raise ValidationError(f"malformed move {move!r}")
     return tuple(path)
 
 
@@ -377,9 +337,9 @@ class NestedSpanningTree:
 
     def __init__(self, complex, colors, root, parent):
         self.complex = complex
-        self.colors = frozenset(colors)
-        self.root = root
-        self.parent = dict(parent)
+        self.colors = _read.colors(colors)
+        self.root = _read.integer(root)
+        self.parent = _read.id_map(parent, lambda p: p if p is None else _read.integer(p))
         faces, children = complex.face_set(), {}
         for v, p in self.parent.items():
             if p is not None and _canon(v, p) not in faces:
@@ -394,7 +354,7 @@ class NestedSpanningTree:
         self._order = order
 
     def path_to_root(self, v) -> list[int]:
-        if v not in self.parent:
+        if _read.integer(v) not in self.parent:
             raise FaceNotFoundError(f"vertex {v} is not in the tree")
         out = [v]
         while self.parent[out[-1]] is not None:
@@ -420,7 +380,7 @@ def _require_pi1_ready(complex: SimplicialComplex, colors=None) -> frozenset | N
         raise PropertyError(f"pure/balanced/connected-links checks failed: {report.as_dict()}")
     if colors is None:
         return None
-    colors = frozenset(_as_int(c) for c in colors)
+    colors = _read.colors(colors)
     if len(colors) != 2 or not colors <= set(palette):
         raise ValidationError(f"need exactly two palette colors, got {sorted(colors)}")
     return colors
@@ -429,7 +389,7 @@ def _require_pi1_ready(complex: SimplicialComplex, colors=None) -> frozenset | N
 def default_basepoint(complex: SimplicialComplex, colors) -> int:
     """Minimum-id vertex of the color-selected subcomplex."""
     kappa = complex._coloring
-    allowed = set(colors)
+    allowed = _read.colors(colors)
     sel = [v for v in complex.vertices if kappa[v] in allowed]
     if not sel:
         raise FaceNotFoundError(f"no vertices colored in {sorted(allowed)}")
@@ -443,8 +403,7 @@ def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
     """
     colors = _require_pi1_ready(complex, colors)
     kappa = complex._coloring
-    if root is None:
-        root = default_basepoint(complex, colors)
+    root = default_basepoint(complex, colors) if root is None else _read.integer(root)
     if kappa.get(root) not in colors:
         raise FaceNotFoundError(f"root {root} is not in the selected subcomplex")
     adj = complex.adjacency()
@@ -491,11 +450,11 @@ class GroupPresentation:
     """Generators plus relator words (tuples of signed 1-based indices)."""
 
     def __init__(self, generators, relators, rounds=None, converged=None):
-        self.generators: tuple[Generator, ...] = tuple(generators)
+        self.generators: tuple[Generator, ...] = _read.items(generators)
         rels = []
         n = len(self.generators)
-        for rel in relators:
-            word = tuple(map(int, rel))
+        for rel in _read.items(relators):
+            word = _read.ids(rel)
             if word and (0 in word or max(map(abs, word)) > n):  # one pass; name the first bad letter
                 bad = next(x for x in word if x == 0 or abs(x) > n)
                 raise ValidationError(f"relator letter {bad} references no generator")
@@ -506,7 +465,7 @@ class GroupPresentation:
         self.converged = converged
 
     def generator_index(self, edge) -> int:
-        edge = tuple(edge)
+        edge = _read.ids(edge)
         for i, g in enumerate(self.generators, 1):
             if g.edge == edge:
                 return i
@@ -533,10 +492,7 @@ class GroupPresentation:
         return "\n".join(lines)
 
     def __repr__(self):
-        return (
-            f"GroupPresentation({len(self.generators)} generators, "
-            f"{len(self.relators)} relators)"
-        )
+        return f"GroupPresentation({len(self.generators)} generators, {len(self.relators)} relators)"
 
 
 def free_reduce(word) -> list[int]:
@@ -570,13 +526,7 @@ def full_presentation(complex, tree: NestedSpanningTree) -> GroupPresentation:
     kappa = complex._coloring
     edges, _, triangles = complex._skeleton()
     generators = [
-        Generator(
-            edge=e,
-            tree=e in tree.edges,
-            selected=(kappa[e[0]] in tree.colors and kappa[e[1]] in tree.colors)
-            if kappa is not None
-            else None,
-        )
+        Generator(e, e in tree.edges, None if kappa is None else {kappa[e[0]], kappa[e[1]]} <= tree.colors)
         for e in edges
     ]
     relators = [(i,) for i, e in enumerate(edges, 1) if e in tree.edges]
@@ -587,7 +537,7 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
     """Inverse reading: each letter becomes tree-path + edge + tree-path."""
     segments: list[ComplexEdge] = []
     n = len(presentation.generators)
-    for letter in word:
+    for letter in _read.ids(word):
         if letter == 0 or abs(letter) > n:
             raise ValidationError(f"unknown generator {letter}")
         a, b = presentation.generators[abs(letter) - 1].edge
@@ -869,6 +819,7 @@ def tietze_simplify(presentation, max_rounds: int = DEFAULT_TIETZE_ROUNDS) -> Gr
     holding its generator, so a failed candidate is tried again only after
     one of those changes.
     """
+    max_rounds = _read.rounds(max_rounds)
     words: list[list[int] | None] = [list(r) for r in presentation.relators]  # None once dropped
     alive = [True] * len(presentation.generators)
     holding: dict[int, set[int]] = {}  # generator -> ids of the relators holding it
@@ -981,6 +932,7 @@ def tietze_simplify(presentation, max_rounds: int = DEFAULT_TIETZE_ROUNDS) -> Gr
 def generator_bounds(complex, tietze_rounds: int = DEFAULT_TIETZE_ROUNDS) -> dict:
     """Per color pair: selected h2, restricted and post-simplification
     generator counts; ``best`` is the smallest certified upper bound."""
+    tietze_rounds = _read.rounds(tietze_rounds)
     _require_pi1_ready(complex)
     flag = complex.flag_f_vector()
     edges, _, triangles = complex._skeleton()

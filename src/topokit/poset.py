@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complex import SimplicialComplex, _Space, _as_int, _id_map_from_json
+from . import _read
+from .complex import SimplicialComplex, _Space
 from .errors import FaceNotFoundError, MissingColoringError, ValidationError
 
 
@@ -23,15 +24,13 @@ class SimplicialPoset(_Space):
     """
 
     def __init__(self, ranks: dict[int, int], covers, coloring=None, labels=None):
-        self._rank: dict[int, int] = {}
-        for x, r in ranks.items():
-            x, r = _as_int(x), _as_int(r)
+        self._rank: dict[int, int] = _read.id_map(ranks, _read.integer)
+        for x, r in self._rank.items():
             if r < 1:
                 raise ValidationError(f"element {x} has rank {r}; ranks start at 1")
-            self._rank[x] = r
         cover_set = set()
-        for lo, hi in covers:
-            lo, hi = _as_int(lo), _as_int(hi)
+        for cover in _read.items(covers):
+            lo, hi = _read.ids(cover, 2)
             if lo not in self._rank or hi not in self._rank:
                 raise ValidationError(f"cover ({lo}, {hi}) references unknown elements")
             if lo == hi:
@@ -46,7 +45,7 @@ class SimplicialPoset(_Space):
         self._up: dict[int, tuple[int, ...]] = {x: tuple(sorted(ns)) for x, ns in up.items()}
         self._down: dict[int, tuple[int, ...]] = {x: tuple(sorted(ns)) for x, ns in down.items()}
 
-        for v in map(_as_int, coloring or ()):
+        for v in () if coloring is None else _read.id_map(coloring, _read.integer):
             if self._rank.get(v) != 1:
                 raise ValidationError(f"colored element {v} is not an atom")
         self._attach(coloring, labels, sorted(x for x, r in self._rank.items() if r == 1))
@@ -71,12 +70,14 @@ class SimplicialPoset(_Space):
         return len(self._by_rank)  # every rank from 1 to the largest is occupied
 
     def rank(self, x: int) -> int:
+        if type(x) is not int:
+            _read.integer(x)
         if x not in self._rank:
             raise FaceNotFoundError(f"no element with id {x}")
         return self._rank[x]
 
     def elements_of_rank(self, r: int) -> tuple[int, ...]:
-        return self._by_rank.get(r, ())
+        return self._by_rank.get(r if type(r) is int else _read.integer(r), ())
 
     def atoms(self) -> tuple[int, ...]:
         return self.elements_of_rank(1)
@@ -114,9 +115,7 @@ class SimplicialPoset(_Space):
         return frozenset(self._coloring[a] for a in self.atoms_of(x))
 
     def __repr__(self):
-        return (
-            f"SimplicialPoset({len(self._rank)} elements, rank {self.d})"
-        )
+        return f"SimplicialPoset({len(self._rank)} elements, rank {self.d})"
 
     # -- validation --------------------------------------------------------
 
@@ -205,7 +204,7 @@ class SimplicialPoset(_Space):
         """Sub-poset of elements all of whose atom colors lie in ``colors``."""
         if self._coloring is None:
             raise MissingColoringError("rank selection needs a coloring")
-        allowed = set(colors)
+        allowed = _read.colors(colors)
         members = {x for x in self._rank if self.color_set(x) <= allowed}
         ranks = {x: self._rank[x] for x in members}
         coloring = {v: c for v, c in self._coloring.items() if v in members}
@@ -216,11 +215,7 @@ class SimplicialPoset(_Space):
         read from the members' own lower covers."""
         down = self._down
         covers = [(lo, hi) for hi in members for lo in down[hi] if lo in members]
-        labels = (
-            {x: self._labels[x] for x in members if x in self._labels}
-            if self._labels
-            else None
-        )
+        labels = self._labels and {x: self._labels[x] for x in members if x in self._labels}
         return SimplicialPoset(ranks, covers, coloring, labels)
 
     def _link_layer(self, k: int):
@@ -274,29 +269,21 @@ class SimplicialPoset(_Space):
     def from_json(cls, data) -> "SimplicialPoset":
         if not isinstance(data, dict) or data.get("type") != "poset":
             raise ValidationError('poset JSON must carry "type": "poset"')
-        elements = data.get("elements")
-        covers = data.get("covers")
+        elements, covers = data.get("elements"), data.get("covers")
         if not isinstance(elements, list) or not isinstance(covers, list):
             raise ValidationError('"elements" and "covers" must be lists')
-        if not all(isinstance(c, list) and len(c) == 2 for c in covers):
-            raise ValidationError("each cover must be a [lower, upper] pair")
         ranks: dict[int, int] = {}
         labels: dict = {}
         for entry in elements:
             if not isinstance(entry, dict) or "id" not in entry or "rank" not in entry:
                 raise ValidationError("each element needs an id and a rank")
-            x = _as_int(entry["id"])
+            x = _read.integer(entry["id"])
             if x in ranks:
                 raise ValidationError(f"duplicate element id {x}")
-            ranks[x] = _as_int(entry["rank"])
+            ranks[x] = entry["rank"]
             if "label" in entry:
                 labels[x] = entry["label"]
-        return cls(
-            ranks,
-            [(_as_int(lo), _as_int(hi)) for lo, hi in covers],
-            _id_map_from_json(data, "coloring"),
-            labels or None,
-        )
+        return cls(ranks, covers, _read.json_id_map(data, "coloring"), labels or None)
 
 
 def face_poset(complex: SimplicialComplex) -> SimplicialPoset:

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from itertools import product
 
+from . import _read
 from .complex import SimplicialComplex, connected_sum
 from .errors import ValidationError
 from .poset import SimplicialPoset
 
 # Largest inputs the generators build: a cross-polytope boundary of dimension d has
-# 2^d facets and 3^d faces (531,441 at d = 12), and each copy in a connected sum
-# rebuilds the running sum, so the sum's cost grows with the square of the copies.
+# 2^d facets and 3^d faces (531,441 at d = 12), each copy in a connected sum rebuilds
+# the running sum, so the sum's cost grows with the square of the copies, and an
+# n-cycle is built whole, n facets and a color per vertex.
 MAX_CROSS_POLYTOPE_DIM = 12
 MAX_OCTAHEDRON_COPIES = 500
+MAX_CYCLE_LENGTH = 100_000
 
 # Classical 7-vertex torus triangulation (Moebius): triangles {i, i+1, i+3}
 # and {i, i+2, i+3} mod 7.  Not balanced (its 1-skeleton is K7).
@@ -46,7 +49,7 @@ def cross_polytope(d: int) -> SimplicialComplex:
     The case d = 3 is the octahedron.  Dimensions above
     ``MAX_CROSS_POLYTOPE_DIM`` (12) are refused before anything is built.
     """
-    if not 1 <= d <= MAX_CROSS_POLYTOPE_DIM:
+    if not 1 <= _read.integer(d) <= MAX_CROSS_POLYTOPE_DIM:
         raise ValidationError(
             f"cross-polytope dimension must be between 1 and {MAX_CROSS_POLYTOPE_DIM}, got {d}"
         )
@@ -59,9 +62,12 @@ def cross_polytope(d: int) -> SimplicialComplex:
 
 
 def cycle_complex(n: int) -> SimplicialComplex:
-    """The n-cycle graph; even cycles carry the alternating 2-coloring."""
-    if n < 3:
+    """The n-cycle graph; even cycles carry the alternating 2-coloring.  Cycles longer
+    than ``MAX_CYCLE_LENGTH`` (100,000) are refused before anything is built."""
+    if _read.integer(n) < 3:
         raise ValidationError("cycles need at least 3 vertices")
+    if n > MAX_CYCLE_LENGTH:
+        raise ValidationError(f"cycles take at most {MAX_CYCLE_LENGTH} vertices, got {n}")
     facets = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
     coloring = {i: 1 + (i % 2) for i in range(n)} if n % 2 == 0 else None
     return SimplicialComplex(facets, coloring)
@@ -103,7 +109,7 @@ def octahedron_sum(copies: int) -> SimplicialComplex:
     ascending order; colors are aligned automatically.  More than
     ``MAX_OCTAHEDRON_COPIES`` (500) copies are refused before anything is built.
     """
-    if not 1 <= copies <= MAX_OCTAHEDRON_COPIES:
+    if not 1 <= _read.integer(copies) <= MAX_OCTAHEDRON_COPIES:
         raise ValidationError(
             f"connected sums take between 1 and {MAX_OCTAHEDRON_COPIES} copies, got {copies}"
         )

@@ -44,9 +44,9 @@ def test_octahedron_edge_count_matches_brute_force(octahedron):
 
 
 def test_face_dimension_out_of_range(octahedron):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"face dimension 3 out of range \[-1, 2\]"):
         octahedron.faces(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="face dimension -2 out of range"):
         octahedron.faces(-2)
 
 

@@ -1,5 +1,6 @@
-"""The names that outside code reaches by name stay where it looks for them, and the
-library imports nothing from outside the standard library.
+"""The names that outside code reaches by name stay where it looks for them, the
+library imports nothing from outside the standard library, and only its readers
+module converts or type-checks input.
 
 ``perfbench/tracer.py`` wraps its ``TARGETS`` on their owners: a function on
 its module, a ``Class.method`` in that class's own ``__dict__`` (an inherited
@@ -58,3 +59,20 @@ def test_library_imports_only_the_standard_library(path):
             continue
         for root in roots:
             assert root in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {root}"
+
+
+LIBRARY_FILES = sorted(Path(topokit.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY_FILES if p.name != "_read.py"], ids=lambda p: p.name)
+def test_only_the_readers_convert_or_test_for_bools(path):
+    """Outside ``_read.py`` no ``int(...)`` call and no ``isinstance(..., bool)``: the
+    refuse-do-not-convert policy lives in one module.  Inline ``type(x) is int`` is allowed."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        assert node.func.id != "int", f"{path.name}:{node.lineno} calls int()"
+        if node.func.id == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            names = {k.id for k in kinds if isinstance(k, ast.Name)}
+            assert "bool" not in names, f"{path.name}:{node.lineno} tests isinstance(..., bool)"

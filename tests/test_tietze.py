@@ -203,6 +203,9 @@ def test_relator_check_names_the_first_bad_letter(relator, bad):
         GroupPresentation(gens, [(1, -2), relator])
 
 
-def test_relator_letters_may_be_any_integers():
-    pres = GroupPresentation([Generator(edge=(0, 1))], [["1", -1.0], (), [True]])
-    assert pres.relators == ((1, -1), (), (1,))
+def test_relator_letters_must_be_integers():
+    gens = [Generator(edge=(0, 1))]
+    assert GroupPresentation(gens, [[1, -1], (), iter([1])]).relators == ((1, -1), (), (1,))
+    for relator, bad in ([1.7, -2], "1.7"), (("1",), "'1'"), ((True, 2), "True"), (1, "1"):
+        with pytest.raises(ValidationError, match=bad):
+            GroupPresentation(gens, [relator])
