@@ -64,6 +64,13 @@ def label(value) -> str:
     return value
 
 
+def flag(value, name) -> bool:
+    """A yes-or-no option: a bool, not any truthy value."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be True or False, got {value!r}")
+    return value
+
+
 def id_map(value, read) -> dict:
     """A mapping keyed by integer ids, each value read by ``read``."""
     if not isinstance(value, Mapping):

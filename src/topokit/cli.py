@@ -139,6 +139,7 @@ poset_h_additivity = h_additivity_table
 def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
     """The machine-readable bound report for one complex or poset."""
     rounds = DEFAULT_TIETZE_ROUNDS if tietze_rounds is None else _read.rounds(tietze_rounds)
+    input_id, ns = _read.label(input_id), _read.flag(ns, "ns")
     start = time.perf_counter()
     props = obj.check_properties()
     if not props.all_hold:
@@ -190,28 +191,31 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
 # -- gen --------------------------------------------------------------------------
 
 
+def _even_cycle(n: int):
+    if n % 2:
+        raise ValidationError("cycle length must be even to admit the alternating coloring")
+    return shapes.cycle_complex(n)
+
+
+# each shape of ``topo gen``: the parameter it needs (None for none) and its builder
+_SHAPES = {
+    "cross-polytope": ("dim", shapes.cross_polytope),
+    "cycle": ("n", _even_cycle),
+    "sd-torus": (None, shapes.sd_torus),
+    "sd-rp2": (None, shapes.sd_projective_plane),
+    "double-circle": (None, shapes.double_edge_circle),
+    "connected-sum": ("copies", shapes.octahedron_sum),
+}
+
+
 def generate_shape(shape: str, dim=None, n=None, copies=None):
-    if shape == "cross-polytope":
-        if dim is None:
-            raise ValidationError("cross-polytope needs --dim")
-        return shapes.cross_polytope(_read.integer(dim))
-    if shape == "cycle":
-        if n is None:
-            raise ValidationError("cycle needs --n")
-        if _read.integer(n) % 2:
-            raise ValidationError("cycle length must be even to admit the alternating coloring")
-        return shapes.cycle_complex(n)
-    if shape == "sd-torus":
-        return shapes.sd_torus()
-    if shape == "sd-rp2":
-        return shapes.sd_projective_plane()
-    if shape == "double-circle":
-        return shapes.double_edge_circle()
-    if shape == "connected-sum":
-        if copies is None:
-            raise ValidationError("connected-sum needs --copies")
-        return shapes.octahedron_sum(_read.integer(copies))
-    raise ValidationError(f"unknown shape {shape!r}")
+    if not isinstance(shape, str) or shape not in _SHAPES:
+        raise ValidationError(f"unknown shape {shape!r}")
+    param, build = _SHAPES[shape]
+    value = {"dim": dim, "n": n, "copies": copies}.get(param)
+    if param and value is None:
+        raise ValidationError(f"{shape} needs --{param}")
+    return build(_read.integer(value)) if param else build()
 
 
 # -- rewrite ----------------------------------------------------------------------
@@ -264,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd["pi1"].add_argument("--tietze-rounds", dest="tietze_rounds")
     cmd["verify"].add_argument("--ns", action="store_true")
     cmd["verify"].add_argument("--tietze-rounds", dest="tietze_rounds")
-    shape_names = ["cross-polytope", "cycle", "sd-torus", "sd-rp2", "double-circle", "connected-sum"]
-    cmd["gen"].add_argument("--shape", required=True, choices=shape_names)
+    cmd["gen"].add_argument("--shape", required=True, choices=list(_SHAPES))
     for flag in ("--dim", "--n", "--copies"):
         cmd["gen"].add_argument(flag, type=int)
     cmd["rewrite"].add_argument("--path", required=True, metavar="V0,V1,...")

@@ -6,11 +6,11 @@ dicts, so all arithmetic is exact.  First homology reads the boundary map
 reads too (``_skeleton()``): the edges, and one relator per triangle of a
 complex or rank-3 element of a simplicial poset (a regular CW complex whose
 cells are simplices, with the homology of its order complex).  It factors
-``d2`` with :func:`unit_pivot_factor`: each +-1 pivot adds an invariant
-factor 1, and the dense :func:`smith_normal_form` (``U @ A @ V == D``) runs
-only on the block the pivots leave over.  :func:`cycle_class_equal` reads the
-end vertices of each edge from the same data, so it answers on posets too.  Dense
-SNF and :func:`boundary_matrices` stay public as the tested oracle.
+``d2`` with :func:`unit_pivot_factor`: each +-1 pivot adds an invariant factor
+1, and the dense :func:`smith_normal_form` (``U @ A @ V == D``, one least-entry
+loop) runs only on the block the pivots leave over.  :func:`cycle_class_equal`
+reads the end vertices of each edge from the same data, so it answers on posets
+too.  Dense SNF and :func:`boundary_matrices` stay public as the tested oracle.
 """
 
 from __future__ import annotations
@@ -73,144 +73,58 @@ def determinant(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Diagonalize over the integers: returns (U, D, V) with U @ a @ V == D.
 
-    U and V are unimodular, D is diagonal with nonnegative entries forming a
-    divisibility chain d1 | d2 | ...  Pivots are chosen by minimal absolute
-    value to keep intermediate entries small.
+    U and V are unimodular, D is diagonal with nonnegative entries forming a divisibility
+    chain d1 | d2 | ...  One least-entry loop (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4) moves the least nonzero |entry| of the block left to each corner
+    (t, t) and divides it out of column t, then row t; a remainder is the next corner.
     """
     d = _read.matrix(a)
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def combine_rows(t, i, a11, a12, a21, a22):
-        # rows t, i <- (a11*t + a12*i, a21*t + a22*i); det of the 2x2 block is +-1
-        for c in range(n):
-            x, y = d[t][c], d[i][c]
-            d[t][c], d[i][c] = a11 * x + a12 * y, a21 * x + a22 * y
-        for c in range(m):
-            x, y = u[t][c], u[i][c]
-            u[t][c], u[i][c] = a11 * x + a12 * y, a21 * x + a22 * y
-
-    def combine_cols(t, j, a11, a12, a21, a22):
-        for row in d:
-            x, y = row[t], row[j]
-            row[t], row[j] = a11 * x + a21 * y, a12 * x + a22 * y
-        for row in v:
-            x, y = row[t], row[j]
-            row[t], row[j] = a11 * x + a21 * y, a12 * x + a22 * y
-
+    m, n = len(d), len(d[0]) if d else 0
+    u, v = identity_matrix(m), identity_matrix(n)
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        pivot = None
-        best = None
+    while t < min(m, n):
+        p = 0  # the corner
         for i in range(t, m):
-            for j in range(t, n):
-                val = d[i][j]
-                if val:
-                    key = (abs(val), i, j)
-                    if best is None or key < best:
-                        best = key
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, m):
-                b = d[i][t]
-                if not b:
-                    continue
-                p = d[t][t]
-                if b % p == 0:
-                    q = b // p
-                    for c in range(t, n):
-                        d[i][c] -= q * d[t][c]
-                    for c in range(m):
-                        u[i][c] -= q * u[t][c]
-                else:
-                    g, x, y = _ext_gcd(p, b)
-                    combine_rows(t, i, x, y, -(b // g), p // g)
-                    dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, n):
-                b = d[t][j]
-                if not b:
-                    continue
-                p = d[t][t]
-                if b % p == 0:
-                    q = b // p
-                    for row in d:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                else:
-                    g, x, y = _ext_gcd(p, b)
-                    combine_cols(t, j, x, -(b // g), y, p // g)
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide the whole remaining block for the chain d1 | d2 | ...
-            p = d[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
+            rest = d[i][t:]
+            x = min(filter(None, rest), key=abs, default=0)
+            if x and (not p or abs(x) < abs(p)):
+                p, row, col = x, i, t + rest.index(x)
+                if x in (1, -1):
                     break
-            if offender is None:
-                break
-            for c in range(n):
-                d[t][c] += d[offender][c]
-            for c in range(m):
-                u[t][c] += u[offender][c]
-
-        if d[t][t] < 0:
-            for c in range(n):
-                d[t][c] = -d[t][c]
-            for c in range(m):
-                u[t][c] = -u[t][c]
+        if not p:
+            break
+        d[t], d[row], u[t], u[row] = d[row], d[t], u[row], u[t]
+        for r in d[t:] + v:
+            r[t], r[col] = r[col], r[t]
+        for i in range(t + 1, m):
+            q = d[i][t] // p
+            if q:
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        if any(d[i][t] for i in range(t + 1, m)):  # a remainder: the next corner
+            continue
+        # column t is zero below the corner, so column operations change only row t of D
+        top = d[t]
+        quotients = [(j, top[j] // p) for j in range(t + 1, n) if top[j]]
+        for j, q in quotients:
+            top[j] -= q * p
+        for r in v:
+            if r[t]:
+                for j, q in quotients:
+                    r[j] -= q * r[t]
+        if any(top[t + 1 :]):
+            continue
+        bad = [] if p in (1, -1) else [i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])]
+        if bad:  # the corner takes in a row where it leaves a non-multiple (+-1 divides all)
+            d[t] = [x + y for x, y in zip(top, d[bad[0]])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad[0]])]
+            continue
+        if p < 0:
+            top[t], u[t] = -p, [-x for x in u[t]]
         t += 1
-
     return u, d, v
 
 
@@ -370,11 +284,7 @@ class HomologySummary:
         return self.betti1 + len(self.torsion)
 
     def as_dict(self) -> dict:
-        return {
-            "betti1": self.betti1,
-            "torsion": list(self.torsion),
-            "min_generators": self.min_generators,
-        }
+        return {"betti1": self.betti1, "torsion": list(self.torsion), "min_generators": self.min_generators}
 
 
 def chain_data(space) -> dict:
@@ -395,8 +305,7 @@ def h1(space) -> HomologySummary:
     if not space.is_connected():
         raise ValidationError("H1 summary requires a connected complex")
     data = chain_data(space)
-    # d1 of a connected space has rank |V| - 1; the clamp keeps the void
-    # complex at betti1 = 0
+    # d1 of a connected space has rank |V| - 1; the clamp keeps the void complex at 0
     rank1 = max(len(space.vertices) - 1, 0)
     betti = len(data["edges"]) - rank1 - data["d2"].rank
     # im d2 lies in the saturated subgroup ker d1, so the invariant factors of

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import invariant_factors_by_minors, random_closed_path
+from conftest import corpus_complexes, invariant_factors_by_minors, random_closed_path
 
 from topokit import (
     FaceNotFoundError,
@@ -126,6 +126,40 @@ def test_snf_against_minors_oracle_small_sample():
         u, d, v = smith_normal_form(a)
         assert snf_is_valid(a, u, d, v)
         assert invariant_factors(a) == invariant_factors_by_minors(a)
+
+
+@pytest.mark.parametrize(
+    "a,factors",
+    [
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+        ([[0, 0, 2], [0, 3, 0]], [1, 6]),
+    ],
+)
+def test_snf_corner_that_does_not_divide_the_block(a, factors):
+    # in the 2 x 2 and 2 x 3 matrices the corner 2 leaves 3 in the block, so it takes in
+    # that row; in the 3 x 3 one the corner 18 leaves a remainder 12 below it
+    u, d, v = smith_normal_form(a)
+    assert snf_is_valid(a, u, d, v)
+    assert invariant_factors(a) == factors == invariant_factors_by_minors(a)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_snf_transforms_stay_small(seed):
+    # on seeded random 24 x 24 matrices, entries -9..9, every entry of U and V stays near
+    # 1,000 bits; the bound leaves four times that
+    rng = random.Random(seed)
+    a = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+    u, d, v = smith_normal_form(a)
+    assert snf_is_valid(a, u, d, v)
+    assert max(abs(x).bit_length() for t in (u, v) for row in t for x in row) <= 4096
+
+
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_snf_is_valid_on_corpus_boundaries(corpus, name):
+    for a in boundary_matrices(corpus[name]):
+        u, d, v = smith_normal_form(a)
+        assert snf_is_valid(a, u, d, v)
 
 
 # -- sparse unit-pivot factorisation --------------------------------------------

@@ -138,7 +138,10 @@ ENTRY_POINTS = {
     "cli.generate_shape": (4, cli.generate_shape),
     "cli.pi1_report": (2, lambda colors, rounds: cli.pi1_report(OCTAHEDRON, colors, rounds)),
     "cli.pi1_report(poset)": (1, lambda rounds: cli.pi1_report(POSET, None, rounds)),
-    "cli.verification_report": (1, lambda rounds: cli.verification_report(OCTAHEDRON, "", False, rounds)),
+    "cli.verification_report": (
+        3,
+        lambda input_id, ns, rounds: cli.verification_report(OCTAHEDRON, input_id, ns, rounds),
+    ),
     "cli.rewrite_report": (2, lambda vertices, colors: cli.rewrite_report(OCTAHEDRON, vertices, colors)),
 }
 
@@ -243,6 +246,14 @@ NAMED_ROWS = {
         "expected an integer, got 6.7",
     ),
     "cycle float length": (lambda: cli.generate_shape("cycle", n=6.0), "expected an integer, got 6.0"),
+    "verify ns not a bool": (
+        lambda: cli.verification_report(OCTAHEDRON, ns="no"),
+        "ns must be True or False, got 'no'",
+    ),
+    "verify input id not a string": (
+        lambda: cli.verification_report(OCTAHEDRON, input_id=object()),
+        "expected a string label, got <object object",
+    ),
     "sum float copies": (
         lambda: cli.generate_shape("connected-sum", copies=2.5),
         "expected an integer, got 2.5",

@@ -76,3 +76,9 @@ def test_only_the_readers_convert_or_test_for_bools(path):
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
             names = {k.id for k in kinds if isinstance(k, ast.Name)}
             assert "bool" not in names, f"{path.name}:{node.lineno} tests isinstance(..., bool)"
+
+
+@pytest.mark.parametrize("path", LIBRARY_FILES, ids=lambda p: p.name)
+def test_library_parses_as_its_minimum_python(path):
+    """``pyproject.toml`` declares ``requires-python = ">=3.10"``: no newer syntax."""
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
