@@ -2,7 +2,9 @@
 
 All reports are JSON on stdout (or ``-o FILE``).  Exit codes are a stable
 contract: 0 success, 1 a verified property or bound check failed, 2 the
-input could not be parsed or the parameters are invalid.
+input could not be parsed or the parameters are invalid.  ``pi1`` and
+``verify`` refuse alike: one check (structure 1, coloring 2, palette 1, pair 2)
+runs before the one run of the stages, :func:`_run`, which both reports format.
 """
 
 from __future__ import annotations
@@ -18,18 +20,14 @@ from math import comb
 
 from . import _read, shapes
 from .complex import SimplicialComplex, h_additivity_table, selected_h
-from .errors import (
-    ContractViolationError,
-    PropertyError,
-    TopoError,
-    ValidationError,
-)
+from .errors import ContractViolationError, PropertyError, TopoError, ValidationError
 from .homology import h1
 from .pi1 import (
     DEFAULT_TIETZE_ROUNDS,
+    GroupPresentation,
+    _require_pi1_ready,
     generator_bounds,
     poset_edge_path_group,
-    require_full_palette,
     rewrite_path_to_colors,
     tietze_simplify,
     verify_certificate,
@@ -83,43 +81,40 @@ def hvec_report(obj) -> dict:
     return {"d": obj.d, "f_vector": list(obj.f_vector()), "h_vector": list(obj.h_vector())}
 
 
-# -- pi1 ------------------------------------------------------------------------
+# -- pi1 and verify ---------------------------------------------------------------
 
 
-def _run(obj, rounds, pair=None) -> tuple:
-    """The bound stages both reports read, each run once, in this order: the simplified
-    presentations (each color pair's for a complex, by :func:`generator_bounds`; the
-    edge-path group's for a poset), the pi1 report's check of its ``pair``, then H1.
-    Returns the rows by pair (None for a poset), the upper bound, the presentation of
-    ``pair`` (or of the poset) and the H1 summary."""
+def _run(obj, tietze_rounds=None, colors=None) -> tuple:
+    """The one run of the stages under both reports, after every refusal (the rounds,
+    ``colors`` on a poset, :func:`_require_pi1_ready`): each pair's presentations (the
+    poset's group), then H1.  Returns the rows by pair (a poset's: selected h2 only), the
+    upper bound, the chosen pair (``colors``, else the first; None for a poset), its
+    presentation (trivial below two colors) and the H1 summary."""
+    rounds = DEFAULT_TIETZE_ROUNDS if tietze_rounds is None else _read.rounds(tietze_rounds)
     if isinstance(obj, SimplicialPoset):
-        simplified = tietze_simplify(poset_edge_path_group(obj), rounds)
-        rows, upper, chosen = None, len(simplified.generators), simplified
-    else:
-        bounds = generator_bounds(obj, rounds)
-        per_pair = bounds["per_pair"]
-        if pair is not None and pair not in per_pair:
-            raise ValidationError(f"no color pair {pair} in the palette")
-        rows = {
-            key: {k: val[k] for k in ("h2_selected", "generators", "post_tietze")}
-            | {"tietze_rounds": val["presentation"].rounds, "tietze_converged": val["presentation"].converged}
-            for key, val in per_pair.items()
-        }
-        upper, chosen = bounds["best"], pair and per_pair[pair]["presentation"]
-    return rows, upper, chosen, h1(obj)
+        if colors is not None:
+            raise ValidationError("--colors applies to complexes only")
+        _require_pi1_ready(obj)
+        chosen = tietze_simplify(poset_edge_path_group(obj), rounds)
+        flag, pairs = obj.flag_f_vector(), combinations(obj.colors, 2)
+        rows = {p: {"h2_selected": selected_h(flag, p), "post_tietze": None} for p in pairs}
+        return rows, len(chosen.generators), None, chosen, h1(obj)
+    pair = tuple(sorted(_require_pi1_ready(obj, colors) or obj.colors[:2]))
+    bounds = generator_bounds(obj, rounds)
+    rows = {
+        key: {k: val[k] for k in ("h2_selected", "generators", "post_tietze")}
+        | {"tietze_rounds": val["presentation"].rounds, "tietze_converged": val["presentation"].converged}
+        for key, val in bounds["per_pair"].items()
+    }
+    chosen = bounds["per_pair"][pair]["presentation"] if len(pair) == 2 else GroupPresentation((), ())
+    return rows, bounds["best"], pair, chosen, h1(obj)
 
 
 def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
-    rounds = DEFAULT_TIETZE_ROUNDS if tietze_rounds is None else _read.rounds(tietze_rounds)
-    poset = isinstance(obj, SimplicialPoset)
-    if poset and colors is not None:
-        raise ValidationError("--colors applies to complexes only")
-    require_full_palette(obj)
-    pair = None if poset else tuple(sorted(_read.ids(colors)) if colors is not None else obj.colors[:2])
-    rows, upper, presentation, summary = _run(obj, rounds, pair)
-    per_pair = {"-".join(map(str, key)): row for key, row in (rows or {}).items()}
-    head = {"kind": "poset"} if poset else {"kind": "complex", "colors": list(pair)}
-    body = {"generators": upper} if poset else {"per_pair": per_pair}
+    rows, upper, pair, presentation, summary = _run(obj, tietze_rounds, colors)
+    per_pair = {"-".join(map(str, key)): row for key, row in rows.items()}
+    head = {"kind": "poset"} if pair is None else {"kind": "complex", "colors": list(pair)}
+    body = {"generators": upper} if pair is None else {"per_pair": per_pair}
     return {
         **head,
         "presentation": presentation.render(),
@@ -129,39 +124,17 @@ def pi1_report(obj, colors=None, tietze_rounds=None) -> dict:
     }
 
 
-# -- verify -----------------------------------------------------------------------
-
-
 # perfbench/tracer.py traces the shared additivity table under this name
 poset_h_additivity = h_additivity_table
 
 
 def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
     """The machine-readable bound report for one complex or poset."""
-    rounds = DEFAULT_TIETZE_ROUNDS if tietze_rounds is None else _read.rounds(tietze_rounds)
     input_id, ns = _read.label(input_id), _read.flag(ns, "ns")
     start = time.perf_counter()
-    props = obj.check_properties()
-    if not props.all_hold:
-        raise PropertyError(f"input fails the property checks: {props.as_dict()}")
-    d = obj.d
-    h = obj.h_vector()
+    rows, upper, pair, _, summary = _run(obj, tietze_rounds)
+    d, h = obj.d, obj.h_vector()
     additivity = h_additivity_table(obj)
-    rows, upper, _, summary = _run(obj, rounds)
-    if rows is None:
-        kind = "poset"
-        # with all d colors on every facet, each pair selects a poset of rank 2
-        per_table = [
-            {"colors": list(p), "h2_selected": selected_h(obj.flag_f_vector(), p), "post_tietze": None}
-            for p in combinations(obj.colors, 2)
-        ]
-    else:
-        kind = "complex"
-        per_table = [
-            {"colors": list(pair), **{k: v for k, v in row.items() if k != "generators"}}
-            for pair, row in rows.items()
-        ]
-
     lower = summary.min_generators
     h2 = h[2] if len(h) > 2 else 0
     pairs = comb(d, 2)
@@ -174,10 +147,13 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
         checks["ns_holds"] = h2 - h[1] >= comb(d + 1, 2) * summary.betti1
     report = {
         "input": input_id,
-        "kind": kind,
+        "kind": "poset" if pair is None else "complex",
         "d": d,
         "h_vector": list(h),
-        "per_colors": per_table,
+        "per_colors": [
+            {"colors": list(key), **{k: v for k, v in row.items() if k != "generators"}}
+            for key, row in rows.items()
+        ],
         "min_generators_lower_bound": lower,
         "min_generators_upper_bound": upper,
         "h_additivity": additivity["by_index"],
@@ -291,14 +267,13 @@ def main(argv=None) -> int:
         if args.command == "gen":
             report = generate_shape(args.shape, args.dim, args.n, args.copies).to_json()
         elif args.command == "pi1":
-            colors = _read.text_ints(args.colors, "--colors", 2) if args.colors else None
+            colors = None if args.colors is None else _read.text_ints(args.colors, "--colors", 2)
             report = pi1_report(load_input(args.file), colors, _rounds_text(args.tietze_rounds))
         elif args.command in ("check", "hvec"):
             report = (check_report if args.command == "check" else hvec_report)(load_input(args.file))
         elif args.command == "verify":
             obj = load_input(args.file)
-            rounds = _rounds_text(args.tietze_rounds)
-            report = verification_report(obj, input_id=args.file, ns=args.ns, tietze_rounds=rounds)
+            report = verification_report(obj, args.file, args.ns, _rounds_text(args.tietze_rounds))
         else:
             obj = load_input(args.file)
             if isinstance(obj, SimplicialPoset):

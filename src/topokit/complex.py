@@ -262,7 +262,7 @@ class SimplicialComplex(_Space):
         """Number of vertices in a top-dimensional facet (``dim + 1``)."""
         return self.dim + 1
 
-    @property
+    @cached_property
     def is_pure(self) -> bool:
         return len({len(f) for f in self._facets}) == 1
 

@@ -279,6 +279,12 @@ class HomologySummary:
     betti1: int
     torsion: tuple[int, ...]
 
+    def __post_init__(self):
+        torsion = _read.ids(self.torsion)
+        if _read.integer(self.betti1, "betti1") < 0 or any(t < 2 for t in torsion):
+            raise ValidationError(f"betti1 must be >= 0 and torsion > 1, got {self.betti1}, {list(torsion)}")
+        object.__setattr__(self, "torsion", torsion)  # an array, read as a tuple
+
     @property
     def min_generators(self) -> int:
         return self.betti1 + len(self.torsion)

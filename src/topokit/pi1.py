@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
@@ -339,13 +340,20 @@ class NestedSpanningTree:
         self.complex = complex
         self.colors = _read.colors(colors)
         self.root = _read.integer(root)
-        self.parent = _read.id_map(parent, lambda p: p if p is None else _read.integer(p))
-        faces, children = complex.face_set(), {}
-        for v, p in self.parent.items():
-            if p is not None and _canon(v, p) not in faces:
-                raise ValidationError(f"tree edge ({v},{p}) is not an edge of the complex")
+        if not isinstance(parent, Mapping):
+            _read.id_map(parent, None)  # refuses it
+        faces, children, edges, self.parent = complex.face_set(), {}, [], {}
+        for v, p in parent.items():  # ids read, edges checked, children listed in one pass
+            if type(v) is not int or p is not None and type(p) is not int:
+                _read.ids((v, p))  # refuses the id that is not an integer
+            if p is not None:
+                edge = (v, p) if v <= p else (p, v)
+                if edge not in faces:
+                    raise ValidationError(f"tree edge ({v},{p}) is not an edge of the complex")
+                edges.append(edge)
+            self.parent[v] = p
             children.setdefault(p, []).append(v)
-        self.edges = frozenset(_canon(v, p) for v, p in self.parent.items() if p is not None)
+        self.edges = frozenset(edges)
         order = [root] if (root,) in faces and self.parent.get(root, root) is None else []
         for v in order:  # the root has no parent, so no cycle is reached
             order.extend(children.get(v, ()))
@@ -373,15 +381,21 @@ class NestedSpanningTree:
         return tuple(zip(verts, verts[1:]))
 
 
-def _require_pi1_ready(complex: SimplicialComplex, colors=None) -> frozenset | None:
-    palette = require_full_palette(complex)
-    report = complex.check_properties()
-    if not report.all_hold:
-        raise PropertyError(f"pure/balanced/connected-links checks failed: {report.as_dict()}")
-    if colors is None:
-        return None
-    colors = _read.colors(colors)
-    if len(colors) != 2 or not colors <= set(palette):
+def _require_structure(space) -> None:
+    """Pure, with connected links, else :class:`PropertyError`; no coloring is read."""
+    if not (space.is_pure and space.links_connected()):
+        checks = {"pure": space.is_pure, "links_connected": space.links_connected()}
+        raise PropertyError(f"input fails the property checks: {checks}")
+
+
+def _require_pi1_ready(space, colors=None) -> frozenset | None:
+    """The one precondition of the pi1 functions and reports, checked in order: the
+    structure; a coloring (else :class:`MissingColoringError`) of exactly d colors (else
+    :class:`PropertyError`), which the constructors make proper on every facet, so no
+    balanced coloring is searched for; and two palette ``colors``, when given, returned."""
+    _require_structure(space)
+    palette = require_full_palette(space)
+    if colors is not None and (len(colors := _read.colors(colors)) != 2 or not colors <= set(palette)):
         raise ValidationError(f"need exactly two palette colors, got {sorted(colors)}")
     return colors
 
@@ -451,6 +465,12 @@ class GroupPresentation:
 
     def __init__(self, generators, relators, rounds=None, converged=None):
         self.generators: tuple[Generator, ...] = _read.items(generators)
+        for g in self.generators:
+            if type(g) is not Generator:
+                raise ValidationError(f"expected a Generator, got {g!r}")
+            if not (type(e := g.edge) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int):
+                _read.ids(e, 2)  # names a bad id or length; else the edge is not a tuple
+                raise ValidationError(f"a generator edge is a tuple of two ids, got {e!r}")
         rels = []
         n = len(self.generators)
         for rel in _read.items(relators):
@@ -791,7 +811,7 @@ def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentat
             raise ValidationError(f"selected vertex {v} hangs from the off-color {p}; the tree is not nested")
     faces = complex.face_set()
     for g in presentation.generators:
-        if len(g.edge) != 2 or g.edge not in faces:
+        if g.edge not in faces:
             raise FaceNotFoundError(f"generator edge {g.edge} is not an edge of the complex")
         if g.tree != (g.edge in tree.edges):
             raise ValidationError(f"generator edge {g.edge} disagrees with the tree")
@@ -966,10 +986,7 @@ def poset_edge_path_group(poset, base=None) -> GroupPresentation:
     skeleton shared with H1, less its tree sides.  ``Generator.realization``
     is the tree path from the base, the element, and the tree path back.
     """
-    if not poset.is_pure:
-        raise PropertyError("poset edge-path groups need a pure poset")
-    if not poset.links_connected():
-        raise PropertyError("poset edge-path groups need connected links")
+    _require_structure(poset)
     atoms = poset.atoms()
     if not atoms:
         return GroupPresentation((), ())

@@ -9,6 +9,7 @@ its relatives representable.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from . import _read
@@ -160,7 +161,7 @@ class SimplicialPoset(_Space):
 
     # -- structure ----------------------------------------------------------
 
-    @property
+    @cached_property
     def is_pure(self) -> bool:
         d = self.d
         return all(self._rank[x] == d for x in self.maximal_elements())

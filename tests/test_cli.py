@@ -601,3 +601,86 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
     plain = verify()
     assert verify("--ns") != plain
     assert verify() == plain
+
+
+# -- one precondition check for pi1 and verify ----------------------------------------
+
+BOWTIE = [(0, 1, 2), (0, 3, 4)]
+PROPER_BOWTIE = SimplicialComplex(BOWTIE, {0: 1, 1: 2, 2: 3, 3: 2, 4: 3})
+LINKS_FAIL = "check failed: input fails the property checks: {'pure': True, 'links_connected': False}"
+UNCOLORED = "error: no coloring attached"
+# class -> (input, exit code and stderr that ``pi1`` and ``verify`` both give), in the
+# check order: structure (1), a coloring attached (2), exactly d colors (1)
+PRECONDITION_CLASSES = {
+    "uncolored bowtie": (SimplicialComplex(BOWTIE), 1, LINKS_FAIL),
+    "uncolored sd-torus": (SimplicialComplex(shapes.sd_torus().facets), 2, UNCOLORED),
+    "uncolored 7-vertex torus": (shapes.torus_7(), 2, UNCOLORED),
+    "face poset of the uncolored 7-vertex torus": (face_poset(shapes.torus_7()), 2, UNCOLORED),
+    "square with 3 colors": (
+        SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3)], {0: 1, 1: 2, 2: 1, 3: 3}),
+        1,
+        "check failed: coloring uses 3 colors on a complex with facet size 2",
+    ),
+    "bowtie with 4 colors": (SimplicialComplex(BOWTIE, {0: 1, 1: 2, 2: 3, 3: 2, 4: 4}), 1, LINKS_FAIL),
+    "properly colored bowtie": (PROPER_BOWTIE, 1, LINKS_FAIL),
+    "non-pure colored complex": (
+        SimplicialComplex([(0, 1, 2), (2, 3)], {0: 1, 1: 2, 2: 3, 3: 1}),
+        1,
+        "check failed: input fails the property checks: {'pure': False, 'links_connected': False}",
+    ),
+    "face poset of the colored bowtie": (face_poset(PROPER_BOWTIE), 1, LINKS_FAIL),
+    "double circle": (shapes.double_edge_circle(), 0, ""),
+    "octahedron": (shapes.cross_polytope(3), 0, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITION_CLASSES))
+def test_pi1_and_verify_refuse_alike(tmp_path, capsys, name):
+    obj, code, err = PRECONDITION_CLASSES[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj.to_json()))
+    for command in ("pi1", "verify"):
+        got_code, out, got_err = run(capsys, command, str(path))
+        assert (got_code, got_err.strip()) == (code, err), command
+        assert bool(out) == (code == 0), command
+
+
+def test_uncolored_verify_searches_no_coloring(tmp_path, capsys, monkeypatch):
+    from topokit import complex as complex_module
+
+    def refuse(*args):
+        raise AssertionError("a coloring was searched for")
+
+    monkeypatch.setattr(complex_module, "proper_coloring", refuse)
+    sd2 = shapes.sd_torus().barycentric_subdivision()
+    path = tmp_path / "sd2.json"
+    path.write_text(json.dumps(SimplicialComplex(sd2.facets).to_json()))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err.strip()) == (2, "", UNCOLORED)
+
+
+def test_a_bad_pair_is_refused_before_any_stage(tmp_path, capsys, monkeypatch):
+    from topokit import cli
+
+    def refuse(*args):
+        raise AssertionError("a stage ran before the pair was checked")
+
+    monkeypatch.setattr(cli, "generator_bounds", refuse)
+    path = gen_file(tmp_path, capsys, "sd-torus")
+    code, out, err = run(capsys, "pi1", str(path), "--colors", "1,9")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: need exactly two palette colors, got [1, 9]"
+
+
+def test_only_no_colors_selects_the_default_pair(tmp_path, capsys):
+    from topokit import cli
+    from topokit.errors import ValidationError
+
+    octahedron = shapes.cross_polytope(3)
+    assert cli.pi1_report(octahedron)["colors"] == [1, 2]
+    with pytest.raises(ValidationError, match=r"need exactly two palette colors, got \[\]"):
+        cli.pi1_report(octahedron, [])
+    path = gen_file(tmp_path, capsys, "cross-polytope", "--dim", "3")
+    code, out, err = run(capsys, "pi1", str(path), "--colors", "")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: bad --colors value ''"

@@ -20,7 +20,9 @@ from conftest import corpus_complexes
 
 from topokit import (
     Certificate,
+    Generator,
     GroupPresentation,
+    HomologySummary,
     NestedSpanningTree,
     SimplicialComplex,
     SimplicialPoset,
@@ -117,6 +119,8 @@ ENTRY_POINTS = {
     "NestedSpanningTree.path_to_root": (1, TREE.path_to_root),
     "NestedSpanningTree.edge_path": (2, TREE.edge_path),
     "GroupPresentation": (1, lambda relators: GroupPresentation(GENS, relators)),
+    "GroupPresentation(generators)": (1, lambda generators: GroupPresentation(generators, ())),
+    "HomologySummary": (2, HomologySummary),
     "GroupPresentation.generator_index": (1, PRESENTATION.generator_index),
     "word_to_loop": (1, lambda word: word_to_loop(PRESENTATION, TREE, word)),
     "restrict_presentation": (
@@ -228,6 +232,24 @@ NAMED_ROWS = {
         lambda: Certificate("complex", (("expand", 0),)).to_json(),
         "'expand' move has 3 entries",
     ),
+    "generator edge an integer, rendered": (
+        lambda: GroupPresentation([Generator(edge=5)], []).render(),
+        "expected an array of 2 entries, got 5",
+    ),
+    "generator edge an integer, restricted": (
+        lambda: restrict_presentation(GroupPresentation([Generator(edge=5)], []), OCTAHEDRON, {1, 2}, TREE),
+        "expected an array of 2 entries, got 5",
+    ),
+    "generator not a Generator": (lambda: GroupPresentation([5], []), "expected a Generator, got 5"),
+    "generator edge id a string": (
+        lambda: GroupPresentation([Generator(edge=(0, "a"))], []).render(),
+        "expected an integer, got 'a'",
+    ),
+    "homology betti1 a string": (
+        lambda: HomologySummary(betti1="x", torsion=()).min_generators,
+        "betti1 must be an integer, got 'x'",
+    ),
+    "homology torsion factor 1": (lambda: HomologySummary(0, (1,)), "torsion > 1, got 0, \\[1\\]"),
     "relator letter float": (lambda: GroupPresentation(GENS, [(1.7, -2)]), "expected an integer, got 1.7"),
     "relator letter string": (lambda: GroupPresentation(GENS, [("1",)]), "expected an integer, got '1'"),
     "relator letter bool": (lambda: GroupPresentation(GENS, [(True, 2)]), "expected an integer, got True"),

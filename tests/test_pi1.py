@@ -17,6 +17,7 @@ from topokit import (
     GroupPresentation,
     MissingColoringError,
     PosetEdge,
+    PropertyError,
     SimplicialComplex,
     SimplicialPoset,
     ValidationError,
@@ -219,6 +220,25 @@ def test_rewrite_rejects_bad_endpoints(octahedron):
 def test_rewriting_needs_coloring():
     with pytest.raises(MissingColoringError):
         rewrite_path_to_colors(SimplicialComplex([(0, 1, 2)]), (1, 2), [(0, 1)])
+
+
+def test_the_structure_is_checked_before_the_coloring():
+    # the uncolored bowtie: the link of vertex 0 is two edges, so the structure fails first
+    bowtie = SimplicialComplex([(0, 1, 2), (0, 3, 4)])
+    with pytest.raises(PropertyError, match="input fails the property checks"):
+        rewrite_path_to_colors(bowtie, (1, 2), [(1, 0), (0, 3)])
+
+
+@pytest.mark.parametrize("call", [build_nested_tree, lambda k, c: rewrite_path_to_colors(k, c, [(0, 2)])])
+def test_an_empty_color_set_is_refused(octahedron, call):
+    with pytest.raises(ValidationError, match=r"need exactly two palette colors, got \[\]"):
+        call(octahedron, [])
+
+
+def test_is_pure_is_computed_once():
+    for space in (shapes.cross_polytope(3), face_poset(shapes.cross_polytope(3))):
+        assert "is_pure" not in vars(space)
+        assert space.is_pure and vars(space)["is_pure"] is True
 
 
 def test_rewrite_handles_degenerate_edges(octahedron):

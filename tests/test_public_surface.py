@@ -82,3 +82,38 @@ def test_only_the_readers_convert_or_test_for_bools(path):
 def test_library_parses_as_its_minimum_python(path):
     """``pyproject.toml`` declares ``requires-python = ">=3.10"``: no newer syntax."""
     ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+CLI = Path(topokit.__file__).parent / "cli.py"
+# name -> the one function of ``cli.py`` that may use it (None: no function may).  The
+# stages run once, in ``_run``, after the one precondition check; the reports format.
+STAGE_USERS = {
+    "_require_pi1_ready": "_run",
+    "generator_bounds": "_run",
+    "poset_edge_path_group": "_run",
+    "tietze_simplify": "_run",
+    "h1": "_run",
+    "require_full_palette": None,
+    "check_properties": "check_report",
+}
+
+
+def names_used_by_function(path) -> dict[str, set[str]]:
+    """Each name read in ``path`` (a bare name, or an attribute) -> the top-level
+    functions (or ``<module>``) that read it; imports are not reads."""
+    used: dict[str, set[str]] = {}
+    for top in ast.parse(path.read_text(), str(path)).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.setdefault(node.id, set()).add(owner)
+            elif isinstance(node, ast.Attribute):
+                used.setdefault(node.attr, set()).add(owner)
+    return used
+
+
+def test_cli_runs_the_stages_in_one_place():
+    used = names_used_by_function(CLI)
+    for name, user in STAGE_USERS.items():
+        assert used.get(name, set()) == ({user} if user else set()), f"cli.py: {name} used by {used.get(name)}"
+    assert used["_run"] == {"pi1_report", "verification_report"}
