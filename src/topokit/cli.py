@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 
 from . import _read, shapes
-from .complex import SimplicialComplex, h_additivity_table, selected_h
+from .complex import SimplicialComplex, h_additivity_table
 from .errors import ContractViolationError, PropertyError, TopoError, ValidationError
 from .homology import h1
 from .pi1 import (
@@ -94,10 +94,10 @@ def _run(obj, tietze_rounds=None, colors=None) -> tuple:
     if isinstance(obj, SimplicialPoset):
         if colors is not None:
             raise ValidationError("--colors applies to complexes only")
-        _require_pi1_ready(obj)
+        _require_pi1_ready(obj, poset=True)
         chosen = tietze_simplify(poset_edge_path_group(obj), rounds)
-        flag, pairs = obj.flag_f_vector(), combinations(obj.colors, 2)
-        rows = {p: {"h2_selected": selected_h(flag, p), "post_tietze": None} for p in pairs}
+        h = obj._selection_h()
+        rows = {p: {"h2_selected": h[p], "post_tietze": None} for p in combinations(obj.colors, 2)}
         return rows, len(chosen.generators), None, chosen, h1(obj)
     pair = tuple(sorted(_require_pi1_ready(obj, colors) or obj.colors[:2]))
     bounds = generator_bounds(obj, rounds)
@@ -133,8 +133,8 @@ def verification_report(obj, input_id="", ns=False, tietze_rounds=None) -> dict:
     input_id, ns = _read.label(input_id), _read.flag(ns, "ns")
     start = time.perf_counter()
     rows, upper, pair, _, summary = _run(obj, tietze_rounds)
-    d, h = obj.d, obj.h_vector()
     additivity = h_additivity_table(obj)
+    d, h = obj.d, [row["h"] for row in additivity["by_index"]]  # the f-vector counted once
     lower = summary.min_generators
     h2 = h[2] if len(h) > 2 else 0
     pairs = comb(d, 2)

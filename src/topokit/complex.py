@@ -97,10 +97,10 @@ class _Space:
     ``vertices``, ``is_pure``, ``f_vector()``, ``edges()``, ``_ends(edge)``, an
     edge's two end vertices ascending, and ``triangle_sides()``, and three sweeps:
     ``_link_layer(k)`` (see :func:`_links_connected`), ``_ridges()``, each facet's
-    codimension-1 cells, and ``_color_sets()``, the color set of each face (of each
-    element, and of the implicit bottom).  Both constructors check their input, so
-    every instance is valid.  The 1-skeleton, its vertices joined by the ends of its
-    edges, is read only here.
+    codimension-1 cells, and ``_color_masks(bit)``, the color mask of each face (of
+    each element, and of the implicit bottom): the sum of its vertices' ``bit``.  Both
+    constructors check their input, so every instance is valid.  The 1-skeleton, its
+    vertices joined by the ends of its edges, is read only here.
     """
 
     def _attach(self, coloring, labels, vertices) -> None:
@@ -141,12 +141,33 @@ class _Space:
         return h_from_f(f)
 
     def flag_f_vector(self) -> dict[frozenset[int], int]:
-        """Face counts by color set, the empty face under ``frozenset()``; cached."""
+        """Face counts by color set, the empty face under ``frozenset()``; read from :meth:`_flag`."""
+        counts, colors = self._flag()[0], self.colors
+        return {frozenset(c for i, c in enumerate(colors) if m >> i & 1): n for m, n in counts.items()}
+
+    def _flag(self) -> tuple:
+        """(face counts by color mask, bit i for ``colors[i]`` and a face's mask the sum of its
+        vertices' bits, as colorings are proper; the table of :meth:`_selection_h` or None)."""
         if self._coloring is None:
             raise MissingColoringError("color-set counts need a coloring")
-        if "flag_f" not in self._cache:
-            self._cache["flag_f"] = Counter(self._color_sets())
-        return dict(self._cache["flag_f"])
+        if "flag" not in self._cache:
+            bit = {c: 1 << i for i, c in enumerate(self.colors)}
+            masks = self._color_masks({v: bit[c] for v, c in self._coloring.items()})
+            self._cache["flag"] = (Counter(masks), None)
+        return self._cache["flag"]
+
+    def _selection_h(self) -> dict[tuple[int, ...], int]:
+        """``h_|S|`` of each color selection ``S`` (a sorted tuple): the sum of ``(-1)^(|S|-|T|) f_T``
+        over ``T`` in ``S``, one subset transform of the mask counts in O(d 2^d); full palette only."""
+        require_full_palette(self)
+        counts, h = self._flag()
+        if h is None:
+            h = [counts[mask] for mask in range(1 << self.d)]
+            for bit in (1 << i for i in range(self.d)):  # then h[m] sums over T in m equal to m above bit
+                h = [x - h[mask ^ bit] if mask & bit else x for mask, x in enumerate(h)]
+            h = {tuple(c for i, c in enumerate(self.colors) if m >> i & 1): x for m, x in enumerate(h)}
+            self._cache["flag"] = (counts, h)
+        return h
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """1-skeleton adjacency, neighbors in ascending order; cached."""
@@ -381,9 +402,8 @@ class SimplicialComplex(_Space):
     def _ridges(self):
         return (combinations(f, len(f) - 1) for f in self._facets if f)
 
-    def _color_sets(self):
-        kappa = self._coloring
-        return (frozenset(map(kappa.get, f)) for f in self.face_set())
+    def _color_masks(self, bit):
+        return (sum(map(bit.__getitem__, f)) for f in self.face_set())
 
     def _link_layer(self, k: int):
         """The links of the faces of size k on integer ids: the vertex at position p of
@@ -643,28 +663,16 @@ def require_full_palette(space) -> tuple[int, ...]:
     return palette
 
 
-def selected_h(flag: dict, colors) -> int:
-    """``h_|S|`` of the selection to the colors ``S`` of a space with a full palette,
-    from its color-set counts ``flag``: the sum of ``(-1)^(|S|-|T|) f_T`` over ``T`` in ``S``."""
-    return sum(
-        (-1) ** (len(colors) - k) * flag.get(frozenset(sub), 0)
-        for k in range(len(colors) + 1)
-        for sub in combinations(colors, k)
-    )
-
-
 def h_additivity_table(space) -> dict:
     """Compare each h_i with the sum of h_i over all size-i color selections.
 
     ``space`` is a complex or simplicial poset colored with exactly ``d`` colors
     (else :class:`PropertyError`), so each selection to ``S`` is pure of facet size
-    ``|S|``, and its ``h_|S|`` (each pair's selected h2 too) is :func:`selected_h` of
-    the counts of faces by color set, the flag f-vector; no selection is built.  Returns
-    ``{"holds": bool, "by_index": [{"i", "h", "sum_over_selections"}]}``.
+    ``|S|``, and its ``h_|S|`` is read from :meth:`_Space._selection_h`; no selection
+    is built.  Returns ``{"holds": bool, "by_index": [{"i", "h", "sum_over_selections"}]}``.
     """
-    palette = require_full_palette(space)
+    table = space._selection_h()  # refuses a palette that is not full
     h = space.h_vector()
-    flag = space.flag_f_vector()
-    sums = [sum(selected_h(flag, sel) for sel in combinations(palette, i)) for i in range(len(h))]
+    sums = [sum(x for selection, x in table.items() if len(selection) == i) for i in range(len(h))]
     rows = [{"i": i, "h": h[i], "sum_over_selections": total} for i, total in enumerate(sums)]
     return {"holds": all(r["h"] == r["sum_over_selections"] for r in rows), "by_index": rows}

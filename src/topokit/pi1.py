@@ -23,9 +23,9 @@ and the triangle relators come from the space's edge skeleton (``_skeleton()``),
 built once per complex or poset and read by first homology as well.  Each
 bypass of an off-color vertex reads its bridge and its detour from one index
 shared by all pairs: the vertices completing each vertex and edge to a face, by
-color.  A detour search stops at its bridge and is resumed for the next one.
-A simplicial poset's group is read from the same skeleton of its rank-2 and
-rank-3 elements, with no rewriting.
+color.  A detour search stops at its bridge and is resumed for the next one; a
+pair walks each (vertex, entry vertex, bridge) once.  A simplicial poset's group
+is read from the same skeleton of its rank-2 and rank-3 elements, unrewritten.
 
 Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
@@ -51,7 +51,7 @@ from itertools import chain, combinations
 from typing import NamedTuple
 
 from . import _read
-from .complex import SimplicialComplex, require_full_palette, selected_h
+from .complex import SimplicialComplex, require_full_palette
 from .errors import (
     ContractViolationError,
     FaceNotFoundError,
@@ -337,6 +337,7 @@ class NestedSpanningTree:
     edges, and keeps the vertices parents first (a BFS over the children)."""
 
     def __init__(self, complex, colors, root, parent):
+        _require_complex(complex)
         self.complex = complex
         self.colors = _read.colors(colors)
         self.root = _read.integer(root)
@@ -381,6 +382,13 @@ class NestedSpanningTree:
         return tuple(zip(verts, verts[1:]))
 
 
+def _require_complex(space) -> None:
+    """The one refusal of a poset, or any other value, by the functions that read complexes."""
+    if not isinstance(space, SimplicialComplex):
+        name = type(space).__name__
+        raise ValidationError(f"expected a simplicial complex, got {name}; see poset_edge_path_group")
+
+
 def _require_structure(space) -> None:
     """Pure, with connected links, else :class:`PropertyError`; no coloring is read."""
     if not (space.is_pure and space.links_connected()):
@@ -388,11 +396,13 @@ def _require_structure(space) -> None:
         raise PropertyError(f"input fails the property checks: {checks}")
 
 
-def _require_pi1_ready(space, colors=None) -> frozenset | None:
-    """The one precondition of the pi1 functions and reports, checked in order: the
-    structure; a coloring (else :class:`MissingColoringError`) of exactly d colors (else
-    :class:`PropertyError`), which the constructors make proper on every facet, so no
-    balanced coloring is searched for; and two palette ``colors``, when given, returned."""
+def _require_pi1_ready(space, colors=None, poset=False) -> frozenset | None:
+    """The one precondition of the pi1 functions and reports, checked in order: a complex (a
+    poset too when ``poset``); the structure; a coloring (else :class:`MissingColoringError`) of
+    exactly d colors (else :class:`PropertyError`), which the constructors make proper on every
+    facet, so no balanced coloring is searched for; two palette ``colors``, when given, returned."""
+    if not poset:
+        _require_complex(space)
     _require_structure(space)
     palette = require_full_palette(space)
     if colors is not None and (len(colors := _read.colors(colors)) != 2 or not colors <= set(palette)):
@@ -402,12 +412,11 @@ def _require_pi1_ready(space, colors=None) -> frozenset | None:
 
 def default_basepoint(complex: SimplicialComplex, colors) -> int:
     """Minimum-id vertex of the color-selected subcomplex."""
-    kappa = complex._coloring
-    allowed = _read.colors(colors)
-    sel = [v for v in complex.vertices if kappa[v] in allowed]
-    if not sel:
+    _require_complex(complex)
+    allowed, kappa = _read.colors(colors), complex._coloring
+    if allowed.isdisjoint(complex.colors):  # the palette: MissingColoringError when uncolored
         raise FaceNotFoundError(f"no vertices colored in {sorted(allowed)}")
-    return min(sel)
+    return min(v for v in complex.vertices if kappa[v] in allowed)
 
 
 def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
@@ -541,6 +550,7 @@ def invert_word(word) -> list[int]:
 
 def full_presentation(complex, tree: NestedSpanningTree) -> GroupPresentation:
     """One generator per edge; tree edges die, triangles impose substitution."""
+    _require_complex(complex)
     if not complex.is_connected():
         raise ValidationError("presentations need a connected complex")
     kappa = complex._coloring
@@ -576,21 +586,21 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
 
 def _bridge_vertex(complex, colors, kappa, mid, tail, near, bridges):
     """Minimum-id selected vertex completing {mid, tail} to a face, avoiding the color
-    of tail: the least ``near[base][color][0]`` (:func:`_completions`) over those
-    colors; memoized by (mid, tail), its witness checked once."""
-    key = (mid, tail)
-    if key not in bridges:
-        by_color = near.get((mid,) if mid == tail else _canon(mid, tail), {})
-        found = [by_color[c][0] for c in colors - {kappa[tail]} if c in by_color]
-        if not found:
-            raise ContractViolationError(
-                f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
-            )
-        bridge = min(found)
-        if tuple(sorted({mid, bridge, tail})) not in complex.face_set():
-            raise _not_a_face((mid, bridge, tail))
-        bridges[key] = bridge
-    return bridges[key]
+    of tail: the least first entry ``near[base][color][0]`` (:func:`_completions`) of the
+    pair color tail lacks, or of both when tail is off-color.  Stored in ``bridges`` by
+    (mid, tail) once its witness has checked; callers read that memo first."""
+    by_color = near.get((mid,) if mid == tail else (mid, tail) if mid < tail else (tail, mid), {})
+    (first, second), color = colors, kappa[tail]
+    a = None if color == first else by_color.get(first)
+    b = None if color == second else by_color.get(second)
+    if a is None and b is None:
+        msg = f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
+        raise ContractViolationError(msg)
+    bridge = b[0] if a is None else a[0] if b is None or a[0] < b[0] else b[0]
+    if tuple(sorted({mid, bridge, tail})) not in complex.face_set():
+        raise _not_a_face((mid, bridge, tail))
+    bridges[mid, tail] = bridge
+    return bridge
 
 
 def _completions(complex) -> dict:
@@ -657,7 +667,9 @@ def _bypass(complex, colors, kappa, u, mid, tail, memos):
     """The selected vertices ``u, ..., bridge`` that replace the off-color ``mid`` between ``u``
     and ``tail``: ``[u]`` if the bridge is u, else the path from mid's :func:`_detour_search`."""
     near, bridges, searches = memos
-    bridge = _bridge_vertex(complex, colors, kappa, mid, tail, near, bridges)
+    bridge = bridges.get((mid, tail))
+    if bridge is None:
+        bridge = _bridge_vertex(complex, colors, kappa, mid, tail, near, bridges)
     if bridge == u:
         return [u]
     parent = _detour_search(complex, colors, kappa, mid, u, bridge, near, searches)
@@ -722,24 +734,27 @@ def _letters(signed, steps) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _bypass_word(complex, colors, kappa, u, mid, tail, memos, signed):
-    """The letters of :func:`_bypass` and its bridge."""
-    hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
-    return _letters(signed, zip(hops, hops[1:])), hops[-1]
+def _bypass_word(complex, colors, kappa, u, mid, tail, bridge, memos, signed, words):
+    """The letters of :func:`_bypass` from ``u`` to ``bridge``, stored in ``words`` by
+    (mid, u, bridge), as the bypasses of one pair repeat."""
+    if (word := words.get((mid, u, bridge))) is None:
+        hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
+        word = words[mid, u, bridge] = _letters(signed, zip(hops, hops[1:]))
+    return word
 
 
 def _restrict(complex, tree, edges, relators) -> GroupPresentation:
-    """Restrict generators ``edges`` (letters 1, 2, ...) and ``relators`` to the
-    pair ``tree.colors``.  A tree edge maps to (), a kept (selected non-tree)
-    edge to its new letter, and an off-color edge (a, b) to the rewrite of its
-    tree loop between a's and b's nearest selected ancestors: a's descent, the
-    bypasses of a and b, and b's climb.  One parents-first pass over the nested
-    tree gives each off-color w its descent (the letters from its nearest selected
-    ancestor down to w, and the vertex they end at) and its climb (the letters from
-    the bridge replacing w back up); the memos are this pair's only."""
+    """Restrict generators ``edges`` (letters 1, 2, ...) and ``relators`` to the pair
+    ``tree.colors``.  A tree edge maps to (), a kept (selected non-tree) edge to its new
+    letter, and an off-color edge (a, b) to the rewrite of its tree loop between a's and
+    b's nearest selected ancestors: a's descent, the bypasses of a and b, and b's climb.
+    One parents-first pass over the nested tree gives each off-color w its descent (the
+    letters from its nearest selected ancestor down to w, and the vertex they end at) and
+    its climb (w's bridge, and the letters from it back up); the memos are this pair's."""
     colors, parent, kappa = tree.colors, tree.parent, complex._coloring
     memos = (_completions(complex), {}, {})  # bridges, detour searches: this pair only
     near, bridges, _ = memos
+    words: dict = {}  # (mid, u, bridge) -> the letters of that bypass
     signed: dict[ComplexEdge, int] = {}  # oriented edge -> its kept letter, 0 on the tree
     for u, v in tree.edges:
         signed[u, v] = signed[v, u] = 0
@@ -749,19 +764,18 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
             generators.append(Generator(edge=(u, v), tree=False, selected=True))
             signed[u, v], signed[v, u] = len(generators), -len(generators)
     down, up = {}, {}
-    for w in tree._order:  # parents first
+    for w in tree._order:  # parents first; no bridge asked for in this pass is stored yet
         if kappa[w] in colors:
             continue
         p = parent[w]
         x = _bridge_vertex(complex, colors, kappa, w, p, near, bridges)
         if kappa[p] in colors:
-            down[w] = ((), p)
-            up[w] = _letters(signed, [(x, p)])
-        else:
-            word, u = down[p]
-            letters, u = _bypass_word(complex, colors, kappa, u, p, w, memos, signed)
-            down[w] = (word + letters, u)
-            up[w] = _bypass_word(complex, colors, kappa, x, p, parent[p], memos, signed)[0] + up[p]
+            down[w], up[w] = ((), p), (x, _letters(signed, [(x, p)]))
+            continue
+        (word, u), (y, climb), z = down[p], up[p], _bridge_vertex(complex, colors, kappa, p, w, near, bridges)
+        into = _bypass_word(complex, colors, kappa, u, p, w, z, memos, signed, words)
+        out = _bypass_word(complex, colors, kappa, x, p, parent[p], y, memos, signed, words)
+        down[w], up[w] = (word + into, z), (x, out + climb)
     images = [()] * (2 * len(edges) + 1)  # images[i] and images[-i]: letter i and its inverse
     for i, (a, b) in enumerate(edges, 1):
         x = signed.get((a, b))
@@ -770,14 +784,14 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
         elif x is None:
             if kappa[a] in colors:
                 word, u = (), a
-            else:
-                word, u = down[a]
-                letters, u = _bypass_word(complex, colors, kappa, u, a, b, memos, signed)
-                word += letters
+            else:  # a's bridge toward b is asked for once, here
+                (word, u), x = down[a], _bridge_vertex(complex, colors, kappa, a, b, near, bridges)
+                word, u = word + _bypass_word(complex, colors, kappa, u, a, b, x, memos, signed, words), x
             if kappa[b] in colors:
                 word += _letters(signed, [(u, b)])
             else:
-                word += _bypass_word(complex, colors, kappa, u, b, parent[b], memos, signed)[0] + up[b]
+                x, climb = up[b]
+                word += _bypass_word(complex, colors, kappa, u, b, parent[b], x, memos, signed, words) + climb
             images[i], images[-i] = word, tuple(invert_word(word))
     mapped = []
     for rel in relators:
@@ -954,16 +968,15 @@ def generator_bounds(complex, tietze_rounds: int = DEFAULT_TIETZE_ROUNDS) -> dic
     generator counts; ``best`` is the smallest certified upper bound."""
     tietze_rounds = _read.rounds(tietze_rounds)
     _require_pi1_ready(complex)
-    flag = complex.flag_f_vector()
     edges, _, triangles = complex._skeleton()
+    h = complex._selection_h()
     per_pair: dict[tuple[int, int], dict] = {}
     for pair in combinations(complex.colors, 2):
-        sel = frozenset(pair)
-        tree = build_nested_tree(complex, sel)
+        tree = build_nested_tree(complex, pair)
         restricted = _restrict(complex, tree, edges, triangles)
         simplified = tietze_simplify(restricted, tietze_rounds)
         per_pair[pair] = {
-            "h2_selected": selected_h(flag, sel),
+            "h2_selected": h[pair],
             "generators": len(restricted.generators),
             "post_tietze": len(simplified.generators),
             "presentation": simplified,

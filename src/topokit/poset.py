@@ -245,8 +245,8 @@ class SimplicialPoset(_Space):
     def _ridges(self):
         return (self._down[m] for m in self.maximal_elements())
 
-    def _color_sets(self):
-        return [frozenset(), *map(self.color_set, self._rank)]
+    def _color_masks(self, bit):
+        return [0, *(sum(map(bit.__getitem__, atoms)) for atoms in self._atoms.values())]
 
     # -- serialization -------------------------------------------------------
 

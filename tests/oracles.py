@@ -1,18 +1,37 @@
-"""Slow exact replays kept as differential oracles for the production code.
+"""Slow exact computations kept as differential oracles for the production code.
 
 ``oracle_apply_certificate`` replays a certificate by rebuilding the whole path
 tuple for every move, the way the library did before its replay edited one
 list in place.  It reads paths and inserted edges with the library's
 ``check_edge_path``, so the two replays differ only in how they apply moves.
+
+``oracle_restrict`` restricts a presentation to a color pair the way the
+library did before it memoized each pair's bypass letters: every bypass walks
+its detour and reads its letters afresh.  It shares the library's one walk
+(``_bridge_vertex``, ``_detour_search``, ``_bypass``), so the two differ only
+in how bypass words are stored and put together.
+
+``oracle_selected_h`` sums ``(-1)^(|S|-|T|) f_T`` over every subset ``T`` of a
+selection ``S``, the 3^d-term sum the library replaced by one subset transform.
 """
+
+from itertools import combinations
 
 from topokit.errors import ValidationError
 from topokit.pi1 import (
+    Generator,
+    GroupPresentation,
     PosetEdge,
+    _bridge_vertex,
+    _bypass,
+    _canon,
+    _completions,
     _rank3_sides,
     _reverse,
     _stationary,
     check_edge_path,
+    free_reduce,
+    invert_word,
 )
 from topokit.poset import SimplicialPoset
 
@@ -99,3 +118,87 @@ def _triangle_move_poset(poset, path, move):
     if e1.elem not in sides.values() or e2.elem not in sides.values():
         raise ValidationError("contracted edges are not sides of the witness")
     return path[:pos] + (PosetEdge(sides[frozenset((x, z))], x, z),) + path[pos + 2 :]
+
+
+def oracle_selected_h(flag, colors):
+    """``h_|S|`` of the selection to the colors ``S`` from the color-set counts ``flag``."""
+    return sum(
+        (-1) ** (len(colors) - k) * flag.get(frozenset(sub), 0)
+        for k in range(len(colors) + 1)
+        for sub in combinations(colors, k)
+    )
+
+
+def _letters(signed, steps):
+    """The kept letters of a walk ``steps`` between selected vertices; tree edges add none."""
+    word = []
+    for e in steps:
+        if e not in signed:
+            raise ValidationError(f"no generator for edge {_canon(*e)}")
+        if signed[e]:
+            word.append(signed[e])
+    return tuple(word)
+
+
+def _bypass_word(complex, colors, kappa, u, mid, tail, memos, signed):
+    """The letters of ``_bypass`` and its bridge, walked afresh on every call."""
+    hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
+    return _letters(signed, zip(hops, hops[1:])), hops[-1]
+
+
+def oracle_restrict(complex, tree, edges, relators):
+    """Restrict generators ``edges`` (letters 1, 2, ...) and ``relators`` to the pair
+    ``tree.colors``: a tree edge maps to (), a kept edge to its new letter, and an
+    off-color edge to a's descent, the bypasses of a and b, and b's climb."""
+    colors, parent, kappa = tree.colors, tree.parent, complex._coloring
+    memos = (_completions(complex), {}, {})
+    near, bridges, _ = memos
+    signed = {}
+    for u, v in tree.edges:
+        signed[u, v] = signed[v, u] = 0
+    generators = []
+    for u, v in edges:
+        if (u, v) not in tree.edges and kappa[u] in colors and kappa[v] in colors:
+            generators.append(Generator(edge=(u, v), tree=False, selected=True))
+            signed[u, v], signed[v, u] = len(generators), -len(generators)
+    down, up = {}, {}
+    for w in tree._order:
+        if kappa[w] in colors:
+            continue
+        p = parent[w]
+        x = _bridge_vertex(complex, colors, kappa, w, p, near, bridges)
+        if kappa[p] in colors:
+            down[w] = ((), p)
+            up[w] = _letters(signed, [(x, p)])
+        else:
+            word, u = down[p]
+            letters, u = _bypass_word(complex, colors, kappa, u, p, w, memos, signed)
+            down[w] = (word + letters, u)
+            up[w] = _bypass_word(complex, colors, kappa, x, p, parent[p], memos, signed)[0] + up[p]
+    images = [()] * (2 * len(edges) + 1)
+    for i, (a, b) in enumerate(edges, 1):
+        x = signed.get((a, b))
+        if x:
+            images[i], images[-i] = (x,), (-x,)
+        elif x is None:
+            if kappa[a] in colors:
+                word, u = (), a
+            else:
+                word, u = down[a]
+                letters, u = _bypass_word(complex, colors, kappa, u, a, b, memos, signed)
+                word += letters
+            if kappa[b] in colors:
+                word += _letters(signed, [(u, b)])
+            else:
+                word += _bypass_word(complex, colors, kappa, u, b, parent[b], memos, signed)[0] + up[b]
+            images[i], images[-i] = word, tuple(invert_word(word))
+    mapped = []
+    for rel in relators:
+        word = ()
+        for x in rel:
+            word += images[x]
+        if len(word) > 1:
+            word = free_reduce(word)
+        if word:
+            mapped.append(tuple(word))
+    return GroupPresentation(generators, mapped)

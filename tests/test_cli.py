@@ -421,6 +421,18 @@ def test_verify_double_circle_tight(tmp_path, capsys):
     assert report["min_generators_lower_bound"] == 1
 
 
+@pytest.mark.parametrize("build", [lambda: shapes.cross_polytope(5), lambda: face_poset(shapes.sd_torus())])
+def test_verify_counts_the_f_vector_once(monkeypatch, build):
+    from topokit.cli import verification_report
+
+    space, calls = build(), []
+    f_vector = type(space).f_vector
+    monkeypatch.setattr(type(space), "f_vector", lambda self: calls.append(self) or f_vector(self))
+    report = verification_report(space, ns=True)
+    assert len(calls) == 1
+    assert tuple(report["h_vector"]) == space.h_vector()
+
+
 def test_verify_with_ns_flag(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, "cross-polytope", "--dim", "4")
     code, out, _ = run(capsys, "verify", str(path), "--ns")

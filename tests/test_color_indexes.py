@@ -1,7 +1,8 @@
 """Color-keyed indexes against the per-selection builds they replace.
 
 The additivity table, each pair's selected h2 and the poset ``per_colors``
-entries are read from one count of faces by color set (``flag_f_vector``).
+entries are read from one count of faces by color mask, through one subset
+transform (``_selection_h``); ``flag_f_vector`` reads the same counts.
 The rewriter's link graphs and bridge vertices are read from one index, shared
 by every color pair, of the vertices that complete each vertex and edge to a
 face, by color.  The tests below keep the direct constructions as oracles:
@@ -30,7 +31,7 @@ from topokit import (
 )
 from topokit import pi1
 from topokit.cli import verification_report
-from topokit.complex import selected_h
+from oracles import oracle_selected_h
 
 
 def complexes():
@@ -89,7 +90,7 @@ def test_color_set_counts_match_rank_selection(name, seed):
     assert h_additivity_table(space) == additivity_by_rank_selection(space)
     for k in range(len(space.colors) + 1):
         for sel in combinations(space.colors, k):
-            assert selected_h(flag, sel) == space.rank_select(sel).h_vector()[k], sel
+            assert oracle_selected_h(flag, sel) == space.rank_select(sel).h_vector()[k], sel
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))

@@ -23,6 +23,7 @@ from topokit import (
     Generator,
     GroupPresentation,
     HomologySummary,
+    MissingColoringError,
     NestedSpanningTree,
     SimplicialComplex,
     SimplicialPoset,
@@ -218,8 +219,8 @@ def test_cli_exits_0_1_or_2_on_garbage(command, data):
         assert "Traceback" not in err.getvalue()
 
 
-# (call, message of the ValidationError) for each input that escaped as another error, or
-# was converted, before the readers
+# (call, message of the ValidationError, or of the error named third) for each input that
+# escaped as another error, or was converted, before the readers
 NAMED_ROWS = {
     "rewrite colors not iterable": (
         lambda: rewrite_path_to_colors(OCTAHEDRON, 5, PATH),
@@ -280,13 +281,32 @@ NAMED_ROWS = {
         lambda: cli.generate_shape("connected-sum", copies=2.5),
         "expected an integer, got 2.5",
     ),
+    "basepoint of an uncolored complex": (
+        lambda: default_basepoint(SimplicialComplex([(0, 1, 2), (0, 2, 3)]), {1, 2}),
+        "no coloring attached",
+        MissingColoringError,
+    ),
+    "generator bounds of a poset": (
+        lambda: generator_bounds(POSET),
+        "got SimplicialPoset; .*poset_edge_path_group",
+    ),
+    "nested tree of a poset": (lambda: build_nested_tree(POSET, {1, 2}), "poset_edge_path_group"),
+    "tree constructor on a poset": (
+        lambda: NestedSpanningTree(POSET, {1, 2}, 0, {0: None}),
+        "poset_edge_path_group",
+    ),
+    "full presentation of a poset": (lambda: full_presentation(POSET, TREE), "poset_edge_path_group"),
+    "rewrite on a poset": (
+        lambda: rewrite_path_to_colors(POSET, {1, 2}, [(None, 0, 0)]),
+        "poset_edge_path_group",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_ROWS))
 def test_named_inputs_are_refused(name):
-    call, message = NAMED_ROWS[name]
-    with pytest.raises(ValidationError, match=message):
+    call, message, *error = NAMED_ROWS[name]
+    with pytest.raises(error[0] if error else ValidationError, match=message):
         call()
 
 

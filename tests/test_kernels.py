@@ -1,0 +1,89 @@
+"""The two color-selection kernels of ``topo verify`` against their slow oracles.
+
+Each pair's restriction reads its bypass letters from a per-pair memo; the
+oracle (``oracles.oracle_restrict``) walks every bypass afresh.  Every
+selection's h is read from one subset transform of the face counts by color
+mask; the oracle (``oracles.oracle_selected_h``) sums ``(-1)^(|S|-|T|) f_T``
+over every subset ``T`` of the selection ``S``.  Each instance is checked as
+built and after a seeded relabelling of its vertex ids and its colors.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from conftest import corpus_complexes
+from oracles import oracle_restrict, oracle_selected_h
+from topokit import (
+    SimplicialComplex,
+    build_nested_tree,
+    face_poset,
+    full_presentation,
+    restrict_presentation,
+    shapes,
+)
+from topokit import pi1
+
+
+def relabel(complex, seed):
+    """``complex`` with its vertex ids and its colors sent to seeded distinct values."""
+    rng = random.Random(seed)
+    n, d = len(complex.vertices), len(complex.colors)
+    ids = dict(zip(complex.vertices, rng.sample(range(3 * n + 3), n)))
+    colors = dict(zip(complex.colors, rng.sample(range(1, 4 * d + 1), d)))
+    coloring = {ids[v]: colors[c] for v, c in complex.coloring.items()}
+    return SimplicialComplex([[ids[v] for v in f] for f in complex.facets], coloring)
+
+
+BUILDS = {
+    **{f"corpus-{name}": (lambda c=c: c) for name, c in corpus_complexes().items()},
+    **{f"cross{d}": (lambda d=d: shapes.cross_polytope(d)) for d in range(3, 9)},
+    **{f"sum{n}": (lambda n=n: shapes.octahedron_sum(n)) for n in (1, 5, 40)},
+    "sd-torus": shapes.sd_torus,
+    "sd2-torus": lambda: shapes.sd_torus().barycentric_subdivision(),
+    "sd-rp2": shapes.sd_projective_plane,
+    "sd2-rp2": lambda: shapes.sd_projective_plane().barycentric_subdivision(),
+}
+COMPLEXES = {
+    f"{name}{tag}": (lambda build=build, seed=seed: build() if seed is None else relabel(build(), seed))
+    for name, build in BUILDS.items()
+    for tag, seed in (("", None), ("-relabelled", 24))
+}
+
+
+def _assert_same(production, oracle, pair):
+    assert production.generators == oracle.generators, pair
+    assert production.relators == oracle.relators, pair
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_restriction_matches_the_unmemoized_oracle(name):
+    """Pair by pair, on the skeleton (as ``generator_bounds`` restricts) and on the full
+    presentation, whose relators include the length-1 relators of the tree edges."""
+    complex = COMPLEXES[name]()
+    edges, _, triangles = complex._skeleton()
+    for pair in combinations(complex.colors, 2):
+        tree = build_nested_tree(complex, pair)
+        oracle = oracle_restrict(complex, tree, edges, triangles)
+        _assert_same(pi1._restrict(complex, tree, edges, triangles), oracle, pair)
+        full = full_presentation(complex, tree)
+        oracle = oracle_restrict(complex, tree, [g.edge for g in full.generators], full.relators)
+        _assert_same(restrict_presentation(full, complex, pair, tree), oracle, pair)
+
+
+SPACES = {
+    **COMPLEXES,
+    **{f"fp-{name}": (lambda build=build: face_poset(build())) for name, build in COMPLEXES.items()},
+    "double-circle": shapes.double_edge_circle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_transform_matches_the_subset_sum_oracle(name):
+    space = SPACES[name]()
+    flag, h = space.flag_f_vector(), space._selection_h()
+    selections = [s for k in range(len(space.colors) + 1) for s in combinations(space.colors, k)]
+    assert sorted(h) == sorted(selections)
+    for selection in selections:
+        assert h[selection] == oracle_selected_h(flag, selection), selection

@@ -717,6 +717,15 @@ def _bfs_tree(adj, start):
 @pytest.mark.parametrize("build", [shapes.sd_projective_plane, lambda: shapes.cross_polytope(5)])
 def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
     space = build()
+    extends = []  # per search: whether its goal lies past the tree stored for (center, start)
+    search = pi1._detour_search
+
+    def recording_search(complex, colors, kappa, center, start, goal, near, searches):
+        stored = searches.get((center, start))
+        extends.append(stored is not None and goal not in stored[0])
+        return search(complex, colors, kappa, center, start, goal, near, searches)
+
+    monkeypatch.setattr(pi1, "_detour_search", recording_search)
     calls = _record_memo_calls(monkeypatch, "_detour_search")
     bypasses, bypass = [], pi1._bypass
 
@@ -730,7 +739,10 @@ def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
     generator_bounds(space)
     memos = _memos_by_pair(calls, lambda args: (args[3], args[4]))
     assert set(memos) == {frozenset(p) for p in combinations(space.colors, 2)}
-    assert len(calls) > sum(map(len, memos.values()))  # a pair resumes its searches
+    if build is shapes.sd_projective_plane:  # a pair resumes its searches past a stored tree
+        assert sum(extends) == 8
+    # and searches no (center, start, goal) twice, as each bypass's letters are stored
+    assert len({(args[1], *args[3:6]) for args in calls}) == len(calls)
     assert "detour_trees" not in space._cache
     fresh = build()
     kappa, near = fresh.coloring, pi1._completions(fresh)
