@@ -78,7 +78,8 @@ def check_report(obj) -> dict:
 
 
 def hvec_report(obj) -> dict:
-    return {"d": obj.d, "f_vector": list(obj.f_vector()), "h_vector": list(obj.h_vector())}
+    f = obj.f_vector()  # counted once: h_vector() would count it again
+    return {"d": obj.d, "f_vector": list(f), "h_vector": list(obj._h_of(f))}
 
 
 # -- pi1 and verify ---------------------------------------------------------------

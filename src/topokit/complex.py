@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, groupby, permutations
 from math import comb
 
 from . import _read
@@ -93,14 +93,14 @@ class PropertyReport:
 class _Space:
     """What a simplicial complex and a simplicial poset share.
 
-    A subclass calls :meth:`_attach` and sets ``_cache``; it supplies ``d``,
-    ``vertices``, ``is_pure``, ``f_vector()``, ``edges()``, ``_ends(edge)``, an
-    edge's two end vertices ascending, and ``triangle_sides()``, and three sweeps:
-    ``_link_layer(k)`` (see :func:`_links_connected`), ``_ridges()``, each facet's
-    codimension-1 cells, and ``_color_masks(bit)``, the color mask of each face (of
-    each element, and of the implicit bottom): the sum of its vertices' ``bit``.  Both
-    constructors check their input, so every instance is valid.  The 1-skeleton, its
-    vertices joined by the ends of its edges, is read only here.
+    A subclass calls :meth:`_attach` and sets ``_cache``; it supplies ``d``, ``vertices``,
+    ``is_pure``, ``f_vector()``, ``edges()``, ``_ends(edge)``, an edge's two end vertices
+    ascending, and ``triangle_sides()``, and three sweeps: ``_link_layer(k)``, the links of
+    the size-k cells as rows of ids that one pair table reads (see :func:`_links_connected`),
+    ``_ridges()``, each facet's codimension-1 cells, and ``_color_masks(bit)``, the color
+    mask of each face (of each element, and of the implicit bottom): the sum of its vertices'
+    ``bit``.  Both constructors check their input, so every instance is valid.  The
+    1-skeleton, its vertices joined by the ends of its edges, is read only here.
     """
 
     def _attach(self, coloring, labels, vertices) -> None:
@@ -135,7 +135,10 @@ class _Space:
 
     def h_vector(self) -> tuple[int, ...]:
         """The alternating-sum transform of the f-vector; pure spaces only."""
-        f = self.f_vector()
+        return self._h_of(self.f_vector())
+
+    def _h_of(self, f: tuple[int, ...]) -> tuple[int, ...]:
+        """The h-vector of this space's f-vector ``f``; pure spaces only."""
         if not self.is_pure:
             raise PurityError("h-vectors are only defined for pure complexes and posets")
         return h_from_f(f)
@@ -195,8 +198,8 @@ class _Space:
         return self._cache["props"]
 
     def links_connected(self) -> bool:
-        """Whether the link of the empty face and of every face of size < d - 1 is
-        connected, decided by one union-find sweep per face size; cached."""
+        """Whether the link of the empty face and of each face of size < d - 1 is connected; one
+        sweep per size stops once its forest has one tree per face, as it never has fewer; cached."""
         if "links_ok" not in self._cache:
             self._cache["links_ok"] = _links_connected(map(self._link_layer, range(self.d - 1)))
         return self._cache["links_ok"]
@@ -320,12 +323,15 @@ class SimplicialComplex(_Space):
             _read.integer(k)
         if k < -1 or k > self.dim:
             raise ValidationError(f"face dimension {k} out of range [-1, {self.dim}]")
+        return list(self._by_size()[k + 1])
+
+    def _by_size(self) -> list[list[Face]]:
+        """The sorted faces of each size ``0 .. d``, none of them empty; cached."""
         if "by_size" not in self._cache:
-            by_size: list[list[Face]] = [[] for _ in range(self.dim + 2)]
-            for face in sorted(self.face_set()):
-                by_size[len(face)].append(face)
+            ordered = sorted(self.face_set(), key=lambda f: (len(f), f))
+            by_size = [list(faces) for _, faces in groupby(ordered, len)]
             self._cache["by_size"] = by_size  # published whole, for concurrent readers
-        return list(self._cache["by_size"][k + 1])
+        return self._cache["by_size"]
 
     def edges(self) -> list[Face]:
         return self.faces(1) if self.dim >= 1 else []
@@ -406,20 +412,15 @@ class SimplicialComplex(_Space):
         return (sum(map(bit.__getitem__, f)) for f in self.face_set())
 
     def _link_layer(self, k: int):
-        """The links of the faces of size k on integer ids: the vertex at position p of
-        the i-th face of size k + 1 is the link vertex ``i * (k + 1) + p`` of that face
-        less it.  A face t of size k + 2 joins t[i] (at i in t less t[j]) and t[j] (at
-        j - 1 in t less t[i]), i < j.  Every face of size k but a facet has a link."""
-        index = {up: i * (k + 1) for i, up in enumerate(self.faces(k))}
-        pairs = list(combinations(range(k + 2), 2))
-        edges = (
-            (less[j] + i, less[i] + j - 1)
-            for t in self.faces(k + 1)
-            for less in ([index[s] for s in combinations(t, k + 1)][::-1],)  # t less t[j]
-            for i, j in pairs
-        )
-        cells = len(self.faces(k - 1)) - sum(len(f) == k for f in self._facets)
-        return len(index) * (k + 1), cells, edges
+        """The links of the faces of size k in row form (see :func:`_links_connected`): the
+        vertex at position p of the i-th face of size k + 1 is the link vertex ``i * (k + 1)
+        + p`` of that face less it.  Face t of size k + 2 has at j the first id of t less
+        t[j], so pair ``(i, j, j - 1)`` joins t[i] and t[j], i < j, in the link of t less both."""
+        by_size = self._by_size()
+        index = {up: i * (k + 1) for i, up in enumerate(by_size[k + 1])}
+        rows = (list(map(index.__getitem__, combinations(t, k + 1)))[::-1] for t in by_size[k + 2])
+        cells = len(by_size[k]) - sum(len(f) == k for f in self._facets)
+        return len(index) * (k + 1), cells, rows, _row_pairs(k + 2)
 
     # -- constructions --------------------------------------------------------
 
@@ -493,29 +494,40 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _tops_connected(tops) -> bool:
-    """Whether the elements of the tuples in ``tops`` are connected, two being
-    joined when some tuple holds both: the 1-skeleton of the complex the tuples
-    generate.  No element, or one, counts as connected."""
+    """Whether the elements of the tuples in ``tops`` are connected, two being joined when some
+    tuple holds both (the 1-skeleton they generate); no element, or one, counts as connected."""
     tops = [tuple(top) for top in tops]
     index = {v: i for i, v in enumerate({v for top in tops for v in top})}
-    edges = ((index[top[0]], index[v]) for top in tops for v in top[1:])
-    return _links_connected([(len(index), min(len(index), 1), edges)])
+    rows = ((index[top[0]], index[v]) for top in tops for v in top[1:])
+    return _links_connected([(len(index), min(len(index), 1), rows, _row_pairs(2))])
+
+
+def _row_pairs(n: int) -> list[tuple[int, int, int]]:
+    """The pair table of a row of n ids (see :func:`_links_connected`): ``(i, j, j - 1)``, i < j < n."""
+    return [(i, j, j - 1) for i, j in combinations(range(n), 2)]
 
 
 def _links_connected(layers) -> bool:
-    """Whether each layer's cells have connected links.  A layer is ``(size, cells, edges)``:
-    link vertices ``0 .. size - 1``, the number of cells that have one, and link edges
-    ``(x, y)`` within one cell's link.  The links are connected when one flat union-find
-    forest has as many trees as cells; stops at the first layer that fails."""
-    for size, cells, edges in layers:
-        parent = list(range(size))
-        for a, b in edges:
-            while (up := parent[a]) != a:  # path halving
-                parent[a] = a = parent[up]
-            while (up := parent[b]) != b:
-                parent[b] = b = parent[up]
-            parent[a] = b
-        if sum(v == up for v, up in enumerate(parent)) != cells:
+    """Whether each layer's cells have connected links.  A layer is ``(size, cells, rows,
+    pairs)``: link vertices ``0 .. size - 1``, the number of cells that have one, and rows
+    of ids, each ``(i, j, j1)`` in ``pairs`` joining ``r[j] + i`` and ``r[i] + j1`` of a row
+    ``r`` in one cell's link.  Each cell owns a link vertex and each merge of its flat
+    union-find forest joins two trees of one cell, so the layer passes when ``size - cells``
+    merges leave one tree per cell, reading no further row; one that ends short fails."""
+    for size, cells, rows, pairs in layers:
+        parent, short = list(range(size)), size - cells  # merges still to come
+        for r in rows:
+            for i, j, j1 in pairs:
+                a, b = r[j] + i, r[i] + j1
+                while (up := parent[a]) != a:  # path halving
+                    parent[a] = a = parent[up]
+                while (up := parent[b]) != b:
+                    parent[b] = b = parent[up]
+                if a != b:
+                    parent[a], short = b, short - 1
+            if not short:
+                break
+        if short:
             return False
     return True
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import _read
-from .complex import SimplicialComplex, _Space
+from .complex import SimplicialComplex, _row_pairs, _Space
 from .errors import FaceNotFoundError, MissingColoringError, ValidationError
 
 
@@ -220,20 +220,17 @@ class SimplicialPoset(_Space):
         return SimplicialPoset(ranks, covers, coloring, labels)
 
     def _link_layer(self, k: int):
-        """The links of the rank-k elements (the bottom's at k = 0) on integer ids, covers
-        not atoms, as edges may be parallel: the i-th y of rank k + 1 is ``i * (k + 1) + p``
-        in the link of its p-th lower cover, and two lower covers of a rank k + 2 element
-        join in the link of the one element both cover (the interval below is Boolean)."""
-        down, ups = self._down, self.elements_of_rank(k + 1)
-        # (cell, link vertex) -> id: each element of rank k + 1 has k + 1 lower covers
-        at = {xy: n for n, xy in enumerate((x, y) for y in ups for x in down[y] or (None,))}
-        edges = (
-            (at[x, a], at[x, b])
-            for z in self.elements_of_rank(k + 2)
-            for a, b in combinations(down[z], 2)
-            for x in (min(set(down[a]) & set(down[b]), default=None),)
-        )
-        return len(at), len({x for x, _ in at}), edges
+        """The links of the rank-k elements (the bottom's at k = 0) in a complex's row form,
+        covers not atoms, as edges may be parallel.  A lower cover of y lacks one atom of y,
+        and two lower covers of z cover the one element below z that lacks both their atoms
+        (the interval is Boolean).  So the i-th y of rank k + 1 is ``i * (k + 1) + p`` in the
+        link of its cover that lacks its p-th least atom, and z's row lists its covers so."""
+        ups, down = self.elements_of_rank(k + 1), self._down
+        first = {y: i * (k + 1) for i, y in enumerate(ups)}
+        lacks = {y: -sum(self._atoms[y]) for y in ups}  # sorts z's covers by the atom each lacks
+        rows = ([first[y] for y in sorted(down[z], key=lacks.get)] for z in self.elements_of_rank(k + 2))
+        cells = len({x for y in ups for x in down[y]}) or 1  # the bottom at k = 0
+        return len(ups) * (k + 1), cells, rows, _row_pairs(k + 2)
 
     # perfbench/tracer.py wraps it in this class's own __dict__
     check_properties = _Space.check_properties

@@ -13,6 +13,11 @@ in how bypass words are stored and put together.
 
 ``oracle_selected_h`` sums ``(-1)^(|S|-|T|) f_T`` over every subset ``T`` of a
 selection ``S``, the 3^d-term sum the library replaced by one subset transform.
+
+``oracle_links_connected`` over ``oracle_link_layer(space, k)`` is the link
+sweep as the library ran it before its rows: every link edge of a layer is a
+pair of ids, all of them are read, and the layer passes when its union-find
+forest ends with one tree per cell.
 """
 
 from itertools import combinations
@@ -34,6 +39,49 @@ from topokit.pi1 import (
     invert_word,
 )
 from topokit.poset import SimplicialPoset
+
+
+def oracle_link_layer(space, k):
+    """``(size, cells, edges)`` of the links of the cells of size (rank) k.  For a complex,
+    the vertex at position p of the i-th face of size k + 1 is the link vertex ``i * (k +
+    1) + p`` of that face less it, and a face t of size k + 2 joins t[i] and t[j], i < j.
+    For a poset, each pair of (k + 1)-elements below a (k + 2)-element joins in the link
+    of the one element both cover."""
+    if isinstance(space, SimplicialPoset):
+        down, ups = space._down, space.elements_of_rank(k + 1)
+        at = {xy: n for n, xy in enumerate((x, y) for y in ups for x in down[y] or (None,))}
+        edges = (
+            (at[x, a], at[x, b])
+            for z in space.elements_of_rank(k + 2)
+            for a, b in combinations(down[z], 2)
+            for x in (min(set(down[a]) & set(down[b]), default=None),)
+        )
+        return len(at), len({x for x, _ in at}), edges
+    index = {up: i * (k + 1) for i, up in enumerate(space.faces(k))}
+    edges = (
+        (less[j] + i, less[i] + j - 1)
+        for t in space.faces(k + 1)
+        for less in ([index[s] for s in combinations(t, k + 1)][::-1],)  # t less t[j]
+        for i, j in combinations(range(k + 2), 2)
+    )
+    cells = len(space.faces(k - 1)) - sum(len(f) == k for f in space.facets)
+    return len(index) * (k + 1), cells, edges
+
+
+def oracle_links_connected(layers) -> bool:
+    """Whether each layer's cells have connected links: every edge is read, then the
+    trees of one flat union-find forest are counted against the cells."""
+    for size, cells, edges in layers:
+        parent = list(range(size))
+        for a, b in edges:
+            while (up := parent[a]) != a:  # path halving
+                parent[a] = a = parent[up]
+            while (up := parent[b]) != b:
+                parent[b] = b = parent[up]
+            parent[a] = b
+        if sum(v == up for v, up in enumerate(parent)) != cells:
+            return False
+    return True
 
 
 def oracle_apply_certificate(space, source, certificate):

@@ -315,6 +315,38 @@ def test_hvec_double_circle(tmp_path, capsys):
     assert json.loads(out)["h_vector"] == [1, 0, 1]
 
 
+@pytest.mark.parametrize("build", [lambda: shapes.cross_polytope(8), lambda: face_poset(shapes.sd_torus())])
+def test_hvec_counts_the_f_vector_once(monkeypatch, build):
+    from topokit.cli import hvec_report
+
+    space, calls = build(), []
+    f_vector = type(space).f_vector
+    monkeypatch.setattr(type(space), "f_vector", lambda self: calls.append(self) or f_vector(self))
+    report = hvec_report(space)
+    assert len(calls) == 1
+    assert report == {"d": space.d, "f_vector": list(f_vector(space)), "h_vector": list(space.h_vector())}
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        SimplicialComplex([(0, 1, 2), (2, 3)]),
+        SimplicialPoset({0: 1, 1: 1, 2: 1, 3: 2}, [(0, 3), (1, 3)]),
+    ],
+    ids=["complex", "poset"],
+)
+def test_hvec_refuses_a_non_pure_input(tmp_path, capsys, space):
+    from topokit.cli import hvec_report
+    from topokit.errors import PurityError
+
+    with pytest.raises(PurityError, match="h-vectors are only defined for pure complexes and posets"):
+        hvec_report(space)
+    path = tmp_path / "non_pure.json"
+    path.write_text(json.dumps(space.to_json()))
+    code, out, err = run(capsys, "hvec", str(path))
+    assert (code, out, err) == (2, "", "error: h-vectors are only defined for pure complexes and posets\n")
+
+
 # -- pi1 ---------------------------------------------------------------------------
 
 

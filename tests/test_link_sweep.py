@@ -2,23 +2,30 @@
 
 ``check_properties`` and ``links_connected`` decide the links of all faces of
 one size in a single union-find sweep (``_links_connected`` over each layer
-from ``_link_layer``, whose link vertices are integer ids).  The oracle is the
-per-face walk over the facets above a face:
+from ``_link_layer``, whose link vertices are integer ids and whose edges come
+in rows).  The oracle is the per-face walk over the facets above a face:
 ``_tops_connected(complex._link_tops(face))`` for a complex and
 ``_tops_connected(_link_tops(poset, x))`` for a poset.  The sweep's verdict
 for each face is read by running the production core on that face's share of
-its layer, each id mapped back to its cell.
+its layer, each id mapped back to its cell.  Each layer's verdict is also
+held against the full-read sweep of ``oracles.py``, and the rows each layer
+reads pin where the sweep stops.
 """
 
 import random
-from collections import defaultdict
+from bisect import bisect_left
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import corpus_complexes
+from oracles import oracle_link_layer, oracle_links_connected
 from test_golden import INSTANCES, load, run_cli, write_instance
 from test_poset import _link_tops, pinched_triangles
 from topokit import SimplicialComplex, SimplicialPoset, connected_sum, face_poset, shapes
-from topokit.complex import _links_connected, _tops_connected
+from topokit.complex import _links_connected, _row_pairs, _tops_connected
 
 
 def small_cells(space):
@@ -38,26 +45,41 @@ def walk(space, cell) -> bool:
 def id_cells(space, k) -> list:
     """The cell of each link vertex id of layer ``k``: id ``i * (k + 1) + p`` is the
     p-th vertex of the i-th face of size k + 1, in the link of that face less it
-    (for a poset, the i-th element of rank k + 1, in the link of its p-th lower cover)."""
+    (for a poset, the i-th element y of rank k + 1, in the link of its lower cover
+    that lacks the p-th least atom of y)."""
     if isinstance(space, SimplicialPoset):
-        ups = space.elements_of_rank(k + 1)
-        return [space._down[y][p] if k else None for y in ups for p in range(k + 1)]
+        ups, atoms = space.elements_of_rank(k + 1), space.atoms_of
+        return [
+            next(x for x in space._down[y] if a not in atoms(x)) if k else None
+            for y in ups
+            for a in sorted(atoms(y))
+        ]
     return [up[:p] + up[p + 1 :] for up in space.faces(k) for p in range(k + 1)]
+
+
+def layer_edges(layer):
+    """The link edges ``(a, b)`` of a row-form layer: each ``(i, j, j1)`` of its pair
+    table joins ``r[j] + i`` and ``r[i] + j1`` in each of its rows ``r``."""
+    _, _, rows, pairs = layer
+    return [(r[j] + i, r[i] + j1) for r in rows for i, j, j1 in pairs]
 
 
 def sweep_verdicts(space, k) -> dict:
     """The sweep's verdict for each cell of layer ``k`` that has a link vertex."""
-    size, cells, edges = space._link_layer(k)
+    size, cells, rows, pairs = layer = space._link_layer(k)
     owner = id_cells(space, k)
     assert len(owner) == size and len(set(owner)) == cells
     ids = defaultdict(dict)  # cell -> {layer id: id within the cell's share}
     for x, cell in enumerate(owner):
         ids[cell][x] = len(ids[cell])
-    shares = defaultdict(list)
-    for a, b in edges:
+    shares = defaultdict(list)  # cell -> its edges as rows of two ids, joined by pair (0, 1, 0)
+    for a, b in layer_edges(layer):
         assert owner[a] == owner[b], (a, b)
         shares[owner[a]].append((ids[owner[a]][a], ids[owner[a]][b]))
-    return {cell: _links_connected([(len(local), 1, shares[cell])]) for cell, local in ids.items()}
+    return {
+        cell: _links_connected([(len(local), 1, shares[cell], _row_pairs(2))])
+        for cell, local in ids.items()
+    }
 
 
 def links_ok(space) -> bool:
@@ -205,3 +227,115 @@ def test_reports_walk_no_link(tmp_path, monkeypatch):
         path = write_instance(tmp_path, name, obj)
         for command, argv in (("check", ("check",)), ("verify", ("verify",))):
             assert run_cli(argv + (path,)) == load(command)[name], (name, command)
+
+
+# -- the row-form sweep against the full-read oracle ------------------------------------
+
+
+def oracle_cells(space, k) -> list:
+    """The cell of each link vertex id of the oracle's layer ``k``: a poset's i-th element
+    of rank k + 1 is there in the link of its p-th lower cover."""
+    if isinstance(space, SimplicialPoset):
+        ups = space.elements_of_rank(k + 1)
+        return [space._down[y][p] if k else None for y in ups for p in range(k + 1)]
+    return id_cells(space, k)
+
+
+def named_edges(space, k, edges, cells) -> Counter:
+    """The link edges of layer ``k``, each id named by its cell and its cell of size
+    (rank) k + 1, which no numbering of the ids can change."""
+    ups = space.faces(k) if isinstance(space, SimplicialComplex) else space.elements_of_rank(k + 1)
+    return Counter(frozenset(((cells[a], ups[a // (k + 1)]), (cells[b], ups[b // (k + 1)]))) for a, b in edges)
+
+
+SWEPT = dict(corpus_complexes())
+SWEPT.update({f"cross{d}": shapes.cross_polytope(d) for d in range(3, 8)})
+SWEPT.update({name: complex for name, (complex, _) in TARGETED.items()})
+SWEPT.update(void=SimplicialComplex([()]), point=SimplicialComplex([(0,)], {0: 1}))
+
+
+def relabelled(space, seed):
+    """``space`` with its vertex (element) ids sent to seeded random ones."""
+    if isinstance(space, SimplicialPoset):
+        new = shuffled(space.ids, seed)
+        return SimplicialPoset(
+            {new[x]: space.rank(x) for x in space.ids},
+            [(new[lo], new[hi]) for lo, hi in space.covers],
+            {new[v]: c for v, c in (space.coloring or {}).items()} or None,
+        )
+    new = shuffled(space.vertices, seed)
+    coloring = {new[v]: c for v, c in (space.coloring or {}).items()}
+    return SimplicialComplex([[new[v] for v in f] for f in space.facets], coloring or None)
+
+
+@pytest.mark.parametrize("poset", [False, True])
+@pytest.mark.parametrize("name", sorted(SWEPT))
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32))
+def test_row_sweep_matches_the_full_read_oracle(name, poset, seed):
+    space = relabelled(face_poset(SWEPT[name]) if poset else SWEPT[name], seed)
+    layers = range(space.d - 1)
+    for k in layers:
+        verdict = oracle_links_connected([oracle_link_layer(space, k)])
+        assert _links_connected([space._link_layer(k)]) == verdict, k
+        edges = named_edges(space, k, layer_edges(space._link_layer(k)), id_cells(space, k))
+        assert edges == named_edges(space, k, oracle_link_layer(space, k)[2], oracle_cells(space, k)), k
+    assert space.links_connected() == oracle_links_connected(oracle_link_layer(space, k) for k in layers)
+
+
+# -- where the sweep stops ----------------------------------------------------------------
+
+
+def rows_read(monkeypatch, space) -> tuple[bool, Counter]:
+    """``links_connected()`` of ``space``, and the rows it read from each layer."""
+    reads, layer = Counter(), type(space)._link_layer
+
+    def counted(self, k):
+        size, cells, rows, pairs = layer(self, k)
+        return size, cells, (reads.update((k,)) or r for r in rows), pairs
+
+    monkeypatch.setattr(type(space), "_link_layer", counted)
+    return space.links_connected(), reads
+
+
+def spanning_prefix(layer) -> int:
+    """The fewest leading rows of ``layer`` whose edges leave one tree per cell in the
+    full-read oracle's forest; all of them when no prefix does."""
+    size, cells, rows, pairs = layer
+    rows = list(rows)
+
+    def spans(n):
+        return oracle_links_connected([(size, cells, layer_edges((size, cells, rows[:n], pairs)))])
+
+    return min(bisect_left(range(len(rows) + 1), True, key=spans), len(rows))
+
+
+@pytest.mark.parametrize("poset", [False, True])
+def test_a_spanning_layer_reads_no_further_row(monkeypatch, poset):
+    space = shapes.cross_polytope(7)
+    space = face_poset(space) if poset else space
+    spanned = [spanning_prefix(space._link_layer(k)) for k in range(6)]
+    verdict, reads = rows_read(monkeypatch, space)
+    assert verdict
+    assert [reads[k] for k in range(6)] == spanned
+    # the rows of layer k are the cells of size k + 2; layers 3 and 4 span at 52% and 72%
+    assert sum(reads.values()) < sum(space.f_vector()[2:8]) == 2172
+
+
+@pytest.mark.parametrize("poset", [False, True])
+@pytest.mark.parametrize("name", sorted(name for name, (_, face) in TARGETED.items() if face is not None))
+def test_the_failing_layer_reads_all_its_rows(monkeypatch, name, poset):
+    complex, face = TARGETED[name]
+    space = face_poset(complex) if poset else complex
+    verdict, reads = rows_read(monkeypatch, space)
+    assert not verdict
+    assert max(reads, default=0) <= len(face)  # no layer past the failing one is read
+    assert reads[len(face)] == space.f_vector()[len(face) + 2]
+
+
+@pytest.mark.parametrize("poset", [False, True])
+def test_void_complex_sweeps_no_layer(monkeypatch, poset):
+    space = face_poset(SimplicialComplex([()])) if poset else SimplicialComplex([()])
+    verdict, reads = rows_read(monkeypatch, space)
+    assert verdict and not reads
+    assert space.check_properties().links_connected
