@@ -20,12 +20,13 @@ its tree loop between selected vertices, put together from each vertex's
 descent and climb, filled in one parents-first pass over the nested tree),
 and the triangle relators map through those images.  The edges, their letters
 and the triangle relators come from the space's edge skeleton (``_skeleton()``),
-built once per complex or poset and read by first homology as well.  Each
-bypass of an off-color vertex reads its bridge and its detour from one index
-shared by all pairs: the vertices completing each vertex and edge to a face, by
-color.  A detour search stops at its bridge and is resumed for the next one; a
-pair walks each (vertex, entry vertex, bridge) once.  A simplicial poset's group
-is read from the same skeleton of its rank-2 and rank-3 elements, unrewritten.
+built once per complex or poset and read by first homology as well.  The
+rewriter and the restriction bypass an off-color vertex by one walk on one
+index per complex, built from the skeleton: vertices by position, edges by
+letter, and flat int-keyed tables of the vertices completing each vertex and
+edge to a face, by color.  A walk takes the least bridge, then a detour search
+in the vertex's link that stops at it and is resumed for the next.  A simplicial
+poset's group is read from the same skeleton, unrewritten.
 
 Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
@@ -581,103 +582,126 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
     return tuple(segments)
 
 
-# -- rewriting into the selected subcomplex ---------------------------------------
+# -- the bypass walk: rewriting into the selected subcomplex --------------------------
 
 
-def _bridge_vertex(complex, colors, kappa, mid, tail, near, bridges):
-    """Minimum-id selected vertex completing {mid, tail} to a face, avoiding the color
-    of tail: the least first entry ``near[base][color][0]`` (:func:`_completions`) of the
-    pair color tail lacks, or of both when tail is off-color.  Stored in ``bridges`` by
-    (mid, tail) once its witness has checked; callers read that memo first."""
-    by_color = near.get((mid,) if mid == tail else (mid, tail) if mid < tail else (tail, mid), {})
-    (first, second), color = colors, kappa[tail]
-    a = None if color == first else by_color.get(first)
-    b = None if color == second else by_color.get(second)
-    if a is None and b is None:
-        msg = f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken"
-        raise ContractViolationError(msg)
-    bridge = b[0] if a is None else a[0] if b is None or a[0] < b[0] else b[0]
-    if tuple(sorted({mid, bridge, tail})) not in complex.face_set():
-        raise _not_a_face((mid, bridge, tail))
-    bridges[mid, tail] = bridge
+class _Walk(NamedTuple):
+    """A complex's walk index, cached and shared by every color pair; with a pair's palette
+    indices and memos, filled in by :func:`_pair_walk`, that pair's walk.  A vertex is its
+    position p in ``vertices`` (the least position is the least id) and also the degenerate
+    edge (p, p) of letter ``m + p``, m = ``len(ends)``, completed by p's neighbors."""
+
+    ids: tuple[int, ...]  # position -> vertex id
+    pos: dict[int, int]  # vertex id -> position
+    color: list[int]  # position -> the palette index of its color
+    ends: list  # edge letter -> its end positions, ascending (letter 0 unused)
+    nbr: list[dict[int, int]]  # position p -> {neighbor or p: the letter of their edge}
+    near: tuple  # letter * d + c -> ascending positions of color c completing the edge to a face
+    tri: frozenset[int]  # letter * n + w for the edge of each letter and each w completing it
+    d: int  # colors
+    n: int  # vertices
+    first: int = -1  # the pair's palette indices
+    second: int = -1
+    bridges: dict | None = None  # mid * n + tail -> the bridge of mid toward tail
+    searches: dict | None = None  # center * n + start -> a detour search, see _detour
+
+
+def _walk_index(complex) -> _Walk:
+    """The walk index, filled in one pass over the skeleton's edges and triangle relators
+    (sorted, so each completion tuple ascends), and cached."""
+    index = complex._cache.get("walk")
+    if index is None:
+        edges, _, relators = complex._skeleton()
+        ids, palette, m = complex.vertices, complex.colors, len(edges) + 1
+        n, d, pos = len(ids), len(palette), {v: p for p, v in enumerate(ids)}
+        color = [palette.index(complex._coloring[v]) for v in ids]
+        ends, nbr, own, grown = [None], [{p: m + p} for p in range(n)], [(m + p, p) for p in range(n)], []
+        for letter, (a, b) in enumerate(edges, 1):  # (letter, w): w completes that letter's edge
+            a, b = pos[a], pos[b]
+            ends.append((a, b))
+            nbr[a][b] = nbr[b][a] = letter
+            own += ((letter, a), (letter, b))
+            grown += ((m + a, b), (m + b, a))
+        for ab, bc, ac in relators:  # (ab, bc, -ac) of the triangle a < b < c
+            (a, b), c = ends[ab], ends[bc][1]
+            grown += ((ab, c), (bc, a), (-ac, b))
+        near = [[] for _ in range((m + n) * d)]
+        for letter, w in own + grown:  # an edge's own ends have colors no other completion has
+            near[letter * d + color[w]].append(w)
+        tri = frozenset(letter * n + w for letter, w in grown)
+        index = complex._cache["walk"] = _Walk(ids, pos, color, ends, nbr, tuple(map(tuple, near)), tri, d, n)
+    return index
+
+
+def _pair_walk(complex, colors) -> _Walk:
+    first, second = map(complex.colors.index, colors)
+    return _walk_index(complex)._replace(first=first, second=second, bridges={}, searches={})
+
+
+def _broken(walk, text, *at) -> ContractViolationError:
+    """The error ``text`` names, the ids of the positions ``at`` filled in."""
+    return ContractViolationError(text.format(*(walk.ids[p] for p in at)) + "; hypotheses broken")
+
+
+def _bridge(walk, mid, tail) -> int:
+    """The least selected position completing the edge {mid, tail} (the vertex mid if equal) to
+    a face, not of tail's color: a least first completion by color.  Stored in ``walk.bridges``
+    once its witness has checked; callers read that memo first."""
+    _, _, color, _, nbr, near, tri, d, n, first, second, bridges, _ = walk
+    c, letter = color[tail], nbr[mid].get(tail, 0)  # letter 0 completes nothing
+    a = () if c == first else near[letter * d + first]
+    b = () if c == second else near[letter * d + second]
+    if not (a or b):
+        raise _broken(walk, "no selected vertex completes ({},{}) to a face", mid, tail)
+    bridge = b[0] if not a else a[0] if not b or a[0] < b[0] else b[0]
+    if bridge != mid and letter * n + bridge not in tri:  # a selected mid completes its own edge
+        raise _broken(walk, "witness [{}, {}, {}] is not a face", mid, bridge, tail)
+    bridges[mid * n + tail] = bridge
     return bridge
 
 
-def _completions(complex) -> dict:
-    """Vertex ``(v,)`` or edge ``(a, b)``, a < b -> {color: ascending tuple of the
-    vertices w for which base + w is a face}, the base's own vertices included;
-    shared by every color pair, filled in one pass over the edges and triangles
-    (sorted, so each tuple ascends), and cached."""
-    near = complex._cache.get("completions")
-    if near is None:
-        kappa = complex._coloring
-        near = {(v,): {kappa[v]: [v]} for v in complex.vertices}
-        for a, b in complex.edges():
-            near[a,].setdefault(kappa[b], []).append(b)
-            near[b,].setdefault(kappa[a], []).append(a)
-            near[a, b] = {kappa[a]: [a], kappa[b]: [b]}
-        for a, b, c in complex.faces(2) if complex.dim >= 2 else ():
-            near[a, b].setdefault(kappa[c], []).append(c)
-            near[a, c].setdefault(kappa[b], []).append(b)
-            near[b, c].setdefault(kappa[a], []).append(a)
-        for by_color in near.values():
-            for c, ws in by_color.items():
-                by_color[c] = tuple(ws)
-        complex._cache["completions"] = near
-    return near
-
-
-def _not_a_face(witness) -> ContractViolationError:
-    return ContractViolationError(f"witness {list(witness)} is not a face; hypotheses broken")
-
-
-def _detour_search(complex, colors, kappa, center, start, goal, near, searches):
-    """Parent pointers of the ascending BFS from ``start`` over the selected link of the
-    off-color ``center`` (u's neighbors: the pair's other color completing {center, u} to a
-    face, read from ``near``), expanded only until ``goal`` is found, so each pointer is the
-    full tree's.  Memoized by (center, start) as (pointers, BFS order, vertices expanded) and
-    resumed on a copy, stored whole once each new edge's triangle with center has checked:
-    a memo shared by threads is never seen half extended, and a failed search is dropped."""
-    key = (center, start)
-    parent, order, expanded = searches.get(key) or ({start: None}, [start], 0)
+def _detour(walk, center, start, goal) -> dict[int, int | None]:
+    """Parent pointers of the ascending BFS from ``start`` over the selected link of the off-color
+    ``center`` (u's neighbors: the pair's other color completing {center, u} to a face), expanded
+    only until ``goal`` is found, so each pointer is the full tree's.  Memoized as (pointers, BFS
+    order, vertices expanded), resumed on a copy, stored whole once each new edge's triangle with
+    center has checked: threads never see a memo half extended; a failed search is dropped."""
+    _, _, color, _, nbr, near, tri, d, n, first, second, _, searches = walk
+    parent, order, expanded = searches.get(key := center * n + start) or ({start: None}, [start], 0)
     if goal in parent:
         return parent
-    parent, order = dict(parent), list(order)
-    first, second = colors
+    parent, order, around = dict(parent), list(order), nbr[center]
     while goal not in parent:
         if expanded == len(order):
-            raise ContractViolationError(
-                f"link of {center} has no selected path {start} -> {goal}; hypotheses broken"
-            )
+            raise _broken(walk, "link of {} has no selected path {} -> {}", center, start, goal)
         u = order[expanded]
         expanded += 1
-        other = second if kappa[u] == first else first
-        for w in near[(center, u) if center < u else (u, center)].get(other, ()):
+        letter = around[u]
+        for w in near[letter * d + first + second - color[u]]:  # the pair's color u lacks
             if w not in parent:
-                if tuple(sorted((u, w, center))) not in complex.face_set():
+                if letter * n + w not in tri:
                     searches.pop(key, None)
-                    raise _not_a_face((u, w, center))
+                    raise _broken(walk, "witness [{}, {}, {}] is not a face", u, w, center)
                 parent[w] = u
                 order.append(w)
     searches[key] = (parent, order, expanded)
     return parent
 
 
-def _bypass(complex, colors, kappa, u, mid, tail, memos):
-    """The selected vertices ``u, ..., bridge`` that replace the off-color ``mid`` between ``u``
-    and ``tail``: ``[u]`` if the bridge is u, else the path from mid's :func:`_detour_search`."""
-    near, bridges, searches = memos
-    bridge = bridges.get((mid, tail))
+def _bypass_walk(walk, entry, mid, tail) -> list[int]:
+    """The selected positions ``entry, ..., bridge`` that replace the off-color ``mid``
+    between ``entry`` and ``tail``: ``[entry]`` if the bridge is entry, else the path to it
+    in mid's :func:`_detour` from entry; the one walk of the rewriter and the restriction."""
+    bridge = walk.bridges.get(mid * walk.n + tail)
     if bridge is None:
-        bridge = _bridge_vertex(complex, colors, kappa, mid, tail, near, bridges)
-    if bridge == u:
-        return [u]
-    parent = _detour_search(complex, colors, kappa, mid, u, bridge, near, searches)
+        bridge = _bridge(walk, mid, tail)
+    if bridge == entry:
+        return [entry]
+    parent = _detour(walk, mid, entry, bridge)
     hops = [bridge]
     while parent[hops[-1]] is not None:
         hops.append(parent[hops[-1]])
-    hops.reverse()
-    return hops
+    return hops[::-1]
 
 
 def rewrite_path_to_colors(complex, colors, path):
@@ -695,7 +719,8 @@ def rewrite_path_to_colors(complex, colors, path):
     if kappa[path[0][0]] not in colors or kappa[path[-1][1]] not in colors:
         raise ValidationError("path endpoints must lie in the selected subcomplex")
     by_pair = complex._cache.setdefault("rewrite_memos", {})  # reused across calls
-    memos = by_pair.setdefault(colors, (_completions(complex), {}, {}))
+    walk, bypasses = by_pair.get(colors) or by_pair.setdefault(colors, (_pair_walk(complex, colors), {}))
+    ids, pos = walk.ids, walk.pos
     moves: list[tuple] = []
     out: list[ComplexEdge] = []
     u = path[0][0]  # selected: an endpoint, or the bridge of the last bypass
@@ -705,15 +730,15 @@ def rewrite_path_to_colors(complex, colors, path):
             u = mid
             continue
         tail = path[i + 1][1]
-        hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
-        bridge = hops[-1]
-        idx = len(out)
+        hops = bypasses.get((u, mid, tail))
+        if hops is None:  # the walk's hops in ids, by (entry, mid, tail)
+            hops = bypasses[u, mid, tail] = [ids[p] for p in _bypass_walk(walk, pos[u], pos[mid], pos[tail])]
+        bridge, idx = hops[-1], len(out)
         moves.append(("expand", idx + 1, (mid, bridge, tail)))
         if len(hops) == 1:
             moves.append(("contract", idx, (u, mid, u)))
         else:
-            for j in range(len(hops) - 2):
-                moves.append(("expand", idx + j, (hops[j], hops[j + 1], mid)))
+            moves += (("expand", idx + j, (hops[j], hops[j + 1], mid)) for j in range(len(hops) - 2))
             moves.append(("contract", idx + len(hops) - 2, (hops[-2], mid, bridge)))
         out.extend(zip(hops, hops[1:]) if len(hops) > 1 else [(u, u)])
         u = bridge
@@ -723,26 +748,6 @@ def rewrite_path_to_colors(complex, colors, path):
 # -- presentation restriction and simplification -----------------------------------
 
 
-def _letters(signed, steps) -> tuple[int, ...]:
-    """The kept letters of a walk ``steps`` between selected vertices; tree edges add none."""
-    word = []
-    for e in steps:
-        if e not in signed:
-            raise ValidationError(f"no generator for edge {_canon(*e)}")
-        if signed[e]:
-            word.append(signed[e])
-    return tuple(word)
-
-
-def _bypass_word(complex, colors, kappa, u, mid, tail, bridge, memos, signed, words):
-    """The letters of :func:`_bypass` from ``u`` to ``bridge``, stored in ``words`` by
-    (mid, u, bridge), as the bypasses of one pair repeat."""
-    if (word := words.get((mid, u, bridge))) is None:
-        hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
-        word = words[mid, u, bridge] = _letters(signed, zip(hops, hops[1:]))
-    return word
-
-
 def _restrict(complex, tree, edges, relators) -> GroupPresentation:
     """Restrict generators ``edges`` (letters 1, 2, ...) and ``relators`` to the pair
     ``tree.colors``.  A tree edge maps to (), a kept (selected non-tree) edge to its new
@@ -750,49 +755,68 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
     b's nearest selected ancestors: a's descent, the bypasses of a and b, and b's climb.
     One parents-first pass over the nested tree gives each off-color w its descent (the
     letters from its nearest selected ancestor down to w, and the vertex they end at) and
-    its climb (w's bridge, and the letters from it back up); the memos are this pair's."""
-    colors, parent, kappa = tree.colors, tree.parent, complex._coloring
-    memos = (_completions(complex), {}, {})  # bridges, detour searches: this pair only
-    near, bridges, _ = memos
-    words: dict = {}  # (mid, u, bridge) -> the letters of that bypass
-    signed: dict[ComplexEdge, int] = {}  # oriented edge -> its kept letter, 0 on the tree
-    for u, v in tree.edges:
-        signed[u, v] = signed[v, u] = 0
-    generators = []
-    for u, v in edges:
-        if (u, v) not in tree.edges and kappa[u] in colors and kappa[v] in colors:
-            generators.append(Generator(edge=(u, v), tree=False, selected=True))
-            signed[u, v], signed[v, u] = len(generators), -len(generators)
-    down, up = {}, {}
-    for w in tree._order:  # parents first; no bridge asked for in this pass is stored yet
-        if kappa[w] in colors:
+    its climb (w's bridge, and the letters from it back up).  On walk positions; the memos
+    are this pair's, its bypass letters by (mid, entry, bridge)."""
+    ids, pos, color, ends, nbr, *_, n, first, second, _, _ = walk = _pair_walk(complex, tree.colors)
+    letters = complex._skeleton()[1]
+    selected = [c == first or c == second for c in color]
+    kept = [None] * len(ends)  # letter -> its generator, 0 on the tree, None for no generator
+    for e in tree.edges:
+        kept[letters[e]] = 0
+    generators, words = [], {}  # words: (mid * n + entry) * n + bridge -> the letters of that bypass
+    for e in edges:
+        a, b = ends[letters[e]]
+        if kept[letters[e]] != 0 and selected[a] and selected[b]:
+            generators.append(Generator(edge=e, tree=False, selected=True))
+            kept[letters[e]] = len(generators)
+
+    def steps(hops) -> tuple[int, ...]:
+        """The kept letters of a walk between selected positions, signed by direction."""
+        word = ()
+        for u, v in zip(hops, hops[1:]):
+            x = kept[nbr[u][v]]
+            if x is None:
+                raise ValidationError(f"no generator for edge {_canon(ids[u], ids[v])}")
+            if x:
+                word += (x,) if u < v else (-x,)
+        return word
+
+    def bypass(u, mid, tail, bridge) -> tuple[int, ...]:
+        """The letters of the walk around ``mid`` from ``u`` to its ``bridge`` toward ``tail``."""
+        if (word := words.get(key := (mid * n + u) * n + bridge)) is None:
+            word = words[key] = steps(_bypass_walk(walk, u, mid, tail))
+        return word
+
+    down, up, above = [None] * n, [None] * n, [None] * n
+    for w in map(pos.__getitem__, tree._order):  # parents first; no bridge asked for here is stored yet
+        if selected[w]:
             continue
-        p = parent[w]
-        x = _bridge_vertex(complex, colors, kappa, w, p, near, bridges)
-        if kappa[p] in colors:
-            down[w], up[w] = ((), p), (x, _letters(signed, [(x, p)]))
+        p = above[w] = pos[tree.parent[ids[w]]]
+        x = _bridge(walk, w, p)
+        if selected[p]:
+            down[w], up[w] = ((), p), (x, steps((x, p)))
             continue
-        (word, u), (y, climb), z = down[p], up[p], _bridge_vertex(complex, colors, kappa, p, w, near, bridges)
-        into = _bypass_word(complex, colors, kappa, u, p, w, z, memos, signed, words)
-        out = _bypass_word(complex, colors, kappa, x, p, parent[p], y, memos, signed, words)
-        down[w], up[w] = (word + into, z), (x, out + climb)
+        (word, u), (y, climb), z = down[p], up[p], _bridge(walk, p, w)
+        down[w], up[w] = (word + bypass(u, p, w, z), z), (x, bypass(x, p, above[p], y) + climb)
     images = [()] * (2 * len(edges) + 1)  # images[i] and images[-i]: letter i and its inverse
-    for i, (a, b) in enumerate(edges, 1):
-        x = signed.get((a, b))
+    for i, e in enumerate(edges, 1):
+        x = kept[letter := letters[e]]
         if x:
             images[i], images[-i] = (x,), (-x,)
         elif x is None:
-            if kappa[a] in colors:
+            a, b = ends[letter]
+            if selected[a]:
                 word, u = (), a
             else:  # a's bridge toward b is asked for once, here
-                (word, u), x = down[a], _bridge_vertex(complex, colors, kappa, a, b, near, bridges)
-                word, u = word + _bypass_word(complex, colors, kappa, u, a, b, x, memos, signed, words), x
-            if kappa[b] in colors:
-                word += _letters(signed, [(u, b)])
+                (word, u), x = down[a], _bridge(walk, a, b)
+                word, u = word + bypass(u, a, b, x), x
+            if selected[b]:
+                word += steps((u, b))
             else:
                 x, climb = up[b]
-                word += _bypass_word(complex, colors, kappa, u, b, parent[b], x, memos, signed, words) + climb
-            images[i], images[-i] = word, tuple(invert_word(word))
+                word += bypass(u, b, above[b], x) + climb
+            if word:
+                images[i], images[-i] = word, tuple(invert_word(word))
     mapped = []
     for rel in relators:
         word = ()

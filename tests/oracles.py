@@ -7,9 +7,12 @@ list in place.  It reads paths and inserted edges with the library's
 
 ``oracle_restrict`` restricts a presentation to a color pair the way the
 library did before it memoized each pair's bypass letters: every bypass walks
-its detour and reads its letters afresh.  It shares the library's one walk
-(``_bridge_vertex``, ``_detour_search``, ``_bypass``), so the two differ only
-in how bypass words are stored and put together.
+its detour and reads its letters afresh.  ``oracle_rewrite`` rewrites a path
+into a color pair with fresh memos on every call.  Both run the walk as the
+library ran it before its walk index: on vertex ids, over an index of
+completions keyed by vertex and edge tuples (``oracle_completions``,
+``oracle_bridge``, ``oracle_detour``, ``oracle_bypass``), each witness checked
+against the face set.
 
 ``oracle_selected_h`` sums ``(-1)^(|S|-|T|) f_T`` over every subset ``T`` of a
 selection ``S``, the 3^d-term sum the library replaced by one subset transform.
@@ -20,17 +23,16 @@ pair of ids, all of them are read, and the layer passes when its union-find
 forest ends with one tree per cell.
 """
 
+from functools import partial
 from itertools import combinations
 
-from topokit.errors import ValidationError
+from topokit.errors import ContractViolationError, ValidationError
 from topokit.pi1 import (
+    Certificate,
     Generator,
     GroupPresentation,
     PosetEdge,
-    _bridge_vertex,
-    _bypass,
     _canon,
-    _completions,
     _rank3_sides,
     _reverse,
     _stationary,
@@ -177,6 +179,102 @@ def oracle_selected_h(flag, colors):
     )
 
 
+def oracle_completions(complex) -> dict:
+    """Vertex ``(v,)`` or edge ``(a, b)``, a < b -> {color: ascending tuple of the
+    vertices w for which base + w is a face}, the base's own vertices included."""
+    kappa = complex.coloring
+    near = {(v,): {kappa[v]: [v]} for v in complex.vertices}
+    for a, b in complex.edges():
+        near[a,].setdefault(kappa[b], []).append(b)
+        near[b,].setdefault(kappa[a], []).append(a)
+        near[a, b] = {kappa[a]: [a], kappa[b]: [b]}
+    for a, b, c in complex.faces(2) if complex.dim >= 2 else ():
+        near[a, b].setdefault(kappa[c], []).append(c)
+        near[a, c].setdefault(kappa[b], []).append(b)
+        near[b, c].setdefault(kappa[a], []).append(a)
+    return {base: {c: tuple(ws) for c, ws in by_color.items()} for base, by_color in near.items()}
+
+
+def _not_a_face(witness):
+    return ContractViolationError(f"witness {list(witness)} is not a face; hypotheses broken")
+
+
+def oracle_bridge(complex, colors, mid, tail, near):
+    """The least selected vertex completing {mid, tail} to a face, avoiding tail's color."""
+    by_color = near.get((mid,) if mid == tail else _canon(mid, tail), {})
+    color = complex.coloring[tail]
+    firsts = [by_color[c][0] for c in colors if c != color and c in by_color]
+    if not firsts:
+        raise ContractViolationError(f"no selected vertex completes ({mid},{tail}) to a face; hypotheses broken")
+    bridge = min(firsts)
+    if tuple(sorted({mid, bridge, tail})) not in complex.face_set():
+        raise _not_a_face((mid, bridge, tail))
+    return bridge
+
+
+def oracle_detour(complex, colors, center, start, goal, near, searches):
+    """Parent pointers of the ascending BFS from ``start`` over the selected link of
+    ``center``, expanded until ``goal`` is found; resumed from ``searches[center, start]``
+    on a copy, stored whole once each new edge's triangle with center has checked."""
+    kappa, key = complex.coloring, (center, start)
+    parent, order, expanded = searches.get(key) or ({start: None}, [start], 0)
+    parent, order = dict(parent), list(order)
+    while goal not in parent:
+        if expanded == len(order):
+            raise ContractViolationError(f"link of {center} has no selected path {start} -> {goal}; hypotheses broken")
+        u = order[expanded]
+        expanded += 1
+        (other,) = colors - {kappa[u]}
+        for w in near[_canon(center, u)].get(other, ()):
+            if w not in parent:
+                if tuple(sorted((u, w, center))) not in complex.face_set():
+                    searches.pop(key, None)
+                    raise _not_a_face((u, w, center))
+                parent[w] = u
+                order.append(w)
+    searches[key] = (parent, order, expanded)
+    return parent
+
+
+def oracle_bypass(complex, colors, u, mid, tail, near, searches):
+    """The selected vertices ``u, ..., bridge`` replacing the off-color ``mid`` between
+    ``u`` and ``tail``: ``[u]`` if the bridge is u, else the path from mid's detour."""
+    bridge = oracle_bridge(complex, colors, mid, tail, near)
+    if bridge == u:
+        return [u]
+    parent = oracle_detour(complex, colors, mid, u, bridge, near, searches)
+    hops = [bridge]
+    while parent[hops[-1]] is not None:
+        hops.append(parent[hops[-1]])
+    return hops[::-1]
+
+
+def oracle_rewrite(complex, colors, path):
+    """``rewrite_path_to_colors`` on the tuple-keyed walk, with fresh memos."""
+    colors, kappa = frozenset(colors), complex.coloring
+    path = check_edge_path(complex, path)
+    near, searches = oracle_completions(complex), {}
+    moves, out = [], []
+    u = path[0][0]
+    for i, (_, mid) in enumerate(path):
+        if kappa[mid] in colors:
+            out.append((u, mid))
+            u = mid
+            continue
+        hops = oracle_bypass(complex, colors, u, mid, path[i + 1][1], near, searches)
+        bridge, idx = hops[-1], len(out)
+        moves.append(("expand", idx + 1, (mid, bridge, path[i + 1][1])))
+        if len(hops) == 1:
+            moves.append(("contract", idx, (u, mid, u)))
+        else:
+            for j in range(len(hops) - 2):
+                moves.append(("expand", idx + j, (hops[j], hops[j + 1], mid)))
+            moves.append(("contract", idx + len(hops) - 2, (hops[-2], mid, bridge)))
+        out.extend(zip(hops, hops[1:]) if len(hops) > 1 else [(u, u)])
+        u = bridge
+    return tuple(out), Certificate("complex", tuple(moves))
+
+
 def _letters(signed, steps):
     """The kept letters of a walk ``steps`` between selected vertices; tree edges add none."""
     word = []
@@ -188,9 +286,9 @@ def _letters(signed, steps):
     return tuple(word)
 
 
-def _bypass_word(complex, colors, kappa, u, mid, tail, memos, signed):
-    """The letters of ``_bypass`` and its bridge, walked afresh on every call."""
-    hops = _bypass(complex, colors, kappa, u, mid, tail, memos)
+def _bypass_word(complex, colors, u, mid, tail, near, searches, signed):
+    """The letters of ``oracle_bypass`` and its bridge, walked afresh on every call."""
+    hops = oracle_bypass(complex, colors, u, mid, tail, near, searches)
     return _letters(signed, zip(hops, hops[1:])), hops[-1]
 
 
@@ -198,9 +296,9 @@ def oracle_restrict(complex, tree, edges, relators):
     """Restrict generators ``edges`` (letters 1, 2, ...) and ``relators`` to the pair
     ``tree.colors``: a tree edge maps to (), a kept edge to its new letter, and an
     off-color edge to a's descent, the bypasses of a and b, and b's climb."""
-    colors, parent, kappa = tree.colors, tree.parent, complex._coloring
-    memos = (_completions(complex), {}, {})
-    near, bridges, _ = memos
+    colors, parent, kappa = tree.colors, tree.parent, complex.coloring
+    near, searches = oracle_completions(complex), {}
+    walk = partial(_bypass_word, complex, colors)
     signed = {}
     for u, v in tree.edges:
         signed[u, v] = signed[v, u] = 0
@@ -214,15 +312,15 @@ def oracle_restrict(complex, tree, edges, relators):
         if kappa[w] in colors:
             continue
         p = parent[w]
-        x = _bridge_vertex(complex, colors, kappa, w, p, near, bridges)
+        x = oracle_bridge(complex, colors, w, p, near)
         if kappa[p] in colors:
             down[w] = ((), p)
             up[w] = _letters(signed, [(x, p)])
         else:
             word, u = down[p]
-            letters, u = _bypass_word(complex, colors, kappa, u, p, w, memos, signed)
+            letters, u = walk(u, p, w, near, searches, signed)
             down[w] = (word + letters, u)
-            up[w] = _bypass_word(complex, colors, kappa, x, p, parent[p], memos, signed)[0] + up[p]
+            up[w] = walk(x, p, parent[p], near, searches, signed)[0] + up[p]
     images = [()] * (2 * len(edges) + 1)
     for i, (a, b) in enumerate(edges, 1):
         x = signed.get((a, b))
@@ -233,12 +331,12 @@ def oracle_restrict(complex, tree, edges, relators):
                 word, u = (), a
             else:
                 word, u = down[a]
-                letters, u = _bypass_word(complex, colors, kappa, u, a, b, memos, signed)
+                letters, u = walk(u, a, b, near, searches, signed)
                 word += letters
             if kappa[b] in colors:
                 word += _letters(signed, [(u, b)])
             else:
-                word += _bypass_word(complex, colors, kappa, u, b, parent[b], memos, signed)[0] + up[b]
+                word += walk(u, b, parent[b], near, searches, signed)[0] + up[b]
             images[i], images[-i] = word, tuple(invert_word(word))
     mapped = []
     for rel in relators:

@@ -3,12 +3,12 @@
 The additivity table, each pair's selected h2 and the poset ``per_colors``
 entries are read from one count of faces by color mask, through one subset
 transform (``_selection_h``); ``flag_f_vector`` reads the same counts.
-The rewriter's link graphs and bridge vertices are read from one index, shared
-by every color pair, of the vertices that complete each vertex and edge to a
-face, by color.  The tests below keep the direct constructions as oracles:
-rank selection for the h-entries, a scan of the face set for each entry of the
-index, and a fresh scan of the star for each (vertex, colors) link graph and
-each bridge.
+The rewriter's link graphs and bridge vertices are read from one walk index,
+shared by every color pair, of the vertices that complete each vertex and edge
+to a face, by color, on vertex positions and edge letters.  The tests below keep
+the direct constructions as oracles: rank selection for the h-entries, a scan
+of the face set for each entry of the index, and a fresh scan of the star for
+each (vertex, colors) link graph and each bridge.
 """
 
 import random
@@ -163,6 +163,19 @@ def completions_by_face_scan(complex, base):
     return {c: tuple(ws) for c, ws in out.items()}
 
 
+def index_completions(complex) -> dict:
+    """The walk index read back into vertex ids: vertex ``(v,)`` or edge ``(a, b)`` ->
+    {color: the ascending ids completing it to a face}, empty colors left out."""
+    index = pi1._walk_index(complex)
+    ids, palette, d = index.ids, complex.colors, index.d
+    bases = [((v,), index.nbr[p][p]) for p, v in enumerate(ids)]
+    bases += [(tuple(ids[p] for p in index.ends[x]), x) for x in range(1, len(index.ends))]
+    return {
+        base: {c: tuple(ids[w] for w in index.near[x * d + i]) for i, c in enumerate(palette) if index.near[x * d + i]}
+        for base, x in bases
+    }
+
+
 INDEX_COMPLEXES = {f"{name}-relabelled": relabel(c, 7) for name, c in corpus_complexes().items()}
 INDEX_COMPLEXES.update((f"cross{d}", shapes.cross_polytope(d)) for d in (5, 6, 7))
 
@@ -170,11 +183,35 @@ INDEX_COMPLEXES.update((f"cross{d}", shapes.cross_polytope(d)) for d in (5, 6, 7
 @pytest.mark.parametrize("name", sorted(INDEX_COMPLEXES))
 def test_completions_match_a_face_scan(name):
     complex = INDEX_COMPLEXES[name]
-    near = pi1._completions(complex)
+    near = index_completions(complex)
     bases = [(v,) for v in complex.vertices] + complex.edges()
-    assert set(near) == set(bases)
+    assert list(near) == bases  # positions in id order, letters in edge order
     for base in bases:
         assert near[base] == completions_by_face_scan(complex, base), base
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_COMPLEXES))
+def test_walk_index_triangles_match_the_face_set(name):
+    """A key ``letter * n + w`` is in ``tri`` iff the edge of that letter (a vertex, as a
+    degenerate edge) and w span a face one larger."""
+    complex = INDEX_COMPLEXES[name]
+    index, faces = pi1._walk_index(complex), complex.face_set()
+    ids, n = index.ids, index.n
+    assert index.pos == {v: p for p, v in enumerate(complex.vertices)}
+    assert [tuple(ids[p] for p in ends) for ends in index.ends[1:]] == complex.edges()
+    m = len(index.ends)  # the vertex at position p is the degenerate edge (p, p) of letter m + p
+    for p, around in enumerate(index.nbr):
+        assert sorted(ids[q] for q in around if q != p) == list(complex.adjacency()[ids[p]])
+        assert around[p] == m + p
+        assert all(index.ends[letter] == (min(p, q), max(p, q)) for q, letter in around.items() if q != p)
+    triangles = {
+        letter * n + w
+        for letter, (a, b) in enumerate(index.ends[1:], 1)
+        for w in range(n)
+        if w not in (a, b) and tuple(sorted((ids[a], ids[b], ids[w]))) in faces
+    }
+    edges = {(m + p) * n + w for p in range(n) for w in range(n) if w != p and tuple(sorted((ids[p], ids[w]))) in faces}
+    assert index.tri == triangles | edges
 
 
 @pytest.mark.parametrize("name", sorted(corpus_complexes()))
@@ -182,7 +219,7 @@ def test_link_graphs_match_a_scan_per_selection(name):
     """The link graph of each (vertex, colors), as read from the completions of
     the vertex's edges, against a scan of its star."""
     complex = relabel(corpus_complexes()[name], 7)
-    kappa, near = complex.coloring, pi1._completions(complex)
+    kappa, near = complex.coloring, index_completions(complex)
     palette = complex.colors
     selections = [frozenset(s) for k in range(len(palette) + 1) for s in combinations(palette, k)]
     for v in complex.vertices:
@@ -202,16 +239,17 @@ def test_bridges_match_a_facet_scan_per_pair(name):
     kappa = complex.coloring
     bases = [(v, v) for v in complex.vertices]
     bases += [e for u, v in complex.edges() for e in ((u, v), (v, u))]
-    near = pi1._completions(complex)
     for pair in combinations(complex.colors, 2):
-        colors, bridges = frozenset(pair), {}
+        colors, walk = frozenset(pair), pi1._pair_walk(complex, pair)
+        ids, pos = walk.ids, walk.pos
         for mid, tail in bases:
             expected = bridge_by_facet_scan(complex, colors, kappa, mid, tail)
             if expected is None:
                 with pytest.raises(ContractViolationError):
-                    pi1._bridge_vertex(complex, colors, kappa, mid, tail, near, bridges)
+                    pi1._bridge(walk, pos[mid], pos[tail])
             else:
-                assert pi1._bridge_vertex(complex, colors, kappa, mid, tail, near, bridges) == expected
+                assert ids[pi1._bridge(walk, pos[mid], pos[tail])] == expected
+                assert walk.bridges[pos[mid] * walk.n + pos[tail]] == pos[expected]
 
 
 # -- reports read no rank selection --------------------------------------------------

@@ -55,6 +55,16 @@ def test_faces_are_lexicographically_sorted(octahedron):
     assert edges == sorted(edges)
 
 
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_faces_of_each_size_are_the_slice_of_one_sorted_face_list(name):
+    """``faces(k)`` reads by-length buckets, each sorted alone: the same lists as the
+    slices of every face sorted by (length, face)."""
+    complex = corpus_complexes()[name]
+    ordered = sorted(complex.face_set(), key=lambda f: (len(f), f))
+    for k in range(-1, complex.dim + 1):
+        assert complex.faces(k) == [f for f in ordered if len(f) == k + 1], k
+
+
 # -- f- and h-vectors ----------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
 """The two color-selection kernels of ``topo verify`` against their slow oracles.
 
 Each pair's restriction reads its bypass letters from a per-pair memo; the
-oracle (``oracles.oracle_restrict``) walks every bypass afresh.  Every
+oracle (``oracles.oracle_restrict``) walks every bypass afresh.  Both the
+restriction and the path rewriter walk on one index of vertex positions and
+edge letters; the oracles walk on vertex ids over tuple-keyed completions, and
+are run as well on copies whose ids are shuffled, spread apart and large.  Every
 selection's h is read from one subset transform of the face counts by color
 mask; the oracle (``oracles.oracle_selected_h``) sums ``(-1)^(|S|-|T|) f_T``
 over every subset ``T`` of the selection ``S``.  Each instance is checked as
@@ -13,14 +16,17 @@ from itertools import combinations
 
 import pytest
 
-from conftest import corpus_complexes
-from oracles import oracle_restrict, oracle_selected_h
+from conftest import corpus_complexes, random_closed_path
+from oracles import oracle_restrict, oracle_rewrite, oracle_selected_h
 from topokit import (
+    GroupPresentation,
     SimplicialComplex,
     build_nested_tree,
+    default_basepoint,
     face_poset,
     full_presentation,
     restrict_presentation,
+    rewrite_path_to_colors,
     shapes,
 )
 from topokit import pi1
@@ -70,6 +76,58 @@ def test_restriction_matches_the_unmemoized_oracle(name):
         full = full_presentation(complex, tree)
         oracle = oracle_restrict(complex, tree, [g.edge for g in full.generators], full.relators)
         _assert_same(restrict_presentation(full, complex, pair, tree), oracle, pair)
+
+
+def spread(complex, seed):
+    """``complex`` with each vertex v sent to ``10**12 + 7 * sigma(v) + 3`` for a seeded
+    permutation sigma, and its colors to seeded distinct values: ids shuffled, gapped and
+    large, and the palette in another order."""
+    rng = random.Random(seed)
+    sigma = rng.sample(range(len(complex.vertices)), len(complex.vertices))
+    ids = {v: 10**12 + 7 * s + 3 for v, s in zip(complex.vertices, sigma)}
+    colors = dict(zip(complex.colors, rng.sample(range(1, 4 * len(complex.colors) + 1), len(complex.colors))))
+    coloring = {ids[v]: colors[c] for v, c in complex.coloring.items()}
+    return SimplicialComplex([[ids[v] for v in f] for f in complex.facets], coloring)
+
+
+WALK_BUILDS = {
+    **{f"corpus-{name}": (lambda c=c: c) for name, c in corpus_complexes().items()},
+    "cross6": lambda: shapes.cross_polytope(6),
+    "sd2-torus": lambda: shapes.sd_torus().barycentric_subdivision(),
+}
+WALK_COMPLEXES = {
+    f"{name}{tag}": (lambda build=build, seed=seed: build() if seed is None else spread(build(), seed))
+    for name, build in WALK_BUILDS.items()
+    for tag, seed in (("", None), ("-spread", 26))
+}
+
+
+def shuffled(presentation, rng) -> GroupPresentation:
+    """The same presentation with its generators in a seeded order."""
+    order = rng.sample(range(len(presentation.generators)), len(presentation.generators))
+    renamed = {old + 1: new + 1 for new, old in enumerate(order)}
+    relators = [tuple(renamed[x] if x > 0 else -renamed[-x] for x in rel) for rel in presentation.relators]
+    return GroupPresentation([presentation.generators[i] for i in order], relators)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_COMPLEXES))
+def test_walk_index_matches_the_tuple_keyed_walk(name):
+    """Per pair: restrictions of the skeleton and of a full presentation with its generators
+    shuffled, and rewrites of seeded closed paths, twice (the second time from the warm hop
+    memo), equal the oracles' word for word and move for move."""
+    complex, rng = WALK_COMPLEXES[name](), random.Random(26)
+    edges, _, triangles = complex._skeleton()
+    for pair in combinations(complex.colors, 2):
+        tree = build_nested_tree(complex, pair)
+        _assert_same(pi1._restrict(complex, tree, edges, triangles), oracle_restrict(complex, tree, edges, triangles), pair)
+        full = shuffled(full_presentation(complex, tree), rng)
+        oracle = oracle_restrict(complex, tree, [g.edge for g in full.generators], full.relators)
+        _assert_same(restrict_presentation(full, complex, pair, tree), oracle, pair)
+        paths = [random_closed_path(complex, default_basepoint(complex, pair), rng, 30) for _ in range(4)]
+        for path in paths + paths:
+            fixed, cert = rewrite_path_to_colors(complex, pair, path)
+            expected, oracle_cert = oracle_rewrite(complex, pair, path)
+            assert (fixed, cert.moves) == (expected, oracle_cert.moves), (pair, path)
 
 
 SPACES = {

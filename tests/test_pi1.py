@@ -262,7 +262,7 @@ def test_rewrite_on_warm_caches_matches_fresh_complex():
 
     warm = shapes.sd_torus()
     rewrite_seeded_loops(warm)
-    assert warm._cache["completions"] and warm._cache["rewrite_memos"]
+    assert warm._cache["walk"] and warm._cache["rewrite_memos"]
     assert rewrite_seeded_loops(warm) == rewrite_seeded_loops(shapes.sd_torus())
 
 
@@ -631,8 +631,8 @@ def test_restriction_validates_once_per_call(monkeypatch):
     assert len(calls) <= 1 + 2 * pairs < off_color
 
 
-def _record_memo_calls(monkeypatch, name):
-    """Wrap ``pi1.<name>``, whose last argument is a memo dict; returns the
+def _record_walk_calls(monkeypatch, name):
+    """Wrap ``pi1.<name>``, whose first argument is a color pair's walk; returns the
     list of the arguments of each call, filled as calls are made."""
     calls = []
     wrapped = getattr(pi1, name)
@@ -645,29 +645,36 @@ def _record_memo_calls(monkeypatch, name):
     return calls
 
 
-def _memos_by_pair(calls, key):
-    """The memo dicts the calls were given, one per color pair; checks that each
-    holds exactly the keys it was asked for, and no memo serves two pairs."""
+def _pair_of(space, walk):
+    return frozenset(space.colors[c] for c in (walk.first, walk.second))
+
+
+def _memos_by_pair(space, calls, memo, key):
+    """The memo dicts (``memo(walk)``) the calls were given, one per color pair; checks
+    that each holds exactly the keys (``key(*args)``) it was asked for, and no memo
+    serves two pairs."""
     memos = {}
     for args in calls:
-        colors, memo = args[1], args[-1]
-        assert memos.setdefault(colors, memo) is memo
-    for colors, memo in memos.items():
-        assert set(memo) == {key(args) for args in calls if args[1] == colors}
+        assert memos.setdefault(_pair_of(space, args[0]), memo(args[0])) is memo(args[0])
+    assert len({id(m) for m in memos.values()}) == len(memos)
+    for colors, m in memos.items():
+        assert set(m) == {key(*args) for args in calls if _pair_of(space, args[0]) == colors}
     return memos
 
 
 def test_bridge_memo_matches_a_fresh_scan(monkeypatch):
     rp2 = shapes.sd_projective_plane()
-    calls = _record_memo_calls(monkeypatch, "_bridge_vertex")
+    calls = _record_walk_calls(monkeypatch, "_bridge")
     generator_bounds(rp2)
-    memos = _memos_by_pair(calls, lambda args: (args[3], args[4]))
+    n = len(rp2.vertices)
+    memos = _memos_by_pair(rp2, calls, lambda walk: walk.bridges, lambda walk, mid, tail: mid * n + tail)
     assert set(memos) == {frozenset(p) for p in combinations(rp2.colors, 2)}
     assert "bridges" not in rp2._cache
-    kappa = rp2.coloring
+    kappa, ids = rp2.coloring, rp2.vertices
     for colors, bridges in memos.items():
         assert bridges
-        for (mid, tail), bridge in bridges.items():
+        for key, bridge in bridges.items():
+            mid, tail = (ids[p] for p in divmod(key, n))
             fresh = shapes.sd_projective_plane()
             scan = min(
                 w
@@ -676,9 +683,8 @@ def test_bridge_memo_matches_a_fresh_scan(monkeypatch):
                 for w in facet
                 if kappa[w] in colors - {kappa[tail]}
             )
-            assert bridge == scan
-            near = pi1._completions(fresh)
-            assert pi1._bridge_vertex(fresh, colors, kappa, mid, tail, near, {}) == scan
+            assert ids[bridge] == scan
+            assert pi1._bridge(pi1._pair_walk(fresh, colors), *divmod(key, n)) == bridge
 
 
 def _link_detour(complex, colors, center, start, goal):
@@ -718,80 +724,100 @@ def _bfs_tree(adj, start):
 def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
     space = build()
     extends = []  # per search: whether its goal lies past the tree stored for (center, start)
-    search = pi1._detour_search
+    search, n = pi1._detour, len(space.vertices)
 
-    def recording_search(complex, colors, kappa, center, start, goal, near, searches):
-        stored = searches.get((center, start))
+    def recording_search(walk, center, start, goal):
+        stored = walk.searches.get(center * n + start)
         extends.append(stored is not None and goal not in stored[0])
-        return search(complex, colors, kappa, center, start, goal, near, searches)
+        return search(walk, center, start, goal)
 
-    monkeypatch.setattr(pi1, "_detour_search", recording_search)
-    calls = _record_memo_calls(monkeypatch, "_detour_search")
-    bypasses, bypass = [], pi1._bypass
+    monkeypatch.setattr(pi1, "_detour", recording_search)
+    calls = _record_walk_calls(monkeypatch, "_detour")
+    bypasses, bypass = [], pi1._bypass_walk
 
-    def recording_bypass(complex, colors, kappa, u, mid, tail, memos):
+    def recording_bypass(walk, entry, mid, tail):
         before = len(calls)
-        hops = bypass(complex, colors, kappa, u, mid, tail, memos)
-        bypasses.append((colors, u, mid, tail, hops, len(calls) - before))
+        hops = bypass(walk, entry, mid, tail)
+        bypasses.append((_pair_of(space, walk), entry, mid, tail, hops, len(calls) - before))
         return hops
 
-    monkeypatch.setattr(pi1, "_bypass", recording_bypass)
+    monkeypatch.setattr(pi1, "_bypass_walk", recording_bypass)
     generator_bounds(space)
-    memos = _memos_by_pair(calls, lambda args: (args[3], args[4]))
+    memos = _memos_by_pair(space, calls, lambda walk: walk.searches, lambda walk, center, start, goal: center * n + start)
     assert set(memos) == {frozenset(p) for p in combinations(space.colors, 2)}
     if build is shapes.sd_projective_plane:  # a pair resumes its searches past a stored tree
         assert sum(extends) == 8
     # and searches no (center, start, goal) twice, as each bypass's letters are stored
-    assert len({(args[1], *args[3:6]) for args in calls}) == len(calls)
+    assert len({(_pair_of(space, walk), *args) for walk, *args in calls}) == len(calls)
     assert "detour_trees" not in space._cache
-    fresh = build()
-    kappa, near = fresh.coloring, pi1._completions(fresh)
+    fresh, ids = build(), space.vertices
     partial = 0
     for colors, searches in memos.items():
         goals = {}
         for args in calls:
-            if args[1] == colors:
-                goals.setdefault((args[3], args[4]), set()).add(args[5])
-        for (center, start), (parent, *_) in searches.items():
-            full = _bfs_tree(link_graph_by_star_scan(fresh, center, colors), start)
-            assert parent.items() <= full.items()  # every discovered pointer is the full tree's
-            assert goals[center, start] <= set(parent)
+            if _pair_of(space, args[0]) == colors:
+                goals.setdefault(args[1] * n + args[2], set()).add(args[3])
+        for key, (parent, *_) in searches.items():
+            center, start = divmod(key, n)
+            full = _bfs_tree(link_graph_by_star_scan(fresh, ids[center], colors), ids[start])
+            named = {ids[w]: None if u is None else ids[u] for w, u in parent.items()}
+            assert named.items() <= full.items()  # every discovered pointer is the full tree's
+            assert goals[key] <= set(parent)
             partial += len(parent) < len(full)
-            for goal in goals[center, start]:
-                again = pi1._detour_search(fresh, colors, kappa, center, start, goal, near, {})
+            for goal in goals[key]:
+                again = pi1._detour(pi1._pair_walk(fresh, colors), center, start, goal)
                 assert again.items() <= parent.items()
                 path = [goal]
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])
-                assert path[::-1] == _link_detour(fresh, colors, center, start, goal)
+                assert [ids[p] for p in path[::-1]] == _link_detour(fresh, colors, ids[center], ids[start], ids[goal])
     assert partial  # some search stopped before its whole link
     searched = 0
     for colors, u, mid, tail, hops, searches in bypasses:
-        goal = pi1._bridge_vertex(fresh, colors, kappa, mid, tail, near, {})
-        assert hops == _link_detour(fresh, colors, mid, u, goal)
+        goal = pi1._bridge(pi1._pair_walk(fresh, colors), mid, tail)
+        assert [ids[p] for p in hops] == _link_detour(fresh, colors, ids[mid], ids[u], ids[goal])
         assert searches == (goal != u)  # a bypass whose bridge is its entry vertex searches nothing
         searched += searches
     assert 0 < searched < len(bypasses)
 
 
+def _corrupted(walk, slots) -> "pi1._Walk":
+    """``walk`` on a copy of its index whose completions hold ``slots[i]`` at each slot
+    i; the memos stay the walk's own."""
+    near = list(walk.near)
+    for i, value in slots.items():
+        near[i] = value
+    return walk._replace(near=tuple(near))
+
+
 def test_detour_tree_memo_keeps_no_tree_that_failed_its_witness_check():
-    octahedron = shapes.cross_polytope(3)
-    colors, kappa = frozenset({1, 2}), octahedron.coloring
+    octahedron = shapes.cross_polytope(3)  # ids are positions; colors 1, 2, 3 have palette indices 0, 1, 2
+    walk = pi1._pair_walk(octahedron, {1, 2})
+    index, searches = walk, walk.searches  # the pair's walk carries the index's tables
     # first use: 0 and 1 are antipodal, so the triangle {0, 1, 2} is not a face
-    near = {**pi1._completions(octahedron), (0, 2): {1: (1,)}}
-    searches = {}
+    bad = _corrupted(walk, {index.d * index.nbr[0][2]: (1,)})
     for _ in range(2):
         with pytest.raises(pi1.ContractViolationError, match=r"\[2, 1, 0\] is not a face"):
-            pi1._detour_search(octahedron, colors, kappa, 0, 2, 3, near, searches)
+            pi1._detour(bad, 0, 2, 3)
         assert searches == {}
     # resumption: the search from 0 around 4 finds 2 at once, then meets {2, 4, 5}
-    near = {**pi1._completions(octahedron), (2, 4): {1: (5,)}}
-    assert pi1._detour_search(octahedron, colors, kappa, 4, 0, 2, near, searches) == {0: None, 2: 0, 3: 0}
-    assert set(searches) == {(4, 0)}
+    bad = _corrupted(walk, {index.d * index.nbr[2][4]: (5,)})
+    assert pi1._detour(bad, 4, 0, 2) == {0: None, 2: 0, 3: 0}
+    assert set(searches) == {4 * index.n + 0}
     with pytest.raises(pi1.ContractViolationError, match=r"\[2, 5, 4\] is not a face"):
-        pi1._detour_search(octahedron, colors, kappa, 4, 0, 1, near, searches)
+        pi1._detour(bad, 4, 0, 1)
     assert searches == {}
-    assert pi1._detour_search(octahedron, colors, kappa, 4, 0, 2, near, searches) == {0: None, 2: 0, 3: 0}
+    assert pi1._detour(bad, 4, 0, 2) == {0: None, 2: 0, 3: 0}
+    # a bridge is stored only once its witness has checked: {4, 5} is no edge, {2, 4, 5} no face
+    vertex = index.d * index.nbr[4][4]
+    bad = _corrupted(walk, {vertex: (5,), vertex + 1: (5,)})
+    with pytest.raises(pi1.ContractViolationError, match=r"\[4, 5, 4\] is not a face"):
+        pi1._bridge(bad, 4, 4)
+    bad = _corrupted(walk, {index.d * index.nbr[4][2]: (5,)})
+    with pytest.raises(pi1.ContractViolationError, match=r"\[4, 5, 2\] is not a face"):
+        pi1._bridge(bad, 4, 2)
+    assert walk.bridges == {}
+    assert pi1._bridge(walk, 4, 2) == 0 and walk.bridges == {4 * index.n + 2: 0}
 
 
 def test_verify_leaves_no_per_pair_memos_on_the_complex():
@@ -801,7 +827,8 @@ def test_verify_leaves_no_per_pair_memos_on_the_complex():
         verification_report(space)
         assert not {"detour_trees", "bridges", "rewrite_memos"} & set(space._cache)
         assert not {"star", "link_edges", "link_graphs"} & set(space._cache)
-        assert "skeleton" in space._cache and "completions" in space._cache
+        # exactly the indexes shared by every pair: one walk index, no second index or memo
+        assert set(space._cache) == {"adj", "by_size", "chain", "connected", "faces", "flag", "links_ok", "skeleton", "walk"}
 
 
 @pytest.mark.parametrize("build", [shapes.sd_projective_plane, lambda: shapes.cross_polytope(5)])

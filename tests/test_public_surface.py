@@ -117,3 +117,18 @@ def test_cli_runs_the_stages_in_one_place():
     for name, user in STAGE_USERS.items():
         assert used.get(name, set()) == ({user} if user else set()), f"cli.py: {name} used by {used.get(name)}"
     assert used["_run"] == {"pi1_report", "verification_report"}
+
+
+PI1 = Path(topokit.__file__).parent / "pi1.py"
+# the tuple-keyed walk the walk index replaced; its copy lives in tests/oracles.py
+TUPLE_KEYED_WALK = ("_completions", "_bridge_vertex", "_detour_search", "_bypass", "_bypass_word", "_letters")
+
+
+def test_the_rewriter_and_the_restriction_run_one_bypass_walk():
+    from topokit import pi1
+
+    used = names_used_by_function(PI1)
+    assert used["_bypass_walk"] == {"_restrict", "rewrite_path_to_colors"}
+    assert used["_detour"] == {"_bypass_walk"}
+    for name in TUPLE_KEYED_WALK:
+        assert name not in vars(pi1), f"topokit.pi1 binds {name}"
