@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, combinations, count, permutations
+from itertools import chain, combinations, permutations
 from math import comb
 
 from . import _read
@@ -622,23 +622,48 @@ def connected_sum(
     if (k1.coloring is None) != (k2.coloring is None):
         raise ValidationError("cannot align colors: exactly one summand is colored")
 
-    inverse, fresh = {w: v for v, w in matching.items()}, count(max(k1.vertices, default=-1) + 1)
-    relabel = {v: inverse[v] if v in inverse else next(fresh) for v in k2.vertices}
+    inverse = {w: v for v, w in matching.items()}
+    relabel: dict[int, int] = {}
+    fresh = (max(k1.vertices) + 1) if k1.vertices else 0
+    for v in k2.vertices:
+        if v in inverse:
+            relabel[v] = inverse[v]
+        else:
+            relabel[v] = fresh
+            fresh += 1
+
     top = len(face1) == k1.dim + 1  # facet gluing deletes the identified facet
     facets = [f for f in k1.facets if not (top and f == face1)]
-    facets += [tuple(sorted(relabel[v] for v in f)) for f in k2.facets if not (top and f == face2)]
+    facets += [
+        tuple(sorted(relabel[v] for v in f))
+        for f in k2.facets
+        if not (top and f == face2)
+    ]
 
     coloring = None
     if k1.coloring is not None:
-        c1, c2, palette1, palette2 = k1.coloring, k2.coloring, k1.colors, k2.colors
+        c1, c2 = k1.coloring, k2.coloring
+        palette1 = sorted(set(c1.values()))
+        palette2 = sorted(set(c2.values()))
         if len(palette1) != len(palette2):
             raise ValidationError("cannot align colors: palettes differ in size")
         perm = {c2[matching[v]]: c1[v] for v in face1}
-        targets = set(perm.values())
-        perm |= zip([c for c in palette2 if c not in perm], [c for c in palette1 if c not in targets])
-        coloring = c1 | {relabel[v]: perm[c2[v]] for v in k2.vertices if v not in inverse}
-    new_labels = {relabel[v]: s for v, s in (k2.labels or {}).items() if v not in inverse}
-    return SimplicialComplex(facets, coloring, (k1.labels or {}) | new_labels or None)
+        free_sources = [c for c in palette2 if c not in perm]
+        free_targets = [c for c in palette1 if c not in set(perm.values())]
+        perm.update(dict(zip(free_sources, free_targets)))
+        coloring = dict(c1)
+        for v in k2.vertices:
+            if v not in inverse:
+                coloring[relabel[v]] = perm[c2[v]]
+
+    labels = None
+    if k1.labels or k2.labels:
+        labels = dict(k1.labels or {})
+        for v, s in (k2.labels or {}).items():
+            if v not in inverse:
+                labels[relabel[v]] = s
+
+    return SimplicialComplex(facets, coloring, labels)
 
 
 def require_full_palette(space) -> tuple[int, ...]:

@@ -24,8 +24,9 @@ built once per complex or poset and read by first homology as well.  The
 rewriter and the restriction bypass an off-color vertex by one walk on one
 index per complex, built from the skeleton: vertices by position, edges by
 letter, and flat int-keyed tables of the vertices completing each vertex and
-edge to a face, by color.  A walk takes the least bridge, then a detour search
-in the vertex's link that stops at it and is resumed for the next.  A simplicial
+edge to a face, by color; every witness is checked against int keys read from
+the faces themselves.  A walk takes the least bridge, then a detour search in
+the vertex's link that stops at it and is resumed for the next.  A simplicial
 poset's group is read from the same skeleton, unrewritten.
 
 Every move is one of: expanding one edge into two across a triangle,
@@ -585,9 +586,8 @@ def word_to_loop(presentation, tree, word) -> tuple[ComplexEdge, ...]:
 # -- the bypass walk: rewriting into the selected subcomplex --------------------------
 
 
-class _Walk(NamedTuple):
-    """A complex's walk index, cached and shared by every color pair; with a pair's palette
-    indices and memos, filled in by :func:`_pair_walk`, that pair's walk.  A vertex is its
+class _WalkIndex(NamedTuple):
+    """A complex's walk index, cached and shared by every color pair.  A vertex is its
     position p in ``vertices`` (the least position is the least id) and also the degenerate
     edge (p, p) of letter ``m + p``, m = ``len(ends)``, completed by p's neighbors."""
 
@@ -600,13 +600,19 @@ class _Walk(NamedTuple):
     tri: frozenset[int]  # letter * n + w for the edge of each letter and each w completing it
     d: int  # colors
     n: int  # vertices
-    first: int = -1  # the pair's palette indices
-    second: int = -1
-    bridges: dict | None = None  # mid * n + tail -> the bridge of mid toward tail
-    searches: dict | None = None  # center * n + start -> a detour search, see _detour
 
 
-def _walk_index(complex) -> _Walk:
+class _Walk(NamedTuple):
+    """A color pair's walk: the complex's index, the pair's palette indices and its memos."""
+
+    index: _WalkIndex
+    first: int
+    second: int
+    bridges: dict  # mid * n + tail -> the bridge of mid toward tail
+    searches: dict  # center * n + start -> a detour search, see _detour
+
+
+def _walk_index(complex) -> _WalkIndex:
     """The walk index, filled in one pass over the skeleton's edges and triangle relators
     (sorted, so each completion tuple ascends), and cached."""
     index = complex._cache.get("walk")
@@ -615,48 +621,55 @@ def _walk_index(complex) -> _Walk:
         ids, palette, m = complex.vertices, complex.colors, len(edges) + 1
         n, d, pos = len(ids), len(palette), {v: p for p, v in enumerate(ids)}
         color = [palette.index(complex._coloring[v]) for v in ids]
-        ends, nbr, own, grown = [None], [{p: m + p} for p in range(n)], [(m + p, p) for p in range(n)], []
-        for letter, (a, b) in enumerate(edges, 1):  # (letter, w): w completes that letter's edge
+        ends, nbr, near = [None], [{p: m + p} for p in range(n)], [[] for _ in range((m + n) * d)]
+        completions = [(m + p, p) for p in range(n)]  # (letter, w): w completes that letter's edge
+        for letter, (a, b) in enumerate(edges, 1):
             a, b = pos[a], pos[b]
             ends.append((a, b))
             nbr[a][b] = nbr[b][a] = letter
-            own += ((letter, a), (letter, b))
-            grown += ((m + a, b), (m + b, a))
+            completions += ((letter, a), (letter, b), (m + a, b), (m + b, a))
         for ab, bc, ac in relators:  # (ab, bc, -ac) of the triangle a < b < c
             (a, b), c = ends[ab], ends[bc][1]
-            grown += ((ab, c), (bc, a), (-ac, b))
-        near = [[] for _ in range((m + n) * d)]
-        for letter, w in own + grown:  # an edge's own ends have colors no other completion has
+            completions += ((ab, c), (bc, a), (-ac, b))
+        for letter, w in completions:  # an edge's own ends have colors no other completion has
             near[letter * d + color[w]].append(w)
-        tri = frozenset(letter * n + w for letter, w in grown)
-        index = complex._cache["walk"] = _Walk(ids, pos, color, ends, nbr, tuple(map(tuple, near)), tri, d, n)
+        tri = []  # the witnesses, read from the faces themselves rather than the completions
+        for a, b in complex.edges():
+            a, b = pos[a], pos[b]
+            tri += ((m + a) * n + b, (m + b) * n + a)
+        for a, b, c in complex.faces(2) if complex.dim >= 2 else ():
+            a, b, c = pos[a], pos[b], pos[c]
+            tri += (nbr[a][b] * n + c, nbr[b][c] * n + a, nbr[a][c] * n + b)
+        near, tri = tuple(map(tuple, near)), frozenset(tri)
+        index = complex._cache["walk"] = _WalkIndex(ids, pos, color, ends, nbr, near, tri, d, n)
     return index
 
 
 def _pair_walk(complex, colors) -> _Walk:
     first, second = map(complex.colors.index, colors)
-    return _walk_index(complex)._replace(first=first, second=second, bridges={}, searches={})
+    return _Walk(_walk_index(complex), first, second, {}, {})
 
 
 def _broken(walk, text, *at) -> ContractViolationError:
     """The error ``text`` names, the ids of the positions ``at`` filled in."""
-    return ContractViolationError(text.format(*(walk.ids[p] for p in at)) + "; hypotheses broken")
+    return ContractViolationError(text.format(*(walk.index.ids[p] for p in at)) + "; hypotheses broken")
 
 
 def _bridge(walk, mid, tail) -> int:
     """The least selected position completing the edge {mid, tail} (the vertex mid if equal) to
     a face, not of tail's color: a least first completion by color.  Stored in ``walk.bridges``
     once its witness has checked; callers read that memo first."""
-    _, _, color, _, nbr, near, tri, d, n, first, second, bridges, _ = walk
-    c, letter = color[tail], nbr[mid].get(tail, 0)  # letter 0 completes nothing
+    index, first, second = walk.index, walk.first, walk.second
+    near, d, n = index.near, index.d, index.n
+    c, letter = index.color[tail], index.nbr[mid].get(tail, 0)  # letter 0 completes nothing
     a = () if c == first else near[letter * d + first]
     b = () if c == second else near[letter * d + second]
     if not (a or b):
         raise _broken(walk, "no selected vertex completes ({},{}) to a face", mid, tail)
     bridge = b[0] if not a else a[0] if not b or a[0] < b[0] else b[0]
-    if bridge != mid and letter * n + bridge not in tri:  # a selected mid completes its own edge
+    if bridge != mid and letter * n + bridge not in index.tri:  # a selected mid completes its own edge
         raise _broken(walk, "witness [{}, {}, {}] is not a face", mid, bridge, tail)
-    bridges[mid * n + tail] = bridge
+    walk.bridges[mid * n + tail] = bridge
     return bridge
 
 
@@ -666,18 +679,20 @@ def _detour(walk, center, start, goal) -> dict[int, int | None]:
     only until ``goal`` is found, so each pointer is the full tree's.  Memoized as (pointers, BFS
     order, vertices expanded), resumed on a copy, stored whole once each new edge's triangle with
     center has checked: threads never see a memo half extended; a failed search is dropped."""
-    _, _, color, _, nbr, near, tri, d, n, first, second, _, searches = walk
-    parent, order, expanded = searches.get(key := center * n + start) or ({start: None}, [start], 0)
+    index, searches = walk.index, walk.searches
+    parent, order, expanded = searches.get(key := center * index.n + start) or ({start: None}, [start], 0)
     if goal in parent:
         return parent
-    parent, order, around = dict(parent), list(order), nbr[center]
+    color, near, tri, d, n = index.color, index.near, index.tri, index.d, index.n
+    parent, order, around = dict(parent), list(order), index.nbr[center]
+    other = walk.first + walk.second  # u lacks the pair's color other - color[u]
     while goal not in parent:
         if expanded == len(order):
             raise _broken(walk, "link of {} has no selected path {} -> {}", center, start, goal)
         u = order[expanded]
         expanded += 1
         letter = around[u]
-        for w in near[letter * d + first + second - color[u]]:  # the pair's color u lacks
+        for w in near[letter * d + other - color[u]]:
             if w not in parent:
                 if letter * n + w not in tri:
                     searches.pop(key, None)
@@ -692,7 +707,7 @@ def _bypass_walk(walk, entry, mid, tail) -> list[int]:
     """The selected positions ``entry, ..., bridge`` that replace the off-color ``mid``
     between ``entry`` and ``tail``: ``[entry]`` if the bridge is entry, else the path to it
     in mid's :func:`_detour` from entry; the one walk of the rewriter and the restriction."""
-    bridge = walk.bridges.get(mid * walk.n + tail)
+    bridge = walk.bridges.get(mid * walk.index.n + tail)
     if bridge is None:
         bridge = _bridge(walk, mid, tail)
     if bridge == entry:
@@ -720,7 +735,7 @@ def rewrite_path_to_colors(complex, colors, path):
         raise ValidationError("path endpoints must lie in the selected subcomplex")
     by_pair = complex._cache.setdefault("rewrite_memos", {})  # reused across calls
     walk, bypasses = by_pair.get(colors) or by_pair.setdefault(colors, (_pair_walk(complex, colors), {}))
-    ids, pos = walk.ids, walk.pos
+    ids, pos = walk.index.ids, walk.index.pos
     moves: list[tuple] = []
     out: list[ComplexEdge] = []
     u = path[0][0]  # selected: an endpoint, or the bridge of the last bypass
@@ -731,7 +746,7 @@ def rewrite_path_to_colors(complex, colors, path):
             continue
         tail = path[i + 1][1]
         hops = bypasses.get((u, mid, tail))
-        if hops is None:  # the walk's hops in ids, by (entry, mid, tail)
+        if hops is None:  # hops in ids by (entry, mid, tail): only a triple seen before is not walked
             hops = bypasses[u, mid, tail] = [ids[p] for p in _bypass_walk(walk, pos[u], pos[mid], pos[tail])]
         bridge, idx = hops[-1], len(out)
         moves.append(("expand", idx + 1, (mid, bridge, tail)))
@@ -757,9 +772,10 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
     letters from its nearest selected ancestor down to w, and the vertex they end at) and
     its climb (w's bridge, and the letters from it back up).  On walk positions; the memos
     are this pair's, its bypass letters by (mid, entry, bridge)."""
-    ids, pos, color, ends, nbr, *_, n, first, second, _, _ = walk = _pair_walk(complex, tree.colors)
-    letters = complex._skeleton()[1]
-    selected = [c == first or c == second for c in color]
+    walk = _pair_walk(complex, tree.colors)
+    index, letters = walk.index, complex._skeleton()[1]
+    ids, pos, ends, nbr, n = index.ids, index.pos, index.ends, index.nbr, index.n
+    selected = [c == walk.first or c == walk.second for c in index.color]
     kept = [None] * len(ends)  # letter -> its generator, 0 on the tree, None for no generator
     for e in tree.edges:
         kept[letters[e]] = 0

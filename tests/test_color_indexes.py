@@ -193,7 +193,7 @@ def test_completions_match_a_face_scan(name):
 @pytest.mark.parametrize("name", sorted(INDEX_COMPLEXES))
 def test_walk_index_triangles_match_the_face_set(name):
     """A key ``letter * n + w`` is in ``tri`` iff the edge of that letter (a vertex, as a
-    degenerate edge) and w span a face one larger."""
+    degenerate edge) and w span a face one larger: each witness check reads the faces."""
     complex = INDEX_COMPLEXES[name]
     index, faces = pi1._walk_index(complex), complex.face_set()
     ids, n = index.ids, index.n
@@ -212,6 +212,20 @@ def test_walk_index_triangles_match_the_face_set(name):
     }
     edges = {(m + p) * n + w for p in range(n) for w in range(n) if w != p and tuple(sorted((ids[p], ids[w]))) in faces}
     assert index.tri == triangles | edges
+
+
+def test_walk_index_witnesses_do_not_follow_the_completions():
+    """The triangle keys are read from the faces, so a completion table built from wrong
+    relators cannot vouch for itself: with the relators lost, the completions lose every
+    triangle and the witness keys keep them all."""
+    octahedron = shapes.cross_polytope(3)
+    edges, letters, _ = octahedron._skeleton()
+    octahedron._cache["skeleton"] = (edges, letters, [])
+    index, intact = pi1._walk_index(octahedron), pi1._walk_index(shapes.cross_polytope(3))
+    assert index.tri == intact.tri
+    colors = {c: i for i, c in enumerate(octahedron.colors)}
+    third = index.nbr[0][2] * index.d + colors[octahedron.coloring[4]]  # edge {0, 2}: 4 and 5
+    assert intact.near[third] == (4, 5) and index.near[third] == ()
 
 
 @pytest.mark.parametrize("name", sorted(corpus_complexes()))
@@ -241,7 +255,7 @@ def test_bridges_match_a_facet_scan_per_pair(name):
     bases += [e for u, v in complex.edges() for e in ((u, v), (v, u))]
     for pair in combinations(complex.colors, 2):
         colors, walk = frozenset(pair), pi1._pair_walk(complex, pair)
-        ids, pos = walk.ids, walk.pos
+        ids, pos = walk.index.ids, walk.index.pos
         for mid, tail in bases:
             expected = bridge_by_facet_scan(complex, colors, kappa, mid, tail)
             if expected is None:
@@ -249,7 +263,7 @@ def test_bridges_match_a_facet_scan_per_pair(name):
                     pi1._bridge(walk, pos[mid], pos[tail])
             else:
                 assert ids[pi1._bridge(walk, pos[mid], pos[tail])] == expected
-                assert walk.bridges[pos[mid] * walk.n + pos[tail]] == pos[expected]
+                assert walk.bridges[pos[mid] * walk.index.n + pos[tail]] == pos[expected]
 
 
 # -- reports read no rank selection --------------------------------------------------

@@ -783,17 +783,17 @@ def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
 
 def _corrupted(walk, slots) -> "pi1._Walk":
     """``walk`` on a copy of its index whose completions hold ``slots[i]`` at each slot
-    i; the memos stay the walk's own."""
-    near = list(walk.near)
+    i; its witness keys and the memos stay the walk's own."""
+    near = list(walk.index.near)
     for i, value in slots.items():
         near[i] = value
-    return walk._replace(near=tuple(near))
+    return walk._replace(index=walk.index._replace(near=tuple(near)))
 
 
 def test_detour_tree_memo_keeps_no_tree_that_failed_its_witness_check():
     octahedron = shapes.cross_polytope(3)  # ids are positions; colors 1, 2, 3 have palette indices 0, 1, 2
     walk = pi1._pair_walk(octahedron, {1, 2})
-    index, searches = walk, walk.searches  # the pair's walk carries the index's tables
+    index, searches = walk.index, walk.searches
     # first use: 0 and 1 are antipodal, so the triangle {0, 1, 2} is not a face
     bad = _corrupted(walk, {index.d * index.nbr[0][2]: (1,)})
     for _ in range(2):
