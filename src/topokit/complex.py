@@ -589,6 +589,32 @@ def _is_balanced(space) -> bool:
     return find_balanced_coloring(space) is not None
 
 
+def _glued(k2, face2, matching, fresh, top, colors1, palette1) -> tuple:
+    """``k2`` relabeled to be glued along ``face2`` onto the face that ``matching`` maps onto
+    it: ``(relabel, facets, coloring)``.  A vertex of ``face2`` takes its match, the others
+    fresh ids from ``fresh`` up in ``k2``'s vertex order; ``face2`` itself is dropped when
+    ``top``.  With ``palette1``, the first summand's palette, ``k2``'s colors are permuted
+    onto it to agree with ``colors1`` on the glued face, and ``coloring`` gives the new
+    vertices' colors; else it is None.  The two palettes must be of one size."""
+    relabel = {w: v for v, w in matching.items()}
+    for v in k2.vertices:
+        if v not in relabel:
+            relabel[v] = fresh
+            fresh += 1
+    facets = [tuple(sorted(relabel[v] for v in f)) for f in k2.facets if not (top and f == face2)]
+    coloring = None
+    if palette1 is not None:
+        if len(palette1) != len(k2.colors):
+            raise ValidationError("cannot align colors: palettes differ in size")
+        c2 = k2._coloring
+        perm = {c2[w]: colors1[v] for v, w in matching.items()}
+        free_sources = [c for c in k2.colors if c not in perm]
+        free_targets = [c for c in palette1 if c not in set(perm.values())]
+        perm.update(zip(free_sources, free_targets))
+        coloring = {relabel[v]: perm[c2[v]] for v in k2.vertices if v not in face2}
+    return relabel, facets, coloring
+
+
 def connected_sum(
     k1: SimplicialComplex,
     k2: SimplicialComplex,
@@ -622,45 +648,18 @@ def connected_sum(
     if (k1.coloring is None) != (k2.coloring is None):
         raise ValidationError("cannot align colors: exactly one summand is colored")
 
-    inverse = {w: v for v, w in matching.items()}
-    relabel: dict[int, int] = {}
-    fresh = (max(k1.vertices) + 1) if k1.vertices else 0
-    for v in k2.vertices:
-        if v in inverse:
-            relabel[v] = inverse[v]
-        else:
-            relabel[v] = fresh
-            fresh += 1
-
     top = len(face1) == k1.dim + 1  # facet gluing deletes the identified facet
-    facets = [f for f in k1.facets if not (top and f == face1)]
-    facets += [
-        tuple(sorted(relabel[v] for v in f))
-        for f in k2.facets
-        if not (top and f == face2)
-    ]
-
-    coloring = None
-    if k1.coloring is not None:
-        c1, c2 = k1.coloring, k2.coloring
-        palette1 = sorted(set(c1.values()))
-        palette2 = sorted(set(c2.values()))
-        if len(palette1) != len(palette2):
-            raise ValidationError("cannot align colors: palettes differ in size")
-        perm = {c2[matching[v]]: c1[v] for v in face1}
-        free_sources = [c for c in palette2 if c not in perm]
-        free_targets = [c for c in palette1 if c not in set(perm.values())]
-        perm.update(dict(zip(free_sources, free_targets)))
-        coloring = dict(c1)
-        for v in k2.vertices:
-            if v not in inverse:
-                coloring[relabel[v]] = perm[c2[v]]
+    palette = k1.colors if k1._coloring is not None else None
+    relabel, facets, coloring = _glued(k2, face2, matching, max(k1.vertices) + 1, top, k1._coloring, palette)
+    facets = [f for f in k1.facets if not (top and f == face1)] + facets
+    if coloring is not None:
+        coloring = {**k1._coloring, **coloring}
 
     labels = None
     if k1.labels or k2.labels:
         labels = dict(k1.labels or {})
         for v, s in (k2.labels or {}).items():
-            if v not in inverse:
+            if v not in face2:
                 labels[relabel[v]] = s
 
     return SimplicialComplex(facets, coloring, labels)

@@ -495,6 +495,14 @@ class GroupPresentation:
         self.rounds = rounds
         self.converged = converged
 
+    @classmethod
+    def _of(cls, generators, relators, rounds=None, converged=None) -> "GroupPresentation":
+        """The presentation on ``generators`` and ``relators`` of letters, both already read."""
+        self = cls.__new__(cls)
+        self.generators, self.relators = tuple(generators), tuple(relators)
+        self.rounds, self.converged = rounds, converged
+        return self
+
     def generator_index(self, edge) -> int:
         edge = _read.ids(edge)
         for i, g in enumerate(self.generators, 1):
@@ -780,11 +788,12 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
     for e in tree.edges:
         kept[letters[e]] = 0
     generators, words = [], {}  # words: (mid * n + entry) * n + bridge -> the letters of that bypass
-    for e in edges:
-        a, b = ends[letters[e]]
-        if kept[letters[e]] != 0 and selected[a] and selected[b]:
+    edge_letters = [letters[e] for e in edges]  # the skeleton's letter of each generator edge
+    for e, letter in zip(edges, edge_letters):
+        a, b = ends[letter]
+        if kept[letter] != 0 and selected[a] and selected[b]:
             generators.append(Generator(edge=e, tree=False, selected=True))
-            kept[letters[e]] = len(generators)
+            kept[letter] = len(generators)
 
     def steps(hops) -> tuple[int, ...]:
         """The kept letters of a walk between selected positions, signed by direction."""
@@ -815,8 +824,8 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
         (word, u), (y, climb), z = down[p], up[p], _bridge(walk, p, w)
         down[w], up[w] = (word + bypass(u, p, w, z), z), (x, bypass(x, p, above[p], y) + climb)
     images = [()] * (2 * len(edges) + 1)  # images[i] and images[-i]: letter i and its inverse
-    for i, e in enumerate(edges, 1):
-        x = kept[letter := letters[e]]
+    for i, letter in enumerate(edge_letters, 1):
+        x = kept[letter]
         if x:
             images[i], images[-i] = (x,), (-x,)
         elif x is None:
@@ -842,7 +851,7 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
             word = free_reduce(word)
         if word:
             mapped.append(tuple(word))
-    return GroupPresentation(generators, mapped)
+    return GroupPresentation._of(generators, mapped)
 
 
 def restrict_presentation(presentation, complex, colors, tree) -> GroupPresentation:
@@ -1000,7 +1009,7 @@ def tietze_simplify(presentation, max_rounds: int = DEFAULT_TIETZE_ROUNDS) -> Gr
     new_rels = [
         tuple(mapping[x] if x > 0 else -mapping[-x] for x in r) for r in words if r is not None
     ]
-    return GroupPresentation(new_gens, new_rels, rounds, converged)
+    return GroupPresentation._of(new_gens, new_rels, rounds, converged)
 
 
 def generator_bounds(complex, tietze_rounds: int = DEFAULT_TIETZE_ROUNDS) -> dict:

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import heapq
 from itertools import product
 
 from . import _read
-from .complex import SimplicialComplex, connected_sum
+from .complex import SimplicialComplex, _glued
 from .errors import ValidationError
 from .poset import SimplicialPoset
 
 # Largest inputs the generators build: a cross-polytope boundary of dimension d has
-# 2^d facets and 3^d faces (531,441 at d = 12), each copy in a connected sum rebuilds
-# the running sum, so the sum's cost grows with the square of the copies, and an
-# n-cycle is built whole, n facets and a color per vertex.
+# 2^d facets and 3^d faces (531,441 at d = 12), a sum of n octahedra has 6n + 2 facets
+# (3,002 at the cap), built in time linear in n, and an n-cycle is built whole, n
+# facets and a color per vertex.
 MAX_CROSS_POLYTOPE_DIM = 12
 MAX_OCTAHEDRON_COPIES = 500
 MAX_CYCLE_LENGTH = 100_000
@@ -106,18 +107,24 @@ def octahedron_sum(copies: int) -> SimplicialComplex:
 
     Each gluing identifies the lexicographically largest facet of the running
     sum with the smallest facet of a fresh octahedron, matching vertices in
-    ascending order; colors are aligned automatically.  More than
-    ``MAX_OCTAHEDRON_COPIES`` (500) copies are refused before anything is built.
+    ascending order; colors are aligned automatically.  The facets wait in a heap,
+    the largest on top (negated entrywise): each copy of the one octahedron pops the
+    facet it glues away and pushes its seven others, and one strict build checks the
+    sum.  Over ``MAX_OCTAHEDRON_COPIES`` (500) copies are refused before any build.
     """
     if not 1 <= _read.integer(copies) <= MAX_OCTAHEDRON_COPIES:
         raise ValidationError(
             f"connected sums take between 1 and {MAX_OCTAHEDRON_COPIES} copies, got {copies}"
         )
-    total = cross_polytope(3)
+    octahedron = cross_polytope(3)
+    face2, palette, coloring = min(octahedron.facets), octahedron.colors, octahedron.coloring
+    heap = [tuple(-v for v in f) for f in octahedron.facets]
+    heapq.heapify(heap)
     for _ in range(copies - 1):
-        extra = cross_polytope(3)
-        f1 = max(total.facets)
-        f2 = min(extra.facets)
-        matching = dict(zip(sorted(f1), sorted(f2)))
-        total = connected_sum(total, extra, f1, f2, matching)
-    return total
+        face1 = tuple(-v for v in heapq.heappop(heap))
+        fresh = len(coloring)  # ids stay dense: the next fresh id is the number of vertices
+        _, facets, colors = _glued(octahedron, face2, dict(zip(face1, face2)), fresh, True, coloring, palette)
+        coloring.update(colors)
+        for f in facets:
+            heapq.heappush(heap, tuple(-v for v in f))
+    return SimplicialComplex([tuple(-v for v in f) for f in heap], coloring)

@@ -17,6 +17,10 @@ against the face set.
 ``oracle_selected_h`` sums ``(-1)^(|S|-|T|) f_T`` over every subset ``T`` of a
 selection ``S``, the 3^d-term sum the library replaced by one subset transform.
 
+``oracle_octahedron_sum`` folds the public ``connected_sum`` over fresh
+octahedra, rebuilding and checking the whole running sum for every copy, the
+way the library built the sum before it glued every copy onto one facet heap.
+
 ``oracle_links_connected`` over ``oracle_link_layer(space, k)`` is the link
 sweep as the library ran it before its rows: every link edge of a layer is a
 pair of ids, all of them are read, and the layer passes when its union-find
@@ -26,6 +30,7 @@ forest ends with one tree per cell.
 from functools import partial
 from itertools import combinations
 
+from topokit.complex import connected_sum
 from topokit.errors import ContractViolationError, ValidationError
 from topokit.pi1 import (
     Certificate,
@@ -41,6 +46,7 @@ from topokit.pi1 import (
     invert_word,
 )
 from topokit.poset import SimplicialPoset
+from topokit.shapes import cross_polytope
 
 
 def oracle_link_layer(space, k):
@@ -168,6 +174,17 @@ def _triangle_move_poset(poset, path, move):
     if e1.elem not in sides.values() or e2.elem not in sides.values():
         raise ValidationError("contracted edges are not sides of the witness")
     return path[:pos] + (PosetEdge(sides[frozenset((x, z))], x, z),) + path[pos + 2 :]
+
+
+def oracle_octahedron_sum(copies):
+    """The sum of ``copies`` octahedra: the running sum's largest facet is glued onto a
+    fresh octahedron's smallest, vertices matched in ascending order, one copy at a time."""
+    total = cross_polytope(3)
+    for _ in range(copies - 1):
+        extra = cross_polytope(3)
+        f1, f2 = max(total.facets), min(extra.facets)
+        total = connected_sum(total, extra, f1, f2, dict(zip(f1, f2)))
+    return total
 
 
 def oracle_selected_h(flag, colors):

@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 import traceback
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_face_counts, corpus_complexes, h_from_f_by_polynomial
+from oracles import oracle_octahedron_sum
 
 from topokit import (
     FaceNotFoundError,
@@ -381,6 +383,96 @@ def test_sum_of_balanced_is_balanced():
     total = shapes.octahedron_sum(3)
     assert total.check_properties().balanced
     assert len(total.colors) == 3
+
+
+@pytest.mark.parametrize("copies", [*range(1, 61), 150])
+def test_octahedron_sum_matches_the_fold_over_connected_sum(copies):
+    total, oracle = shapes.octahedron_sum(copies), oracle_octahedron_sum(copies)
+    assert total.facets == oracle.facets
+    assert total.coloring == oracle.coloring
+    assert json.dumps(total.to_json()) == json.dumps(oracle.to_json())
+
+
+def test_octahedron_sum_builds_as_many_complexes_for_any_number_of_copies(monkeypatch):
+    built = []
+    build = SimplicialComplex._build
+
+    def counting(self, *args):
+        built.append(self)
+        build(self, *args)
+
+    monkeypatch.setattr(SimplicialComplex, "_build", counting)
+    counts = []
+    for copies in (2, 200):
+        built.clear()
+        assert len(shapes.octahedron_sum(copies).facets) == 6 * copies + 2
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+
+
+OCT3 = shapes.cross_polytope(3)
+F = OCT3.facets[0]
+SUM_REFUSALS = {
+    "impure": (
+        (OCT3, SimplicialComplex([(0, 1, 2), (2, 3)]), F, (0, 1, 2), {v: v for v in F}),
+        PurityError,
+        "connected sums need pure summands",
+    ),
+    "dimensions": ((OCT3, shapes.cycle_complex(4), F, (0, 1), {}), ValidationError, "dimension mismatch: 2 vs 1"),
+    "face sizes": (
+        (OCT3, OCT3, (0, 2), F, {0: 0, 2: 2}),
+        ValidationError,
+        "glued faces must be nonempty and of equal size",
+    ),
+    "first face": (
+        (OCT3, OCT3, (0, 1, 2), F, dict(zip((0, 1, 2), F))),
+        FaceNotFoundError,
+        r"\[0, 1, 2\] is not a face of the first summand",
+    ),
+    "second face": (
+        (OCT3, OCT3, F, (0, 1, 2), dict(zip(F, (0, 1, 2)))),
+        FaceNotFoundError,
+        r"\[0, 1, 2\] is not a face of the second summand",
+    ),
+    "matching": (
+        (OCT3, OCT3, F, F, {v: v for v in OCT3.facets[1]}),
+        ValidationError,
+        "matching must be a bijection from face1 onto face2",
+    ),
+    "one colored": (
+        (OCT3, SimplicialComplex(OCT3.facets), F, F, {v: v for v in F}),
+        ValidationError,
+        "cannot align colors: exactly one summand is colored",
+    ),
+    "palettes": (
+        (
+            SimplicialComplex([(0, 1)], {0: 1, 1: 2}),
+            SimplicialComplex([(0, 1), (1, 2)], {0: 1, 1: 2, 2: 3}),
+            (0, 1),
+            (0, 1),
+            {0: 0, 1: 1},
+        ),
+        ValidationError,
+        "cannot align colors: palettes differ in size",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_REFUSALS))
+def test_sum_refusals_name_their_cause(name):
+    args, error, message = SUM_REFUSALS[name]
+    with pytest.raises(error, match=f"^{message}$"):
+        connected_sum(*args)
+
+
+def test_colored_wedge_keeps_labels_and_aligns_colors():
+    path = SimplicialComplex([(0, 1), (1, 2)], {0: 1, 1: 2, 2: 3}, {0: "a", 2: "c"})
+    fork = SimplicialComplex([(5, 7), (7, 9)], {5: 3, 7: 1, 9: 2}, {5: "p", 7: "q", 9: "r"})
+    total = connected_sum(path, fork, (2,), (7,), {2: 7})
+    assert total.facets == ((0, 1), (1, 2), (2, 3), (2, 4))
+    # 7's color 1 goes to 2's color 3; the free colors 2, 3 go to 1, 2 in ascending order
+    assert total.coloring == {0: 1, 1: 2, 2: 3, 3: 2, 4: 1}
+    assert total.labels == {0: "a", 2: "c", 3: "p", 4: "r"}
 
 
 def test_sum_error_cases():

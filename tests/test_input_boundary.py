@@ -322,6 +322,22 @@ def test_cycle_length_is_capped_before_anything_is_built(monkeypatch, capsys):
     assert "at most 100000 vertices" in capsys.readouterr().err
 
 
+def test_octahedron_sum_is_capped_before_anything_is_built(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum past its cap was built")
+
+    total = shapes.octahedron_sum(shapes.MAX_OCTAHEDRON_COPIES)
+    assert len(total.facets) == 3002
+    assert total.h_vector() == (1, 1500, 1500, 1)
+    assert cli.verification_report(total)["ok"] is True
+    monkeypatch.setattr(shapes, "SimplicialComplex", refuse)
+    monkeypatch.setattr(shapes, "cross_polytope", refuse)
+    with pytest.raises(ValidationError, match="between 1 and 500 copies, got 501"):
+        shapes.octahedron_sum(shapes.MAX_OCTAHEDRON_COPIES + 1)
+    assert cli.main(["gen", "--shape", "connected-sum", "--copies", "501"]) == 2
+    assert "between 1 and 500 copies" in capsys.readouterr().err
+
+
 def test_tietze_rounds_accepts_what_it_did():
     assert tietze_simplify(PRESENTATION, 0).rounds == 0
     assert tietze_simplify(PRESENTATION, 10**30).converged

@@ -541,6 +541,19 @@ def _assert_restrictions_agree(complex, pairs=None, root=None):
             assert production.relators == other.relators
 
 
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_trusted_presentations_equal_the_public_constructors(name):
+    complex = corpus_complexes()[name]
+    edges, _, triangles = complex._skeleton()
+    for pair in combinations(complex.colors, 2):
+        restricted = pi1._restrict(complex, build_nested_tree(complex, pair), edges, triangles)
+        for trusted in (restricted, tietze_simplify(restricted)):
+            public = GroupPresentation(trusted.generators, trusted.relators, trusted.rounds, trusted.converged)
+            assert vars(trusted) == vars(public), pair
+            assert type(trusted.generators) is tuple and all(type(r) is tuple for r in trusted.relators)
+        assert (restricted.rounds, restricted.converged) == (None, None)
+
+
 ORACLE_COMPLEXES = {
     **{f"corpus-{name}": (lambda c=c: c) for name, c in corpus_complexes().items()},
     **{f"sum{n}": (lambda n=n: shapes.octahedron_sum(n)) for n in range(2, 7)},

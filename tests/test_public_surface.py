@@ -132,3 +132,36 @@ def test_the_rewriter_and_the_restriction_run_one_bypass_walk():
     assert used["_detour"] == {"_bypass_walk"}
     for name in TUPLE_KEYED_WALK:
         assert name not in vars(pi1), f"topokit.pi1 binds {name}"
+
+
+SRC = Path(topokit.__file__).parent
+
+
+def callers(path) -> dict[str, set[str]]:
+    """Each callee in ``path`` as written (``f``, ``Class.method``) -> the top-level
+    functions (or ``Class.method`` for a method body) that call it."""
+    calls: dict[str, set[str]] = {}
+    for top in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(top, ast.ClassDef):
+            bodies = [(f"{top.name}.{getattr(m, 'name', '<body>')}", m) for m in top.body]
+        else:
+            bodies = [(getattr(top, "name", "<module>"), top)]
+        for owner, body in bodies:
+            for node in ast.walk(body):
+                if isinstance(node, ast.Call):
+                    calls.setdefault(ast.unparse(node.func), set()).add(owner)
+    return calls
+
+
+def test_the_octahedron_sum_glues_without_the_fold_and_trusted_presentations_stay_in_pi1():
+    shapes, complex = callers(SRC / "shapes.py"), callers(SRC / "complex.py")
+    assert "connected_sum" not in shapes  # the fold over connected_sum is tests/oracles.py's
+    assert shapes["_glued"] == {"octahedron_sum"} and complex["_glued"] == {"connected_sum"}
+    trusted = {
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for callee, owners in callers(path).items()
+        if callee.endswith("GroupPresentation._of") or (path.name == "pi1.py" and callee == "cls._of")
+        for owner in owners
+    }
+    assert trusted == {("pi1.py", "_restrict"), ("pi1.py", "tietze_simplify")}
