@@ -22,6 +22,7 @@ once: a value of the wrong type is refused, not converted.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -536,38 +537,43 @@ def _links_connected(layers) -> bool:
 def proper_coloring(vertices, adjacency, palette) -> dict[int, int] | None:
     """Proper graph coloring by backtracking, or None.
 
-    The most constrained vertex (fewest remaining colors) is assigned first,
-    ties broken by ascending id; colors are tried in ascending order, so the
-    result is deterministic.  Backtracking keeps an explicit stack, so the
-    search depth is not bounded by Python's recursion limit.
+    The most constrained vertex (fewest remaining colors) is assigned first, ties
+    broken by ascending id, from a lazy heap of (colors left, id) that gets an entry
+    whenever a neighbor is assigned or released and skips one that no longer holds;
+    colors are tried in ascending order, so the result is deterministic.  Backtracking
+    keeps an explicit stack, so the search depth is not bounded by the recursion limit.
     """
-    order = sorted(vertices)
     palette = sorted(palette)
     assignment: dict[int, int] = {}
+    seen = {v: Counter() for v in vertices}  # v -> the colors of its assigned neighbors, counted
+    heap = [(len(palette), v) for v in sorted(vertices)]  # sorted, so already a heap
 
-    def next_vertex():
-        best = None
-        for v in order:
-            if v in assignment:
-                continue
-            used = {assignment[u] for u in adjacency[v] if u in assignment}
-            key = (len(palette) - len(used), v)
-            if best is None or key < best[0]:
-                best = (key, v, used)
-        return best
+    def tell(v, c, step) -> None:
+        """Count v's color c in or out of its neighbors' colors and push their new entries."""
+        for u in adjacency[v]:
+            seen[u][c] += step
+            if not seen[u][c]:
+                del seen[u][c]
+            if u not in assignment:
+                heapq.heappush(heap, (len(palette) - len(seen[u]), u))
 
     stack: list = []  # (vertex, iterator over the colors left to try for it)
-    while (pick := next_vertex()) is not None:
-        _, v, used = pick
-        stack.append((v, iter([c for c in palette if c not in used])))
+    while heap:  # every unassigned vertex has an entry that holds
+        left, v = heapq.heappop(heap)
+        if v in assignment or left != len(palette) - len(seen[v]):
+            continue
+        stack.append((v, iter([c for c in palette if c not in seen[v]])))
         while stack:
             v, options = stack[-1]
-            assignment.pop(v, None)
+            if v in assignment:
+                tell(v, assignment.pop(v), -1)
             c = next(options, None)
             if c is not None:
                 assignment[v] = c
+                tell(v, c, 1)
                 break
             stack.pop()
+            heapq.heappush(heap, (len(palette) - len(seen[v]), v))
         else:
             return None
     return dict(assignment)
@@ -680,11 +686,15 @@ def h_additivity_table(space) -> dict:
 
     ``space`` is a complex or simplicial poset colored with exactly ``d`` colors
     (else :class:`PropertyError`), so each selection to ``S`` is pure of facet size
-    ``|S|``, and its ``h_|S|`` is read from :meth:`_Space._selection_h`; no selection
-    is built.  Returns ``{"holds": bool, "by_index": [{"i", "h", "sum_over_selections"}]}``.
+    ``|S|``, its ``h_|S|`` is read from :meth:`_Space._selection_h` and f from the counts
+    under it, a face's size being its mask's popcount; no selection or face is recounted.
+    Returns ``{"holds": bool, "by_index": [{"i", "h", "sum_over_selections"}]}``.
     """
     table = space._selection_h()  # refuses a palette that is not full
-    h = space.h_vector()
+    f = [0] * (space.d + 1)
+    for mask, count in space._flag()[0].items():
+        f[mask.bit_count()] += count
+    h = space._h_of(tuple(f))
     sums = [sum(x for selection, x in table.items() if len(selection) == i) for i in range(len(h))]
     rows = [{"i": i, "h": h[i], "sum_over_selections": total} for i, total in enumerate(sums)]
     return {"holds": all(r["h"] == r["sum_over_selections"] for r in rows), "by_index": rows}

@@ -25,9 +25,9 @@ rewriter and the restriction bypass an off-color vertex by one walk on one
 index per complex, built from the skeleton: vertices by position, edges by
 letter, and flat int-keyed tables of the vertices completing each vertex and
 edge to a face, by color; every witness is checked against int keys read from
-the faces themselves.  A walk takes the least bridge, then a detour search in
-the vertex's link that stops at it and is resumed for the next.  A simplicial
-poset's group is read from the same skeleton, unrewritten.
+the faces themselves.  A walk takes the least bridge, then the path to it in one
+search of the vertex's whole selected link, small as every facet has every color.
+A simplicial poset's group is read from the same skeleton, unrewritten.
 
 Every move is one of: expanding one edge into two across a triangle,
 contracting two edges into one across a triangle, cancelling an edge
@@ -422,10 +422,9 @@ def default_basepoint(complex: SimplicialComplex, colors) -> int:
 
 
 def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
-    """BFS tree of the selected subcomplex extended to a BFS tree of everything.
-
-    Vertices are explored in ascending id order, so the tree is deterministic.
-    """
+    """BFS tree of the selected subcomplex, in ascending id order, each off-color vertex hung from
+    its least selected neighbor: :func:`_require_pi1_ready` admits only pure complexes with exactly
+    d colors, so every facet has every color and the outer layer is one step deep."""
     colors = _require_pi1_ready(complex, colors)
     kappa = complex._coloring
     root = default_basepoint(complex, colors) if root is None else _read.integer(root)
@@ -446,15 +445,11 @@ def build_nested_tree(complex, colors, root=None) -> NestedSpanningTree:
         raise ContractViolationError(
             "selected subcomplex is disconnected although the property checks passed"
         )
-    queue = deque(sorted(parent))
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if len(parent) != len(complex.vertices):
-        raise ContractViolationError("complex is disconnected although checks passed")
+    for v in complex.vertices:
+        if v not in parent:
+            parent[v] = next((u for u in adj[v] if kappa[u] in colors), None)
+            if parent[v] is None:
+                raise ContractViolationError(f"vertex {v} has no selected neighbor although checks passed")
     return NestedSpanningTree(complex, colors, root, parent)
 
 
@@ -611,13 +606,12 @@ class _WalkIndex(NamedTuple):
 
 
 class _Walk(NamedTuple):
-    """A color pair's walk: the complex's index, the pair's palette indices and its memos."""
+    """A color pair's walk: the complex's index, the pair's palette indices and its searches."""
 
     index: _WalkIndex
     first: int
     second: int
-    bridges: dict  # mid * n + tail -> the bridge of mid toward tail
-    searches: dict  # center * n + start -> a detour search, see _detour
+    searches: dict  # center * n + start -> the parent pointers of a detour search, see _detour
 
 
 def _walk_index(complex) -> _WalkIndex:
@@ -630,16 +624,16 @@ def _walk_index(complex) -> _WalkIndex:
         n, d, pos = len(ids), len(palette), {v: p for p, v in enumerate(ids)}
         color = [palette.index(complex._coloring[v]) for v in ids]
         ends, nbr, near = [None], [{p: m + p} for p in range(n)], [[] for _ in range((m + n) * d)]
-        completions = [(m + p, p) for p in range(n)]  # (letter, w): w completes that letter's edge
+        completions = []  # (letter, w): w completes that letter's edge to a face
         for letter, (a, b) in enumerate(edges, 1):
             a, b = pos[a], pos[b]
             ends.append((a, b))
             nbr[a][b] = nbr[b][a] = letter
-            completions += ((letter, a), (letter, b), (m + a, b), (m + b, a))
+            completions += ((m + a, b), (m + b, a))
         for ab, bc, ac in relators:  # (ab, bc, -ac) of the triangle a < b < c
             (a, b), c = ends[ab], ends[bc][1]
             completions += ((ab, c), (bc, a), (-ac, b))
-        for letter, w in completions:  # an edge's own ends have colors no other completion has
+        for letter, w in completions:  # not an edge's own ends: no read asks for their colors
             near[letter * d + color[w]].append(w)
         tri = []  # the witnesses, read from the faces themselves rather than the completions
         for a, b in complex.edges():
@@ -655,7 +649,7 @@ def _walk_index(complex) -> _WalkIndex:
 
 def _pair_walk(complex, colors) -> _Walk:
     first, second = map(complex.colors.index, colors)
-    return _Walk(_walk_index(complex), first, second, {}, {})
+    return _Walk(_walk_index(complex), first, second, {})
 
 
 def _broken(walk, text, *at) -> ContractViolationError:
@@ -665,62 +659,52 @@ def _broken(walk, text, *at) -> ContractViolationError:
 
 def _bridge(walk, mid, tail) -> int:
     """The least selected position completing the edge {mid, tail} (the vertex mid if equal) to
-    a face, not of tail's color: a least first completion by color.  Stored in ``walk.bridges``
-    once its witness has checked; callers read that memo first."""
+    a face, not of tail's color: a least first completion by color, its witness checked.  The
+    off-color mid and tail's color are never asked for, so their completions are not indexed."""
     index, first, second = walk.index, walk.first, walk.second
-    near, d, n = index.near, index.d, index.n
+    near, d = index.near, index.d
     c, letter = index.color[tail], index.nbr[mid].get(tail, 0)  # letter 0 completes nothing
     a = () if c == first else near[letter * d + first]
     b = () if c == second else near[letter * d + second]
     if not (a or b):
         raise _broken(walk, "no selected vertex completes ({},{}) to a face", mid, tail)
     bridge = b[0] if not a else a[0] if not b or a[0] < b[0] else b[0]
-    if bridge != mid and letter * n + bridge not in index.tri:  # a selected mid completes its own edge
+    if letter * index.n + bridge not in index.tri:
         raise _broken(walk, "witness [{}, {}, {}] is not a face", mid, bridge, tail)
-    walk.bridges[mid * n + tail] = bridge
     return bridge
 
 
-def _detour(walk, center, start, goal) -> dict[int, int | None]:
-    """Parent pointers of the ascending BFS from ``start`` over the selected link of the off-color
-    ``center`` (u's neighbors: the pair's other color completing {center, u} to a face), expanded
-    only until ``goal`` is found, so each pointer is the full tree's.  Memoized as (pointers, BFS
-    order, vertices expanded), resumed on a copy, stored whole once each new edge's triangle with
-    center has checked: threads never see a memo half extended; a failed search is dropped."""
+def _detour(walk, center, start) -> dict[int, int | None]:
+    """Parent pointers of the ascending BFS from ``start`` over the whole selected link of the
+    off-color ``center`` (u's neighbors: the pair's other color completing {center, u} to a face),
+    searched once per (center, start) and stored once each edge's triangle with center has checked."""
     index, searches = walk.index, walk.searches
-    parent, order, expanded = searches.get(key := center * index.n + start) or ({start: None}, [start], 0)
-    if goal in parent:
-        return parent
-    color, near, tri, d, n = index.color, index.near, index.tri, index.d, index.n
-    parent, order, around = dict(parent), list(order), index.nbr[center]
-    other = walk.first + walk.second  # u lacks the pair's color other - color[u]
-    while goal not in parent:
-        if expanded == len(order):
-            raise _broken(walk, "link of {} has no selected path {} -> {}", center, start, goal)
-        u = order[expanded]
-        expanded += 1
-        letter = around[u]
-        for w in near[letter * d + other - color[u]]:
-            if w not in parent:
-                if letter * n + w not in tri:
-                    searches.pop(key, None)
-                    raise _broken(walk, "witness [{}, {}, {}] is not a face", u, w, center)
-                parent[w] = u
-                order.append(w)
-    searches[key] = (parent, order, expanded)
+    parent = searches.get(key := center * index.n + start)
+    if parent is None:
+        color, near, tri, d, n = index.color, index.near, index.tri, index.d, index.n
+        around, other = index.nbr[center], walk.first + walk.second  # u lacks the color other - color[u]
+        parent, order = {start: None}, [start]
+        for u in order:  # the queue: each neighbor found is appended
+            letter = around[u]
+            for w in near[letter * d + other - color[u]]:
+                if w not in parent:
+                    if letter * n + w not in tri:
+                        raise _broken(walk, "witness [{}, {}, {}] is not a face", u, w, center)
+                    parent[w] = u
+                    order.append(w)
+        searches[key] = parent
     return parent
 
 
-def _bypass_walk(walk, entry, mid, tail) -> list[int]:
-    """The selected positions ``entry, ..., bridge`` that replace the off-color ``mid``
-    between ``entry`` and ``tail``: ``[entry]`` if the bridge is entry, else the path to it
-    in mid's :func:`_detour` from entry; the one walk of the rewriter and the restriction."""
-    bridge = walk.bridges.get(mid * walk.index.n + tail)
-    if bridge is None:
-        bridge = _bridge(walk, mid, tail)
+def _bypass_walk(walk, entry, mid, bridge) -> list[int]:
+    """The selected positions ``entry, ..., bridge`` that replace the off-color ``mid`` on the way to
+    its ``bridge``, which the caller has just asked :func:`_bridge` for: ``[entry]`` if that is entry,
+    else the path in mid's :func:`_detour` from entry; the one walk of the rewriter and the restriction."""
     if bridge == entry:
         return [entry]
-    parent = _detour(walk, mid, entry, bridge)
+    parent = _detour(walk, mid, entry)
+    if bridge not in parent:
+        raise _broken(walk, "link of {} has no selected path {} -> {}", mid, entry, bridge)
     hops = [bridge]
     while parent[hops[-1]] is not None:
         hops.append(parent[hops[-1]])
@@ -755,7 +739,8 @@ def rewrite_path_to_colors(complex, colors, path):
         tail = path[i + 1][1]
         hops = bypasses.get((u, mid, tail))
         if hops is None:  # hops in ids by (entry, mid, tail): only a triple seen before is not walked
-            hops = bypasses[u, mid, tail] = [ids[p] for p in _bypass_walk(walk, pos[u], pos[mid], pos[tail])]
+            walked = _bypass_walk(walk, pos[u], pos[mid], _bridge(walk, pos[mid], pos[tail]))
+            hops = bypasses[u, mid, tail] = [ids[p] for p in walked]
         bridge, idx = hops[-1], len(out)
         moves.append(("expand", idx + 1, (mid, bridge, tail)))
         if len(hops) == 1:
@@ -806,23 +791,23 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
                 word += (x,) if u < v else (-x,)
         return word
 
-    def bypass(u, mid, tail, bridge) -> tuple[int, ...]:
-        """The letters of the walk around ``mid`` from ``u`` to its ``bridge`` toward ``tail``."""
+    def bypass(u, mid, bridge) -> tuple[int, ...]:
+        """The letters of the walk around ``mid`` from ``u`` to its ``bridge``."""
         if (word := words.get(key := (mid * n + u) * n + bridge)) is None:
-            word = words[key] = steps(_bypass_walk(walk, u, mid, tail))
+            word = words[key] = steps(_bypass_walk(walk, u, mid, bridge))
         return word
 
-    down, up, above = [None] * n, [None] * n, [None] * n
-    for w in map(pos.__getitem__, tree._order):  # parents first; no bridge asked for here is stored yet
+    down, up = [None] * n, [None] * n
+    for w in map(pos.__getitem__, tree._order):  # parents first
         if selected[w]:
             continue
-        p = above[w] = pos[tree.parent[ids[w]]]
+        p = pos[tree.parent[ids[w]]]
         x = _bridge(walk, w, p)
         if selected[p]:
             down[w], up[w] = ((), p), (x, steps((x, p)))
             continue
         (word, u), (y, climb), z = down[p], up[p], _bridge(walk, p, w)
-        down[w], up[w] = (word + bypass(u, p, w, z), z), (x, bypass(x, p, above[p], y) + climb)
+        down[w], up[w] = (word + bypass(u, p, z), z), (x, bypass(x, p, y) + climb)
     images = [()] * (2 * len(edges) + 1)  # images[i] and images[-i]: letter i and its inverse
     for i, letter in enumerate(edge_letters, 1):
         x = kept[letter]
@@ -834,12 +819,12 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
                 word, u = (), a
             else:  # a's bridge toward b is asked for once, here
                 (word, u), x = down[a], _bridge(walk, a, b)
-                word, u = word + bypass(u, a, b, x), x
+                word, u = word + bypass(u, a, x), x
             if selected[b]:
                 word += steps((u, b))
             else:
                 x, climb = up[b]
-                word += bypass(u, b, above[b], x) + climb
+                word += bypass(u, b, x) + climb
             if word:
                 images[i], images[-i] = word, tuple(invert_word(word))
     mapped = []

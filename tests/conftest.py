@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from topokit import shapes
+from topokit import build_nested_tree, shapes
+from topokit.pi1 import NestedSpanningTree
 
 
 def corpus_complexes():
@@ -141,3 +142,21 @@ def random_closed_path(complex, root, rng, max_steps=12, min_steps=3):
     if not edges:
         edges = [(root, root)]
     return edges
+
+
+def depth_first_tree(complex, pair):
+    """The nested tree's selected part, with the off-color vertices grown depth first
+    from each selected vertex in turn, so that they hang in long off-color chains."""
+    bfs = build_nested_tree(complex, pair)
+    kappa, adj = complex.coloring, complex.adjacency()
+    parent = {v: p for v, p in bfs.parent.items() if kappa[v] in bfs.colors}
+    for start in sorted(parent):
+        stack = [start]
+        while stack:
+            nxt = next((w for w in adj[stack[-1]] if w not in parent), None)
+            if nxt is None:
+                stack.pop()
+            else:
+                parent[nxt] = stack[-1]
+                stack.append(nxt)
+    return NestedSpanningTree(complex, pair, bfs.root, parent)

@@ -25,8 +25,18 @@ way the library built the sum before it glued every copy onto one facet heap.
 sweep as the library ran it before its rows: every link edge of a layer is a
 pair of ids, all of them are read, and the layer passes when its union-find
 forest ends with one tree per cell.
+
+``oracle_nested_parent`` builds a nested tree's parent pointers by two BFS runs,
+the second over everything from a queue of every selected vertex in id order,
+the way the library built them before it hung each off-color vertex from its
+least selected neighbor.
+
+``oracle_proper_coloring`` backtracks with the library's pick rule and color
+order, but scans every vertex for each pick, the way the library picked before it
+kept a lazy heap of (colors left, id).
 """
 
+from collections import deque
 from functools import partial
 from itertools import combinations
 
@@ -365,3 +375,59 @@ def oracle_restrict(complex, tree, edges, relators):
         if word:
             mapped.append(tuple(word))
     return GroupPresentation(generators, mapped)
+
+
+def oracle_nested_parent(complex, colors, root) -> dict:
+    """The parent pointers of the BFS tree from ``root`` over the vertices colored in
+    ``colors``, extended by a BFS over everything from every selected vertex in id order."""
+    kappa, adj = complex.coloring, complex.adjacency()
+    parent = {root: None}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if kappa[w] in colors and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    queue = deque(sorted(parent))
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def oracle_proper_coloring(vertices, adjacency, palette):
+    """A proper coloring by backtracking, or None: the unassigned vertex with the fewest
+    colors left, ties by ascending id, found by a scan of every vertex for each pick; its
+    colors tried in ascending order, on an explicit stack."""
+    order, palette, assignment = sorted(vertices), sorted(palette), {}
+
+    def next_vertex():
+        best = None
+        for v in order:
+            if v in assignment:
+                continue
+            used = {assignment[u] for u in adjacency[v] if u in assignment}
+            key = (len(palette) - len(used), v)
+            if best is None or key < best[0]:
+                best = (key, v, used)
+        return best
+
+    stack = []  # (vertex, iterator over the colors left to try for it)
+    while (pick := next_vertex()) is not None:
+        _, v, used = pick
+        stack.append((v, iter([c for c in palette if c not in used])))
+        while stack:
+            v, options = stack[-1]
+            assignment.pop(v, None)
+            c = next(options, None)
+            if c is not None:
+                assignment[v] = c
+                break
+            stack.pop()
+        else:
+            return None
+    return dict(assignment)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from conftest import corpus_complexes, link_graph_by_star_scan
 from topokit import (
-    ContractViolationError,
     PropertyError,
     SimplicialComplex,
     SimplicialPoset,
@@ -153,19 +152,19 @@ def bridge_by_facet_scan(complex, colors, kappa, mid, tail):
 
 
 def completions_by_face_scan(complex, base):
-    """{color: ascending tuple of the vertices w for which base + w is a face},
+    """{color: ascending tuple of the vertices w off base for which base + w is a face},
     by testing every vertex against the face set."""
     kappa, faces = complex.coloring, complex.face_set()
     out = {}
     for w in complex.vertices:
-        if tuple(sorted({*base, w})) in faces:
+        if w not in base and tuple(sorted({*base, w})) in faces:
             out.setdefault(kappa[w], []).append(w)
     return {c: tuple(ws) for c, ws in out.items()}
 
 
 def index_completions(complex) -> dict:
     """The walk index read back into vertex ids: vertex ``(v,)`` or edge ``(a, b)`` ->
-    {color: the ascending ids completing it to a face}, empty colors left out."""
+    {color: the ascending ids off it completing it to a face}, empty colors left out."""
     index = pi1._walk_index(complex)
     ids, palette, d = index.ids, complex.colors, index.d
     bases = [((v,), index.nbr[p][p]) for p, v in enumerate(ids)]
@@ -182,6 +181,8 @@ INDEX_COMPLEXES.update((f"cross{d}", shapes.cross_polytope(d)) for d in (5, 6, 7
 
 @pytest.mark.parametrize("name", sorted(INDEX_COMPLEXES))
 def test_completions_match_a_face_scan(name):
+    """The index keeps no base's own vertices: the bridge and the detour never ask for
+    the colors of an off-color vertex or of the vertex they leave it toward."""
     complex = INDEX_COMPLEXES[name]
     near = index_completions(complex)
     bases = [(v,) for v in complex.vertices] + complex.edges()
@@ -249,21 +250,21 @@ def test_link_graphs_match_a_scan_per_selection(name):
 
 @pytest.mark.parametrize("name", sorted(corpus_complexes()))
 def test_bridges_match_a_facet_scan_per_pair(name):
+    """On every off-color mid, toward itself or a neighbor tail: the walks ask for no other."""
     complex = relabel(corpus_complexes()[name], 7)
     kappa = complex.coloring
     bases = [(v, v) for v in complex.vertices]
     bases += [e for u, v in complex.edges() for e in ((u, v), (v, u))]
+    checked = 0
     for pair in combinations(complex.colors, 2):
         colors, walk = frozenset(pair), pi1._pair_walk(complex, pair)
         ids, pos = walk.index.ids, walk.index.pos
         for mid, tail in bases:
-            expected = bridge_by_facet_scan(complex, colors, kappa, mid, tail)
-            if expected is None:
-                with pytest.raises(ContractViolationError):
-                    pi1._bridge(walk, pos[mid], pos[tail])
-            else:
+            if kappa[mid] not in colors:
+                expected = bridge_by_facet_scan(complex, colors, kappa, mid, tail)
                 assert ids[pi1._bridge(walk, pos[mid], pos[tail])] == expected
-                assert walk.bridges[pos[mid] * walk.index.n + pos[tail]] == pos[expected]
+                checked += 1
+    assert checked or complex.d == 2  # a graph's one pair selects every vertex
 
 
 # -- reports read no rank selection --------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import random
 import re
 import sys
 import traceback
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_face_counts, corpus_complexes, h_from_f_by_polynomial
-from oracles import oracle_octahedron_sum
+from oracles import oracle_octahedron_sum, oracle_proper_coloring
 
 from topokit import (
     FaceNotFoundError,
@@ -19,11 +21,12 @@ from topokit import (
     SimplicialPoset,
     ValidationError,
     connected_sum,
+    face_poset,
     find_balanced_coloring,
     h_additivity_table,
 )
 from topokit import shapes
-from topokit.complex import _tops_connected
+from topokit.complex import _tops_connected, proper_coloring
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +226,55 @@ def test_coloring_search_does_not_recurse_per_vertex():
         sys.setrecursionlimit(limit)
     assert coloring is not None
     assert all(coloring[u] != coloring[v] for u, v in sd2.edges())
+
+
+def _stalls_without_backtracking(vertices, adjacency, palette) -> bool:
+    """Whether the first descent of the pick rule (fewest colors left, then least id;
+    least color) meets a vertex with no color left."""
+    assignment = {}
+    while len(assignment) < len(vertices):
+        left, v = min(
+            (len(set(palette) - {assignment.get(u) for u in adjacency[v]}), v) for v in vertices if v not in assignment
+        )
+        if not left:
+            return True
+        assignment[v] = min(set(palette) - {assignment.get(u) for u in adjacency[v]})
+    return False
+
+
+def test_coloring_search_matches_the_scanning_oracle_on_random_graphs():
+    """Seeded graphs on gapped ids near the density where three colors run out: the
+    heap's picks give the oracle's coloring, or None with it, also where the search
+    backtracks."""
+    rng, outcomes = random.Random(28), Counter()
+    for _ in range(600):
+        ids = rng.sample(range(10**6, 10**6 + 99), rng.randint(10, 20))
+        adjacency = {v: set() for v in ids}
+        edge_odds = rng.uniform(0.15, 0.4)
+        for u, v in combinations(ids, 2):
+            if rng.random() < edge_odds:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+        adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+        palette = rng.sample(range(1, 9), 3)
+        expected = oracle_proper_coloring(ids, adjacency, palette)
+        assert proper_coloring(ids, adjacency, palette) == expected
+        stalled = _stalls_without_backtracking(ids, adjacency, palette)
+        outcomes["none" if expected is None else "backtracked" if stalled else "straight"] += 1
+    assert min(outcomes["none"], outcomes["backtracked"], outcomes["straight"]) >= 10, outcomes
+
+
+def _uncolored(space):
+    return SimplicialComplex(space.facets)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_coloring_search_matches_the_scanning_oracle_on_the_corpus(name):
+    bare = _uncolored(corpus_complexes()[name])
+    for space in (bare, _uncolored(bare.barycentric_subdivision()), face_poset(bare)):
+        palette = range(1, space.d + 1)
+        expected = oracle_proper_coloring(space.vertices, space.adjacency(), palette)
+        assert find_balanced_coloring(space) == expected is not None
 
 
 # -- property checks -------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Every demo script, and the README's library tour, runs against the library in ``src/``."""
+"""Every demo script, and the README's library tour, runs against the library in ``src/``.
+
+Each demo is deterministic, and prints exactly its recording in ``tests/golden/demos/``;
+record a demo again (``PYTHONPATH=src python demos/NAME.py > tests/golden/demos/NAME.txt``)
+only when its output is meant to change.
+"""
 
 import ast
 import os
@@ -10,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -20,6 +26,11 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == (RECORDED / f"{demo.stem}.txt").read_text()
+
+
+def test_every_recording_is_of_a_demo():
+    assert sorted(path.stem for path in RECORDED.glob("*.txt")) == [demo.stem for demo in DEMOS]
 
 
 def test_readme_library_tour_gives_its_commented_results():

@@ -16,10 +16,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import corpus_complexes, random_closed_path
-from oracles import oracle_restrict, oracle_rewrite, oracle_selected_h
+from conftest import corpus_complexes, depth_first_tree, random_closed_path
+from oracles import oracle_nested_parent, oracle_restrict, oracle_rewrite, oracle_selected_h
 from topokit import (
     GroupPresentation,
+    NestedSpanningTree,
     SimplicialComplex,
     build_nested_tree,
     default_basepoint,
@@ -128,6 +129,49 @@ def test_walk_index_matches_the_tuple_keyed_walk(name):
             fixed, cert = rewrite_path_to_colors(complex, pair, path)
             expected, oracle_cert = oracle_rewrite(complex, pair, path)
             assert (fixed, cert.moves) == (expected, oracle_cert.moves), (pair, path)
+
+
+TREE_COMPLEXES = {
+    f"{name}{tag}": (lambda c=c, seed=seed: c if seed is None else transform(c, seed))
+    for name, c in {**corpus_complexes(), "cross6": shapes.cross_polytope(6)}.items()
+    for tag, seed, transform in (("", None, None), ("-relabelled", 28, relabel), ("-spread", 28, spread))
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_COMPLEXES))
+def test_nested_tree_is_the_two_bfs_tree(name):
+    """One BFS and a one-step outer layer give the parent pointers, and so the tree order,
+    of a second BFS over everything, from the least selected vertex and from the largest."""
+    complex = TREE_COMPLEXES[name]()
+    for pair in combinations(complex.colors, 2):
+        selected = [v for v in complex.vertices if complex.coloring[v] in pair]
+        for root in (None, selected[-1]):
+            tree = build_nested_tree(complex, pair, root)
+            parent = oracle_nested_parent(complex, frozenset(pair), tree.root)
+            assert tree.parent == parent, (pair, root)
+            assert tree._order == NestedSpanningTree(complex, pair, tree.root, parent)._order
+            off_color = [v for v in complex.vertices if complex.coloring[v] not in pair]
+            assert all(complex.coloring[tree.parent[v]] in pair for v in off_color)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: shapes.cross_polytope(5), lambda: spread(shapes.cross_polytope(6), 28), lambda: shapes.cross_polytope(4).barycentric_subdivision()],
+    ids=["cross5", "cross6-spread", "sd-cross4"],
+)
+def test_restriction_of_off_color_chains_matches_the_unmemoized_oracle(build):
+    """A hand-built tree whose off-color vertices hang in chains takes the restriction's
+    deep branch, where each chain's descents and climbs bypass one vertex after another."""
+    complex, kappa = build(), build().coloring
+    longest = 0  # the most off-color vertices on one tree path
+    for pair in combinations(complex.colors, 2):
+        tree = depth_first_tree(complex, pair)
+        for v in complex.vertices:
+            longest = max(longest, next(i for i, w in enumerate(tree.path_to_root(v)) if kappa[w] in pair))
+        full = full_presentation(complex, tree)
+        oracle = oracle_restrict(complex, tree, [g.edge for g in full.generators], full.relators)
+        _assert_same(restrict_presentation(full, complex, pair, tree), oracle, pair)
+    assert longest >= 3
 
 
 SPACES = {

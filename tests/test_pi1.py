@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_complexes, link_graph_by_star_scan, random_closed_path
+from conftest import corpus_complexes, depth_first_tree, link_graph_by_star_scan, random_closed_path
 
 from topokit import (
     Certificate,
@@ -579,24 +579,6 @@ def test_local_restriction_matches_oracle_at_random_roots(name, data):
     _assert_restrictions_agree(complex, [pair], root)
 
 
-def _depth_first_tree(complex, pair):
-    """The nested tree's selected part, with the off-color vertices grown depth first
-    from each selected vertex in turn, so that they hang in long off-color chains."""
-    bfs = build_nested_tree(complex, pair)
-    kappa, adj = complex.coloring, complex.adjacency()
-    parent = {v: p for v, p in bfs.parent.items() if kappa[v] in bfs.colors}
-    for start in sorted(parent):
-        stack = [start]
-        while stack:
-            nxt = next((w for w in adj[stack[-1]] if w not in parent), None)
-            if nxt is None:
-                stack.pop()
-            else:
-                parent[nxt] = stack[-1]
-                stack.append(nxt)
-    return NestedSpanningTree(complex, pair, bfs.root, parent)
-
-
 @pytest.mark.parametrize(
     "build", [lambda: shapes.cross_polytope(5), lambda: shapes.cross_polytope(4).barycentric_subdivision()]
 )
@@ -608,7 +590,7 @@ def test_restriction_follows_long_off_color_chains(build):
     kappa = complex.coloring
     longest = 0
     for pair in combinations(complex.colors, 2):
-        tree = _depth_first_tree(complex, pair)
+        tree = depth_first_tree(complex, pair)
         for v in complex.vertices:
             if kappa[v] not in tree.colors:
                 depth = next(i for i, w in enumerate(tree.path_to_root(v)) if kappa[w] in tree.colors)
@@ -644,20 +626,6 @@ def test_restriction_validates_once_per_call(monkeypatch):
     assert len(calls) <= 1 + 2 * pairs < off_color
 
 
-def _record_walk_calls(monkeypatch, name):
-    """Wrap ``pi1.<name>``, whose first argument is a color pair's walk; returns the
-    list of the arguments of each call, filled as calls are made."""
-    calls = []
-    wrapped = getattr(pi1, name)
-
-    def recording(*args):
-        calls.append(args)
-        return wrapped(*args)
-
-    monkeypatch.setattr(pi1, name, recording)
-    return calls
-
-
 def _pair_of(space, walk):
     return frozenset(space.colors[c] for c in (walk.first, walk.second))
 
@@ -675,29 +643,33 @@ def _memos_by_pair(space, calls, memo, key):
     return memos
 
 
-def test_bridge_memo_matches_a_fresh_scan(monkeypatch):
+def test_bridges_asked_for_match_a_facet_scan(monkeypatch):
+    """No bridge memo: each pair's restriction asks for each off-color (mid, tail) once, and
+    each answer is the facet scan's and a fresh complex's."""
     rp2 = shapes.sd_projective_plane()
-    calls = _record_walk_calls(monkeypatch, "_bridge")
+    calls, bridge = [], pi1._bridge
+
+    def recording(walk, mid, tail):
+        calls.append((_pair_of(rp2, walk), mid, tail, bridge(walk, mid, tail)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(pi1, "_bridge", recording)
     generator_bounds(rp2)
-    n = len(rp2.vertices)
-    memos = _memos_by_pair(rp2, calls, lambda walk: walk.bridges, lambda walk, mid, tail: mid * n + tail)
-    assert set(memos) == {frozenset(p) for p in combinations(rp2.colors, 2)}
-    assert "bridges" not in rp2._cache
-    kappa, ids = rp2.coloring, rp2.vertices
-    for colors, bridges in memos.items():
-        assert bridges
-        for key, bridge in bridges.items():
-            mid, tail = (ids[p] for p in divmod(key, n))
-            fresh = shapes.sd_projective_plane()
-            scan = min(
-                w
-                for facet in fresh.facets
-                if mid in facet and tail in facet
-                for w in facet
-                if kappa[w] in colors - {kappa[tail]}
-            )
-            assert ids[bridge] == scan
-            assert pi1._bridge(pi1._pair_walk(fresh, colors), *divmod(key, n)) == bridge
+    assert "bridges" not in pi1._Walk._fields and "bridges" not in rp2._cache
+    assert {colors for colors, *_ in calls} == {frozenset(p) for p in combinations(rp2.colors, 2)}
+    assert len({(colors, mid, tail) for colors, mid, tail, _ in calls}) == len(calls)
+    kappa, ids, fresh = rp2.coloring, rp2.vertices, shapes.sd_projective_plane()
+    for colors, mid, tail, answer in calls:
+        assert kappa[ids[mid]] not in colors
+        scan = min(
+            w
+            for facet in fresh.facets
+            if ids[mid] in facet and ids[tail] in facet
+            for w in facet
+            if kappa[w] in colors - {kappa[ids[tail]]}
+        )
+        assert ids[answer] == scan
+        assert bridge(pi1._pair_walk(fresh, colors), mid, tail) == answer
 
 
 def _link_detour(complex, colors, center, start, goal):
@@ -735,61 +707,49 @@ def _bfs_tree(adj, start):
 
 @pytest.mark.parametrize("build", [shapes.sd_projective_plane, lambda: shapes.cross_polytope(5)])
 def test_detour_tree_cache_matches_fresh_searches(monkeypatch, build):
+    """Each pair searches each (center, start) once, over center's whole selected link, and
+    keeps the parent pointers, equal to a fresh BFS; a bypass searches iff its bridge is
+    not its entry vertex, and walks the oracle's path."""
     space = build()
-    extends = []  # per search: whether its goal lies past the tree stored for (center, start)
     search, n = pi1._detour, len(space.vertices)
+    calls, stored = [], []  # per call: its arguments, and whether its search was stored before it
 
-    def recording_search(walk, center, start, goal):
-        stored = walk.searches.get(center * n + start)
-        extends.append(stored is not None and goal not in stored[0])
-        return search(walk, center, start, goal)
+    def recording_search(walk, center, start):
+        stored.append(center * n + start in walk.searches)
+        calls.append((walk, center, start))
+        return search(walk, center, start)
 
     monkeypatch.setattr(pi1, "_detour", recording_search)
-    calls = _record_walk_calls(monkeypatch, "_detour")
     bypasses, bypass = [], pi1._bypass_walk
 
-    def recording_bypass(walk, entry, mid, tail):
+    def recording_bypass(walk, entry, mid, bridge):
         before = len(calls)
-        hops = bypass(walk, entry, mid, tail)
-        bypasses.append((_pair_of(space, walk), entry, mid, tail, hops, len(calls) - before))
+        hops = bypass(walk, entry, mid, bridge)
+        bypasses.append((_pair_of(space, walk), entry, mid, bridge, hops, len(calls) - before))
         return hops
 
     monkeypatch.setattr(pi1, "_bypass_walk", recording_bypass)
     generator_bounds(space)
-    memos = _memos_by_pair(space, calls, lambda walk: walk.searches, lambda walk, center, start, goal: center * n + start)
+    memos = _memos_by_pair(space, calls, lambda walk: walk.searches, lambda walk, center, start: center * n + start)
     assert set(memos) == {frozenset(p) for p in combinations(space.colors, 2)}
-    if build is shapes.sd_projective_plane:  # a pair resumes its searches past a stored tree
-        assert sum(extends) == 8
-    # and searches no (center, start, goal) twice, as each bypass's letters are stored
-    assert len({(_pair_of(space, walk), *args) for walk, *args in calls}) == len(calls)
+    seen = set()
+    for (walk, center, start), hit in zip(calls, stored):  # only the first call searches
+        assert hit == ((_pair_of(space, walk), center, start) in seen)
+        seen.add((_pair_of(space, walk), center, start))
+    if build is shapes.sd_projective_plane:  # a later bypass of a pair reads a stored search
+        assert 0 < sum(stored) < len(calls)
     assert "detour_trees" not in space._cache
     fresh, ids = build(), space.vertices
-    partial = 0
     for colors, searches in memos.items():
-        goals = {}
-        for args in calls:
-            if _pair_of(space, args[0]) == colors:
-                goals.setdefault(args[1] * n + args[2], set()).add(args[3])
-        for key, (parent, *_) in searches.items():
+        for key, parent in searches.items():
             center, start = divmod(key, n)
             full = _bfs_tree(link_graph_by_star_scan(fresh, ids[center], colors), ids[start])
-            named = {ids[w]: None if u is None else ids[u] for w, u in parent.items()}
-            assert named.items() <= full.items()  # every discovered pointer is the full tree's
-            assert goals[key] <= set(parent)
-            partial += len(parent) < len(full)
-            for goal in goals[key]:
-                again = pi1._detour(pi1._pair_walk(fresh, colors), center, start, goal)
-                assert again.items() <= parent.items()
-                path = [goal]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                assert [ids[p] for p in path[::-1]] == _link_detour(fresh, colors, ids[center], ids[start], ids[goal])
-    assert partial  # some search stopped before its whole link
+            assert {ids[w]: None if u is None else ids[u] for w, u in parent.items()} == full
+            assert search(pi1._pair_walk(fresh, colors), center, start) == parent
     searched = 0
-    for colors, u, mid, tail, hops, searches in bypasses:
-        goal = pi1._bridge(pi1._pair_walk(fresh, colors), mid, tail)
-        assert [ids[p] for p in hops] == _link_detour(fresh, colors, ids[mid], ids[u], ids[goal])
-        assert searches == (goal != u)  # a bypass whose bridge is its entry vertex searches nothing
+    for colors, u, mid, bridge, hops, searches in bypasses:
+        assert [ids[p] for p in hops] == _link_detour(fresh, colors, ids[mid], ids[u], ids[bridge])
+        assert searches == (bridge != u)  # a bypass whose bridge is its entry vertex searches nothing
         searched += searches
     assert 0 < searched < len(bypasses)
 
@@ -811,17 +771,16 @@ def test_detour_tree_memo_keeps_no_tree_that_failed_its_witness_check():
     bad = _corrupted(walk, {index.d * index.nbr[0][2]: (1,)})
     for _ in range(2):
         with pytest.raises(pi1.ContractViolationError, match=r"\[2, 1, 0\] is not a face"):
-            pi1._detour(bad, 0, 2, 3)
+            pi1._detour(bad, 0, 2)
         assert searches == {}
-    # resumption: the search from 0 around 4 finds 2 at once, then meets {2, 4, 5}
+    # the search from 0 around 4 finds 2 and 3, then meets {2, 4, 5}: nothing is stored
     bad = _corrupted(walk, {index.d * index.nbr[2][4]: (5,)})
-    assert pi1._detour(bad, 4, 0, 2) == {0: None, 2: 0, 3: 0}
-    assert set(searches) == {4 * index.n + 0}
     with pytest.raises(pi1.ContractViolationError, match=r"\[2, 5, 4\] is not a face"):
-        pi1._detour(bad, 4, 0, 1)
+        pi1._detour(bad, 4, 0)
     assert searches == {}
-    assert pi1._detour(bad, 4, 0, 2) == {0: None, 2: 0, 3: 0}
-    # a bridge is stored only once its witness has checked: {4, 5} is no edge, {2, 4, 5} no face
+    whole = {0: None, 2: 0, 3: 0, 1: 2}  # the link of 4 is the 4-cycle 0, 2, 1, 3
+    assert pi1._detour(walk, 4, 0) == whole and searches == {4 * index.n + 0: whole}
+    # a bridge's witness is checked on every call: {4, 5} is no edge, {2, 4, 5} no face
     vertex = index.d * index.nbr[4][4]
     bad = _corrupted(walk, {vertex: (5,), vertex + 1: (5,)})
     with pytest.raises(pi1.ContractViolationError, match=r"\[4, 5, 4\] is not a face"):
@@ -829,8 +788,7 @@ def test_detour_tree_memo_keeps_no_tree_that_failed_its_witness_check():
     bad = _corrupted(walk, {index.d * index.nbr[4][2]: (5,)})
     with pytest.raises(pi1.ContractViolationError, match=r"\[4, 5, 2\] is not a face"):
         pi1._bridge(bad, 4, 2)
-    assert walk.bridges == {}
-    assert pi1._bridge(walk, 4, 2) == 0 and walk.bridges == {4 * index.n + 2: 0}
+    assert pi1._bridge(walk, 4, 2) == 0 and searches == {4 * index.n + 0: whole}
 
 
 def test_verify_leaves_no_per_pair_memos_on_the_complex():

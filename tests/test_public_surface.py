@@ -129,9 +129,20 @@ def test_the_rewriter_and_the_restriction_run_one_bypass_walk():
 
     used = names_used_by_function(PI1)
     assert used["_bypass_walk"] == {"_restrict", "rewrite_path_to_colors"}
+    assert callers(PI1)["_bypass_walk"] == {"_restrict", "rewrite_path_to_colors"}
     assert used["_detour"] == {"_bypass_walk"}
     for name in TUPLE_KEYED_WALK:
         assert name not in vars(pi1), f"topokit.pi1 binds {name}"
+
+
+def test_the_walk_keeps_no_bridge_memo():
+    """Each caller passes the bridge it has just asked for, so a pair's walk holds only its
+    detour searches, and no module reads a ``bridges`` attribute."""
+    from topokit import pi1
+
+    assert pi1._Walk._fields == ("index", "first", "second", "searches")
+    for path in LIBRARY_FILES:
+        assert "bridges" not in names_used_by_function(path), f"{path.name} reads .bridges"
 
 
 SRC = Path(topokit.__file__).parent
