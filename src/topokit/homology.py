@@ -5,12 +5,15 @@ dicts, so all arithmetic is exact.  First homology reads the boundary map
 ``d2`` as sparse columns from the edge skeleton that the fundamental group
 reads too (``_skeleton()``): the edges, and one relator per triangle of a
 complex or rank-3 element of a simplicial poset (a regular CW complex whose
-cells are simplices, with the homology of its order complex).  It factors
-``d2`` with :func:`unit_pivot_factor`: each +-1 pivot adds an invariant factor
-1, and the dense :func:`smith_normal_form` (``U @ A @ V == D``, one least-entry
-loop) runs only on the block the pivots leave over.  :func:`cycle_class_equal`
-reads the end vertices of each edge from the same data, so it answers on posets
-too.  Dense SNF and :func:`boundary_matrices` stay public as the tested oracle.
+cells are simplices, with the homology of its order complex).  It drops the
+rows of a spanning forest, contracting it (Kaczynski, Mischaikow and Mrozek,
+*Computational Homology*, 2004): that is injective on cycles, so rank and
+invariant factors stay.  :func:`unit_pivot_factor` factors the rest: each +-1
+pivot adds an invariant factor 1, and the dense :func:`smith_normal_form`
+(``U @ A @ V == D``, one least-entry loop) runs only on the block the pivots
+leave over.  :func:`cycle_class_equal` reads the end vertices of each edge from
+the same data, so it answers on posets too.  Dense SNF and
+:func:`boundary_matrices` stay public as the tested oracle.
 """
 
 from __future__ import annotations
@@ -182,7 +185,8 @@ class SparseFactor:
         return tuple(x for x in self.diagonal if x > 1)
 
     def contains(self, vector: list[int]) -> bool:
-        """Whether a dense vector, indexed by row, lies in the column lattice."""
+        """Whether a dense vector, indexed by row, lies in the column lattice; for
+        ``chain_data``'s ``d2``, a projected cycle: its entries on the ``"cotree"`` edges."""
         w = list(vector)
         for r, col in self.pivots:
             c = w[r] * col[r]
@@ -294,29 +298,38 @@ class HomologySummary:
 
 
 def chain_data(space) -> dict:
-    """The end vertices of each edge and the factored ``d2``, cached on the complex or
-    poset.  Both come from the presentation skeleton: ``d2``'s column j is triangle j's
-    relator, the edge of letter i being row ``i - 1``."""
+    """The end vertices of each edge, the ``"cotree"`` (ascending indexes of the edges off
+    a spanning forest, which takes each edge in turn that joins two of its trees) and
+    ``d2`` factored on its rows, cached on the complex or poset.  From the presentation
+    skeleton: ``d2``'s column j is triangle j's relator less its forest letters, row i
+    the edge ``cotree[i]`` (letter ``cotree[i] + 1``)."""
     cache = space._cache
     if "chain" not in cache:
         edges, _, relators = space._skeleton()
-        columns = ({abs(x) - 1: 1 if x > 0 else -1 for x in rel} for rel in relators)
         ends = [*map(space._ends, edges)]
-        cache["chain"] = {"edges": ends, "d2": unit_pivot_factor(columns)}
+        parent, row = {v: v for e in ends for v in e}, {}  # union-find; cotree edge -> its row
+        for i, (a, b) in enumerate(ends):
+            while (up := parent[a]) != a:  # path halving
+                parent[a] = a = parent[up]
+            while (up := parent[b]) != b:
+                parent[b] = b = parent[up]
+            if a == b:
+                row[i] = len(row)
+            parent[a] = b  # joins two trees, or leaves a root where it is
+        columns = ({r: 1 if x > 0 else -1 for x in rel if (r := row.get(abs(x) - 1)) is not None} for rel in relators)
+        cache["chain"] = {"edges": ends, "cotree": tuple(row), "d2": unit_pivot_factor(columns)}
     return cache["chain"]
 
 
 def h1(space) -> HomologySummary:
-    """H1 over the integers via the factored ``d2``; the space must be connected."""
+    """H1 over the integers via the factored ``d2``; the space must be connected.
+    ``betti1`` is the number of edges off the forest, less the rank of ``d2``."""
     if not space.is_connected():
         raise ValidationError("H1 summary requires a connected complex")
     data = chain_data(space)
-    # d1 of a connected space has rank |V| - 1; the clamp keeps the void complex at 0
-    rank1 = max(len(space.vertices) - 1, 0)
-    betti = len(data["edges"]) - rank1 - data["d2"].rank
-    # im d2 lies in the saturated subgroup ker d1, so the invariant factors of
-    # d2 are already those of the restriction to ker d1
-    return HomologySummary(betti, data["d2"].torsion)
+    # forgetting the forest maps ker d1 onto Z^cotree, so the projected d2 has the
+    # invariant factors of d2 into ker d1, which are those of d2 (ker d1 is saturated)
+    return HomologySummary(len(data["cotree"]) - data["d2"].rank, data["d2"].torsion)
 
 
 def edge_path_cycle_vector(complex: SimplicialComplex, path) -> list[int]:
@@ -338,7 +351,7 @@ def edge_path_cycle_vector(complex: SimplicialComplex, path) -> list[int]:
 
 def cycle_class_equal(space, z1: list[int], z2: list[int]) -> bool:
     """Whether two 1-cycles of a complex or poset, indexed like ``edges()``, differ by a
-    boundary, decided exactly on the factored d2."""
+    boundary, decided exactly on the factored d2 from the entries off the forest."""
     data = chain_data(space)
     edges = data["edges"]
     z1, z2 = _read.ids(z1), _read.ids(z2)
@@ -353,4 +366,4 @@ def cycle_class_equal(space, z1: list[int], z2: list[int]) -> bool:
                 boundary[v] = boundary.get(v, 0) + x
         if any(boundary.values()):
             raise ValidationError("input is not a cycle")
-    return data["d2"].contains([x - y for x, y in zip(z1, z2)])
+    return data["d2"].contains([z1[i] - z2[i] for i in data["cotree"]])

@@ -45,7 +45,7 @@ or color) is refused, not converted.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -829,9 +829,12 @@ def _restrict(complex, tree, edges, relators) -> GroupPresentation:
                 images[i], images[-i] = word, tuple(invert_word(word))
     mapped = []
     for rel in relators:
-        word = ()
-        for x in rel:
-            word += images[x]
+        if len(rel) == 3:  # a triangle, as every skeleton relator is
+            word = images[rel[0]] + images[rel[1]] + images[rel[2]]
+        else:
+            word = ()
+            for x in rel:
+                word += images[x]
         if len(word) > 1:
             word = free_reduce(word)
         if word:
@@ -923,8 +926,10 @@ def tietze_simplify(presentation, max_rounds: int = DEFAULT_TIETZE_ROUNDS) -> Gr
     def eliminate(k) -> bool:
         """Try candidate k; on success substitute it away and drop it."""
         rel = words[k]
-        counts = Counter(map(abs, rel))
-        pos = next((p for p, x in enumerate(rel) if counts[abs(x)] == 1), None)
+        seen, twice = set(), set()
+        for g in map(abs, rel):
+            (twice if g in seen else seen).add(g)
+        pos = next((p for p, x in enumerate(rel) if abs(x) not in twice), None)
         if pos is None:
             failed[k] = None
             return False

@@ -9,17 +9,19 @@ from conftest import corpus_complexes, invariant_factors_by_minors, random_close
 from topokit import (
     FaceNotFoundError,
     SimplicialComplex,
+    SimplicialPoset,
     ValidationError,
     boundary_matrices,
     cycle_class_equal,
     edge_path_cycle_vector,
+    face_poset,
     h1,
     invariant_factors,
     smith_normal_form,
     snf_is_valid,
 )
 from topokit import shapes
-from topokit.homology import mat_mul, snf_diagonal, unit_pivot_factor
+from topokit.homology import chain_data, mat_mul, snf_diagonal, unit_pivot_factor
 
 
 def dense_h1(complex):
@@ -32,7 +34,57 @@ def dense_h1(complex):
 
 def dense_class_oracle(complex):
     """Membership of z1 - z2 in im d2, through the dense U of the Smith form of d2."""
-    u, d, _ = smith_normal_form(boundary_matrices(complex)[1])
+    return dense_membership(boundary_matrices(complex)[1])
+
+
+def poset_d2(poset):
+    """Dense d2 of a simplicial poset, read from its covers: a rank-3 element on atoms
+    a < b < c has boundary bc - ac + ab, each side named by its two atoms."""
+    edges, tris = poset.edges(), poset.elements_of_rank(3)
+    row = {e: i for i, e in enumerate(edges)}
+    d2 = [[0] * len(tris) for _ in edges]
+    for j, t in enumerate(tris):
+        a, b, c = sorted(poset.atoms_of(t))
+        sign = {frozenset((b, c)): 1, frozenset((a, c)): -1, frozenset((a, b)): 1}
+        for lo, hi in poset.covers:
+            if hi == t:
+                d2[row[lo]][j] = sign[poset.atoms_of(lo)]
+    return d2
+
+
+def edge_ends(space):
+    """The end vertices of each edge, ascending, indexed like ``edges()``."""
+    if isinstance(space, SimplicialPoset):
+        return [tuple(sorted(space.atoms_of(e))) for e in space.edges()]
+    return list(space.edges())
+
+
+def random_cycle(ends, rng, root, steps=10):
+    """A signed edge vector: ``steps`` random edges from ``root``, then back along a
+    BFS tree; an edge (u, v) counts +1 from u to v."""
+    at = {}
+    for i, (u, v) in enumerate(ends):
+        at.setdefault(u, []).append((i, v, 1))
+        at.setdefault(v, []).append((i, u, -1))
+    back, queue = {root: None}, [root]  # vertex -> (edge, parent, sign) toward the root
+    for u in queue:
+        for i, w, s in at[u]:
+            if w not in back:
+                back[w] = (i, u, -s)
+                queue.append(w)
+    z, at_vertex = [0] * len(ends), root
+    for _ in range(steps):
+        i, at_vertex, s = rng.choice(at[at_vertex])
+        z[i] += s
+    while back[at_vertex] is not None:
+        i, at_vertex, s = back[at_vertex]
+        z[i] += s
+    return z
+
+
+def dense_membership(d2):
+    """Whether z1 - z2 lies in the column lattice of the dense ``d2``."""
+    u, d, _ = smith_normal_form(d2)
     diag = snf_diagonal(d)
     diag += [0] * (len(u) - len(diag))
 
@@ -315,6 +367,93 @@ def test_cycle_class_matches_dense_membership(corpus, name):
         assert answer == same_class(z1, z2)
         outcomes.add(answer)
     assert outcomes == {True, False}
+
+
+def class_queries(space, roots, same_class, seed, count=30):
+    """Compare ``cycle_class_equal`` with ``same_class`` on seeded pairs of cycles, each
+    a sum of closed walks from ``roots``; returns the answers seen."""
+    ends, rng, outcomes = edge_ends(space), random.Random(seed), set()
+    for _ in range(count):
+        first = [sum(x) for x in zip(*(random_cycle(ends, rng, r) for r in roots))]
+        extra = random_cycle(ends, rng, rng.choice(roots))
+        k = rng.choice([1, 2])
+        second = [x + k * y for x, y in zip(first, extra)] if rng.random() < 0.5 else extra
+        answer = cycle_class_equal(space, first, second)
+        assert answer == same_class(first, second)
+        outcomes.add(answer)
+    return outcomes
+
+
+def test_cycle_classes_on_two_disjoint_projective_planes():
+    # the forest has a tree per copy, and H1 is (Z/2)^2: a loop through one copy
+    # differs from one through both
+    rp2 = shapes.sd_projective_plane()
+    union = SimplicialComplex(list(rp2.facets) + [tuple(v + 1000 for v in f) for f in rp2.facets])
+    assert len(chain_data(union)["cotree"]) == len(union.edges()) - len(union.vertices) + 2
+    outcomes = class_queries(union, [0, 1000], dense_class_oracle(union), seed=3, count=40)
+    assert outcomes == {True, False}
+
+
+def test_cycle_classes_beside_an_isolated_vertex():
+    torus = shapes.sd_torus()
+    space = SimplicialComplex(list(torus.facets) + [(999,)])
+    assert not space.is_connected()
+    assert class_queries(space, [0], dense_class_oracle(space), seed=5) == {True, False}
+
+
+def test_cycle_classes_on_the_double_circle_match_dense_membership(double_circle):
+    # the first parallel edge is the forest, the second the only row of d2
+    assert chain_data(double_circle)["cotree"] == (1,)
+    outcomes = class_queries(double_circle, [0], dense_membership(poset_d2(double_circle)), seed=7)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_cycle_classes_on_face_posets_match_dense_membership(corpus, name):
+    poset = face_poset(corpus[name])
+    d2 = poset_d2(poset)
+    assert d2 == boundary_matrices(corpus[name])[1]  # a face poset keeps the complex's cells
+    outcomes = class_queries(poset, [poset.atoms()[0]], dense_membership(d2), seed=11)
+    assert outcomes == ({True} if h1(poset).min_generators == 0 else {True, False})
+
+
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_factor_rows_are_the_edges_off_a_spanning_forest(corpus, name):
+    for space in (corpus[name], face_poset(corpus[name])):
+        data = chain_data(space)
+        cotree, factor = set(data["cotree"]), data["d2"]
+        assert list(data["cotree"]) == sorted(cotree)
+        trees = {v: v for e in data["edges"] for v in e}
+
+        def root(v):
+            while trees[v] != v:
+                v = trees[v]
+            return v
+
+        forest = [e for i, e in enumerate(data["edges"]) if i not in cotree]
+        for a, b in forest:  # acyclic...
+            assert root(a) != root(b)
+            trees[root(a)] = root(b)
+        assert all(root(a) == root(b) for a, b in data["edges"])  # ...and spanning
+        assert len(forest) == len(space.vertices) - 1
+        # no forest row in any pivot column or in the residual: every row is a cotree edge's
+        rows = range(len(cotree))
+        assert all(i in rows for _, col in factor.pivots for i in col)
+        assert all(i in rows for i in factor.rows)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_complexes()))
+def test_h1_matches_dense_oracle_on_spread_ids(corpus, name):
+    # gapped ids in shuffled order, so the forest reads the edges in a new order
+    complex = corpus[name]
+    rng = random.Random(name)
+    spread = dict(zip(complex.vertices, rng.sample(range(10**6, 10**9, 7919), len(complex.vertices))))
+    relabelled = SimplicialComplex([tuple(spread[v] for v in f) for f in complex.facets])
+    expected = dense_h1(relabelled)
+    assert expected == dense_h1(complex)
+    for space in (relabelled, face_poset(relabelled)):
+        summary = h1(space)
+        assert (summary.betti1, summary.torsion) == expected
 
 
 def test_degenerate_edges_contribute_nothing():

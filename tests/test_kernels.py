@@ -79,6 +79,21 @@ def test_restriction_matches_the_unmemoized_oracle(name):
         _assert_same(restrict_presentation(full, complex, pair, tree), oracle, pair)
 
 
+@pytest.mark.parametrize("name", ["corpus-sd_rp2", "cross5-relabelled", "sum5"])
+def test_restriction_maps_relators_of_every_length(name):
+    """A triangle's image is folded as one sum, any other relator letter by letter; on
+    relators of length 0 to 6 (each triangle, its product with the next, its first two
+    letters and its inverse's first) both give the oracle's words."""
+    complex = COMPLEXES[name]()
+    edges, _, triangles = complex._skeleton()
+    mixed = [()]
+    for rel, nxt in zip(triangles, triangles[1:]):
+        mixed += [rel, rel + nxt, rel[:2], (-rel[0],)]
+    for pair in combinations(complex.colors, 2):
+        tree = build_nested_tree(complex, pair)
+        _assert_same(pi1._restrict(complex, tree, edges, mixed), oracle_restrict(complex, tree, edges, mixed), pair)
+
+
 def spread(complex, seed):
     """``complex`` with each vertex v sent to ``10**12 + 7 * sigma(v) + 3`` for a seeded
     permutation sigma, and its colors to seeded distinct values: ids shuffled, gapped and
