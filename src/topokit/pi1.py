@@ -45,7 +45,7 @@ or color) is refused, not converted.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -926,10 +926,8 @@ def tietze_simplify(presentation, max_rounds: int = DEFAULT_TIETZE_ROUNDS) -> Gr
     def eliminate(k) -> bool:
         """Try candidate k; on success substitute it away and drop it."""
         rel = words[k]
-        seen, twice = set(), set()
-        for g in map(abs, rel):
-            (twice if g in seen else seen).add(g)
-        pos = next((p for p, x in enumerate(rel) if abs(x) not in twice), None)
+        counts = Counter(map(abs, rel))
+        pos = next((p for p, x in enumerate(rel) if counts[abs(x)] == 1), None)
         if pos is None:
             failed[k] = None
             return False

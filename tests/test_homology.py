@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_complexes, invariant_factors_by_minors, random_closed_path
+from conftest import corpus_complexes, invariant_factors_by_minors
 
 from topokit import (
     FaceNotFoundError,
@@ -30,11 +30,6 @@ def dense_h1(complex):
     factors2 = invariant_factors(d2)
     betti = len(d2) - len(invariant_factors(d1)) - len(factors2)
     return betti, tuple(x for x in factors2 if x > 1)
-
-
-def dense_class_oracle(complex):
-    """Membership of z1 - z2 in im d2, through the dense U of the Smith form of d2."""
-    return dense_membership(boundary_matrices(complex)[1])
 
 
 def poset_d2(poset):
@@ -350,25 +345,6 @@ def test_cycle_classes_on_the_double_circle(double_circle):
         cycle_class_equal(double_circle, [1, 0], [1, 0])
 
 
-@pytest.mark.parametrize("name", ["sd_torus", "sd_rp2"])
-def test_cycle_class_matches_dense_membership(corpus, name):
-    complex = corpus[name]
-    same_class = dense_class_oracle(complex)
-    rng = random.Random(11)
-    outcomes = set()
-    for _ in range(40):
-        root = rng.choice(complex.vertices)
-        first = random_closed_path(complex, root, rng)
-        extra = random_closed_path(complex, root, rng)
-        second = first + extra * rng.choice([1, 2]) if rng.random() < 0.5 else extra
-        z1 = edge_path_cycle_vector(complex, first)
-        z2 = edge_path_cycle_vector(complex, second)
-        answer = cycle_class_equal(complex, z1, z2)
-        assert answer == same_class(z1, z2)
-        outcomes.add(answer)
-    assert outcomes == {True, False}
-
-
 def class_queries(space, roots, same_class, seed, count=30):
     """Compare ``cycle_class_equal`` with ``same_class`` on seeded pairs of cycles, each
     a sum of closed walks from ``roots``; returns the answers seen."""
@@ -384,28 +360,34 @@ def class_queries(space, roots, same_class, seed, count=30):
     return outcomes
 
 
-def test_cycle_classes_on_two_disjoint_projective_planes():
-    # the forest has a tree per copy, and H1 is (Z/2)^2: a loop through one copy
-    # differs from one through both
+def two_projective_planes():
     rp2 = shapes.sd_projective_plane()
-    union = SimplicialComplex(list(rp2.facets) + [tuple(v + 1000 for v in f) for f in rp2.facets])
-    assert len(chain_data(union)["cotree"]) == len(union.edges()) - len(union.vertices) + 2
-    outcomes = class_queries(union, [0, 1000], dense_class_oracle(union), seed=3, count=40)
-    assert outcomes == {True, False}
+    return SimplicialComplex(list(rp2.facets) + [tuple(v + 1000 for v in f) for f in rp2.facets])
 
 
-def test_cycle_classes_beside_an_isolated_vertex():
-    torus = shapes.sd_torus()
-    space = SimplicialComplex(list(torus.facets) + [(999,)])
-    assert not space.is_connected()
-    assert class_queries(space, [0], dense_class_oracle(space), seed=5) == {True, False}
+def torus_and_a_point():
+    return SimplicialComplex(list(shapes.sd_torus().facets) + [(999,)])
 
 
-def test_cycle_classes_on_the_double_circle_match_dense_membership(double_circle):
-    # the first parallel edge is the forest, the second the only row of d2
-    assert chain_data(double_circle)["cotree"] == (1,)
-    outcomes = class_queries(double_circle, [0], dense_membership(poset_d2(double_circle)), seed=7)
-    assert outcomes == {True, False}
+CLASS_CASES = {  # name -> (build, the roots the walks start from, number of components)
+    "sd_torus": (shapes.sd_torus, [0], 1),
+    "sd_rp2": (shapes.sd_projective_plane, [0], 1),
+    # a tree per copy; H1 is (Z/2)^2, so a loop through one copy differs from one through both
+    "two_rp2": (two_projective_planes, [0, 1000], 2),
+    "torus_and_a_point": (torus_and_a_point, [0], 2),  # a vertex on no edge
+    # parallel edges: one is the forest, the other the only row of d2
+    "double_circle": (shapes.double_edge_circle, [0], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASS_CASES))
+def test_cycle_class_matches_dense_membership(name):
+    build, roots, components = CLASS_CASES[name]
+    space = build()
+    cotree = chain_data(space)["cotree"]
+    assert len(cotree) == len(edge_ends(space)) - len(space.vertices) + components
+    d2 = poset_d2(space) if isinstance(space, SimplicialPoset) else boundary_matrices(space)[1]
+    assert class_queries(space, roots, dense_membership(d2), seed=name, count=40) == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(corpus_complexes()))
